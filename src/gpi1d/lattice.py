@@ -29,12 +29,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GridTooCoarse, InsufficientBands
-from .params import CouplingScheme, TransferParams, is_decoupled, scheme_to_transfer
+from .params import CouplingScheme, is_decoupled, scheme_to_transfer
 
 _EDGE_XTOL = 1e-12  # energy tolerance of edge refinement
+_EDGE_RTOL = 8.0 * np.finfo(float).eps  # relative part of the same tolerance
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,9 @@ def band_condition_lhs_bound(spec: LatticeSpec) -> float:
     return math.hypot(4.0 - g.det, 4.0 * g.gamma.imag)
 
 
-def _transfer(spec: LatticeSpec) -> TransferParams:
-    return scheme_to_transfer(spec.scheme)
-
-
-def _trace_coeffs(t: TransferParams) -> tuple[float, float, float]:
+def _trace_coeffs(spec: LatticeSpec) -> tuple[float, float, float]:
     # tr(M T) = (ta + td) cos(k ell) + tc sin(k ell)/k - tb k sin(k ell)
+    t = scheme_to_transfer(spec.scheme)
     return t.ta + t.td, t.tc, t.tb
 
 
@@ -129,36 +126,28 @@ def monodromy_trace(spec: LatticeSpec, k: float) -> float:
     """Floquet discriminant tr(M T(k, ell)) of the real transfer factor; band iff |tr| <= 2."""
     if not k > 0:
         raise ValueError("k must be positive")
-    s, c_sin, b_sin = _trace_coeffs(_transfer(spec))
+    s, c_sin, b_sin = _trace_coeffs(spec)
     kl = k * spec.ell
     return s * math.cos(kl) + (c_sin / k - b_sin * k) * math.sin(kl)
 
 
+def _floquet_trace(coeffs: tuple[float, float, float], ell: float, energy) -> np.ndarray:
+    # The discriminant at every energy of an array: trigonometric in k = sqrt(E)
+    # above zero, hyperbolic in q = sqrt(-E) below, and s + c ell at E = 0.
+    s, c_sin, b_sin = coeffs
+    e = np.asarray(energy, dtype=float)
+    k = np.sqrt(np.abs(e))
+    tr = np.full(e.shape, s + c_sin * ell)
+    up, down = e > 0, e < 0
+    ku, qd = k[up], k[down]
+    tr[up] = s * np.cos(ku * ell) + (c_sin / ku - b_sin * ku) * np.sin(ku * ell)
+    tr[down] = s * np.cosh(qd * ell) + (c_sin / qd + b_sin * qd) * np.sinh(qd * ell)
+    return tr
+
+
 def trace_at_energy(spec: LatticeSpec, energy: float) -> float:
     """Floquet discriminant as a function of energy, hyperbolic below zero."""
-    s, c_sin, b_sin = _trace_coeffs(_transfer(spec))
-    ell = spec.ell
-    if energy > 0:
-        k = math.sqrt(energy)
-        kl = k * ell
-        return s * math.cos(kl) + (c_sin / k - b_sin * k) * math.sin(kl)
-    if energy < 0:
-        q = math.sqrt(-energy)
-        ql = q * ell
-        return s * math.cosh(ql) + (c_sin / q + b_sin * q) * math.sinh(ql)
-    return s + c_sin * ell
-
-
-def _trace_on_positive_grid(spec: LatticeSpec, ks: np.ndarray) -> np.ndarray:
-    s, c_sin, b_sin = _trace_coeffs(_transfer(spec))
-    kl = ks * spec.ell
-    return s * np.cos(kl) + (c_sin / ks - b_sin * ks) * np.sin(kl)
-
-
-def _trace_on_negative_grid(spec: LatticeSpec, qs: np.ndarray) -> np.ndarray:
-    s, c_sin, b_sin = _trace_coeffs(_transfer(spec))
-    ql = qs * spec.ell
-    return s * np.cosh(ql) + (c_sin / qs + b_sin * qs) * np.sinh(ql)
+    return float(_floquet_trace(_trace_coeffs(spec), spec.ell, energy))
 
 
 def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
@@ -188,65 +177,77 @@ def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
 # Band extraction
 # ---------------------------------------------------------------------------
 
-def _feature_scale_k(spec: LatticeSpec, k: float) -> float:
-    # Smallest band/gap width in k expected near k, from the asymptotic widths;
-    # keeps the sampling grid fine enough to bracket narrow features.
+def _feature_scale_k(spec: LatticeSpec, k: np.ndarray) -> np.ndarray:
+    # Smallest band/gap width in k expected near each k, from the asymptotic
+    # widths; keeps the sampling grid fine enough to bracket narrow features.
     g = spec.scheme.greek
     ell = spec.ell
     wmod = band_condition_lhs_bound(spec)
-    k = max(k, 1.0)
-    candidates = [math.pi / ell]
+    k = np.maximum(k, 1.0)
+    scale = np.full(k.shape, math.pi / ell)
     if abs(g.beta) > 1e-12 * g.scale:
-        candidates.append(wmod / (abs(g.beta) * ell * k))
+        scale = np.minimum(scale, wmod / (abs(g.beta) * ell * k))
     else:
         gm2 = abs(g.gamma) ** 2
-        if abs(g.alpha) > 0:
-            candidates.append(4.0 * abs(g.alpha) / ((4.0 + gm2) * ell * k))
         tinf = min(1.0, wmod / (4.0 + gm2))
         # vanishing band/gap widths are closed features, not ones to resolve
         if tinf < 1.0 - 1e-9:
-            candidates.append(2.0 * math.acos(tinf) / ell)
+            scale = np.minimum(scale, 2.0 * math.acos(tinf) / ell)
+        elif abs(g.alpha) > 0:
+            # delta-like (t_inf = 1): the gaps close like 1/k; in the
+            # intermediate regime they do not, and this would make the grid O(m^2)
+            scale = np.minimum(scale, 4.0 * abs(g.alpha) / ((4.0 + gm2) * ell * k))
         if tinf > 1e-9:
-            candidates.append(2.0 * math.asin(tinf) / ell)
-    return max(min(candidates), math.pi / (4000.0 * ell))
+            scale = np.minimum(scale, 2.0 * math.asin(tinf) / ell)
+    return np.maximum(scale, math.pi / (4000.0 * ell))
 
 
 def _positive_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
     ell = spec.ell
     period = math.pi / ell
-    pieces = [np.array([1e-9 / ell])]
-    k0 = 1e-9 / ell
-    while k0 < k_max:
-        k1 = min(k0 + period, k_max)
-        # at least 48 samples per period, finer where features shrink
-        n = max(48, int(math.ceil(5.0 * period / _feature_scale_k(spec, k1))))
-        pieces.append(np.linspace(k0, k1, n + 1)[1:])
-        k0 = k1
-    return np.concatenate(pieces)
+    k_min = 1e-9 / ell
+    # one piece per period (the last one cut at k_max) of n points up to and
+    # including its end: at least 48, finer where features shrink
+    steps = int(math.ceil((k_max - k_min) / period)) + 1
+    starts = np.cumsum(np.concatenate([[k_min], np.full(steps, period)]))
+    starts = starts[starts < k_max]
+    ends = np.minimum(starts + period, k_max)
+    n = np.maximum(48, np.ceil(5.0 * period / _feature_scale_k(spec, ends)).astype(np.int64))
+    grid = np.empty(int(n.sum()) + 1)
+    grid[0] = k_min
+    j = 1
+    for k0, k1, m in zip(starts.tolist(), ends.tolist(), n.tolist()):
+        grid[j:j + m] = np.arange(1, m + 1) * ((k1 - k0) / m) + k0
+        j += m
+        grid[j - 1] = k1
+    return grid
 
 
-def _negative_kappa_max(spec: LatticeSpec) -> float:
-    from .spectral import point_spectrum  # local import; spectral does not import lattice
-    kappas = [abs(p.kappa) for p in point_spectrum(spec.scheme)]
-    q = max(2.0, 2.0 * max(kappas, default=0.0)) + 4.0 / spec.ell
-    for _ in range(60):
-        if abs(trace_at_energy(spec, -q * q)) > 10.0:
-            return q
-        q *= 1.5
-    raise GridTooCoarse("could not bound the negative-energy spectrum")
+def _negative_kappa_max(spec: LatticeSpec, coeffs: tuple[float, float, float],
+                        levels: list) -> float:
+    # The first of 60 depths, each 1.5 times the last, below which |tr| > 10.
+    q0 = max(2.0, 2.0 * max((abs(p.kappa) for p in levels), default=0.0)) + 4.0 / spec.ell
+    qs = np.cumprod(np.concatenate([[q0], np.full(59, 1.5)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cleared = np.abs(_floquet_trace(coeffs, spec.ell, -qs * qs)) > 10.0
+    if not cleared.any():
+        raise GridTooCoarse(
+            "could not bound the negative-energy spectrum: |tr| <= 10 at all"
+            f" {len(qs)} depths of the energy window [{-qs[-1] ** 2:.6g}, {-q0 * q0:.6g}]")
+    return float(qs[np.argmax(cleared)])
 
 
-def _negative_grid(spec: LatticeSpec, q_max: float) -> np.ndarray:
+def _negative_grid(spec: LatticeSpec, q_max: float, levels: list) -> np.ndarray:
     # Uniform sweep plus dense clusters around the single-center bound levels,
     # whose lattice bands are exponentially narrow: half-width in kappa on the
     # tight-binding scale ~ kappa * exp(-kappa * ell).  The exact level always
     # lies inside its band (the Floquet discriminant there is exponentially
     # small), so it is included as a grid point outright; that keeps even
     # sub-resolution bands bracketed.
-    from .spectral import PointKind, point_spectrum
+    from .spectral import PointKind
     q_eps = 1e-9 / spec.ell
     qs = [np.linspace(q_max, q_eps, 600)]
-    for p in point_spectrum(spec.scheme):
+    for p in levels:
         if p.kind is not PointKind.BOUND:
             continue
         w_q = 4.0 * p.kappa * math.exp(-p.kappa * spec.ell)
@@ -260,18 +261,54 @@ def _negative_grid(spec: LatticeSpec, q_max: float) -> np.ndarray:
     return merged
 
 
-def _refine_edge(spec: LatticeSpec, e_lo: float, e_hi: float) -> float:
-    def g(e: float) -> float:
-        return abs(trace_at_energy(spec, e)) - 2.0
-    edge = brentq(g, e_lo, e_hi, xtol=_EDGE_XTOL, rtol=8.0 * np.finfo(float).eps)
+def _refine_edges(coeffs: tuple[float, float, float], ell: float,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of |tr| - 2 in every bracket [lo_i, hi_i] at once.
+
+    Illinois false position; a step that would leave its bracket, or that
+    follows two steps which did not halve the bracket, bisects instead, so
+    every bracket at least halves in three steps.  A bracket is done once
+    |hi - lo|/2 < _EDGE_XTOL + _EDGE_RTOL |lo| or an end is an exact root, and
+    its edge is the end with the smaller residual.
+    """
+    def resid(e):
+        return np.abs(_floquet_trace(coeffs, ell, e)) - 2.0
+
+    a, b = lo.copy(), hi.copy()
+    fa, fb = resid(a), resid(b)  # Illinois-scaled residuals; the signs stay exact
+    kept = np.zeros(a.shape, dtype=np.int8)  # end the last step kept: -1 lower, +1 upper
+    width_last = np.full(a.shape, np.inf)
+    width_before = np.full(a.shape, np.inf)
+    while True:
+        live = np.flatnonzero((0.5 * (b - a) >= _EDGE_XTOL + _EDGE_RTOL * np.abs(a))
+                              & (fa != 0.0) & (fb != 0.0))
+        if live.size == 0:
+            break
+        ai, bi, fai, fbi = a[live], b[live], fa[live], fb[live]
+        width = bi - ai
+        x = ai - fai * width / (fbi - fai)
+        bisect = ~((x > ai) & (x < bi)) | (width > 0.5 * width_before[live])
+        x = np.where(bisect, ai + 0.5 * width, x)
+        fx = resid(x)
+        up = np.sign(fx) == np.sign(fai)  # the root lies in [x, b]: x replaces a
+        # an end kept twice running has its residual halved
+        fai = np.where(~up & (kept[live] == -1), 0.5 * fai, fai)
+        fbi = np.where(up & (kept[live] == 1), 0.5 * fbi, fbi)
+        a[live] = np.where(up, x, ai)
+        fa[live] = np.where(up, fx, fai)
+        b[live] = np.where(up, bi, x)
+        fb[live] = np.where(up, fbi, fx)
+        kept[live] = np.where(up, 1, -1)
+        width_before[live] = width_last[live]
+        width_last[live] = width
+    edges = np.where(np.abs(resid(a)) <= np.abs(resid(b)), a, b)
     # an edge within the refinement tolerance of zero is the threshold itself
-    return 0.0 if abs(edge) < _EDGE_XTOL else float(edge)
+    return np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
 
 
-def _band_index_for(center: float, ell: float) -> int:
-    # nearest (pi m / ell)^2; exact ties broken downward
-    x = math.sqrt(max(center, 0.0)) * ell / math.pi
-    return max(0, int(math.floor(x + 0.5 - 1e-12)))
+def _grid_note(energies: np.ndarray, e_lo: float, e_hi: float) -> str:
+    n = int(np.count_nonzero((energies >= e_lo) & (energies <= e_hi)))
+    return f"energy window [{e_lo:.6g}, {e_hi:.6g}] sampled at {n} grid points"
 
 
 def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], list[GapInterval]]:
@@ -279,71 +316,64 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
 
     Edges are bracketed by sign changes of |tr| - 2 on an adaptive grid
     (at least 48 samples per pi/ell period, denser where the asymptotic widths
-    predict narrow features) and refined by scipy.optimize.brentq to an energy
-    tolerance of 1e-12.  Bands are indexed by the nearest (pi m / ell)^2, ties
-    broken downward, then forced strictly increasing.  Gapless spectra (the
-    free and phase-equivalent couplings) come back as a single [e_lo, inf)
-    band.
+    predict narrow features) and refined, all brackets at once, by Illinois
+    false position safeguarded by bisection to an energy tolerance of 1e-12
+    (plus 8 ulp relative).  Bands are indexed by the nearest (pi m / ell)^2,
+    ties broken downward, then forced strictly increasing.  Gapless spectra
+    (the free and phase-equivalent couplings) come back as a single
+    [e_lo, inf) band.
     """
+    from .spectral import point_spectrum  # local import; spectral does not import lattice
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     ell = spec.ell
     k_max = (m_max + 1.5) * math.pi / ell
+    coeffs = _trace_coeffs(spec)
+    levels = point_spectrum(spec.scheme)
 
-    q_max = _negative_kappa_max(spec)
-    qs = _negative_grid(spec, q_max)
+    qs = _negative_grid(spec, _negative_kappa_max(spec, coeffs, levels), levels)
     ks = _positive_grid(spec, k_max)
     energies = np.concatenate([-qs * qs, [0.0], ks * ks])
-    traces = np.concatenate([
-        _trace_on_negative_grid(spec, qs),
-        [trace_at_energy(spec, 0.0)],
-        _trace_on_positive_grid(spec, ks),
-    ])
-    inside = np.abs(traces) <= 2.0
+    inside = np.abs(_floquet_trace(coeffs, ell, energies)) <= 2.0
     if inside[0]:
         # in band at the lowest sampled energy: the negative bound failed
-        raise GridTooCoarse("negative-energy grid did not clear the lowest band")
+        raise GridTooCoarse("negative-energy grid did not clear the lowest band: "
+                            + _grid_note(energies, energies[0], 0.0))
 
-    edges: list[float] = []
-    for j in range(len(energies) - 1):
-        if inside[j] != inside[j + 1]:
-            edges.append(_refine_edge(spec, energies[j], energies[j + 1]))
+    j = np.flatnonzero(inside[:-1] != inside[1:])
+    edges = _refine_edges(coeffs, ell, energies[j], energies[j + 1])
+    # edges alternate band start, band end; an odd count leaves a band open at
+    # k_max, and a fully gapless spectrum (free and phase-equivalent couplings)
+    # shows up as one such band
+    if len(edges) == 1:
+        lo = float(edges[0])
+        samples = _band_samples(coeffs, ell, edges, np.array([k_max * k_max]), 9)
+        return [BandInterval(0, lo, math.inf, samples[0])], []
+    lo, hi = edges[0:len(edges) - 1:2], edges[1::2]
 
-    intervals: list[tuple[float, float]] = []
-    open_start: float | None = None
-    state = False
-    for e in edges:
-        if not state:
-            open_start = e
-        else:
-            intervals.append((open_start, e))
-            open_start = None
-        state = not state
-    # state == True here means a band is still open at k_max; a fully gapless
-    # spectrum (free and phase-equivalent couplings) shows up as one such band
-    if state and open_start is not None and not intervals:
-        lo = open_start
-        band = BandInterval(0, lo, math.inf, _band_samples(spec, lo, k_max * k_max, 9))
-        return [band], []
-
-    bands: list[BandInterval] = []
-    last_m = -1
-    for lo, hi in intervals:
-        m = max(_band_index_for(0.5 * (lo + hi), ell), last_m + 1)
-        last_m = m
-        bands.append(BandInterval(m, lo, hi, _band_samples(spec, lo, hi, 9)))
+    # nearest (pi m / ell)^2, exact ties broken downward, then made strictly
+    # increasing: m_i = max(nearest_i, m_{i-1} + 1)
+    x = np.sqrt(np.maximum(0.5 * (lo + hi), 0.0)) * ell / math.pi
+    nearest = np.maximum(np.floor(x + 0.5 - 1e-12).astype(np.int64), 0)
+    i = np.arange(len(nearest))
+    ms = np.maximum.accumulate(nearest - i) + i
+    samples = _band_samples(coeffs, ell, lo, hi, 9)
+    bands = [BandInterval(int(m), float(e0), float(e1), smp)
+             for m, e0, e1, smp in zip(ms, lo, hi, samples)]
 
     if not bands or bands[-1].m < m_max:
         raise GridTooCoarse(
             f"resolved band indices up to {bands[-1].m if bands else 'none'}"
-            f" < m_max = {m_max}")
+            f" < m_max = {m_max}: " + _grid_note(energies, energies[0], energies[-1]))
     bands = [b for b in bands if b.m <= m_max]
 
     gaps: list[GapInterval] = []
     for b0, b1 in zip(bands, bands[1:]):
+        if b0.e_hi > b1.e_lo + 1e-9:
+            raise GridTooCoarse(f"bands {b0.m} and {b1.m} overlap; the grid missed an edge"
+                                " in the " + _grid_note(energies, b0.e_lo, b1.e_hi))
         width = b1.e_lo - b0.e_hi
         gaps.append(GapInterval(b0.m, b0.e_hi, b1.e_lo, closed=width <= 1e-10))
-    _check_band_consistency(bands)
     if m_max >= 8:
         # asymptotically one band per pi/ell period; a shortfall in a fully
         # resolved high window means the grid skipped over a feature
@@ -352,26 +382,19 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         n_win = sum(win_lo <= 0.5 * (b.e_lo + b.e_hi) <= win_hi for b in bands)
         if not 2 <= n_win <= 4:
             raise GridTooCoarse(
-                f"found {n_win} bands in a 3-period window where ~3 are expected")
+                f"found {n_win} bands in a 3-period window where ~3 are expected: "
+                + _grid_note(energies, win_lo, win_hi))
     return bands, gaps
 
 
-def _check_band_consistency(bands: list[BandInterval]) -> None:
-    for b0, b1 in zip(bands, bands[1:]):
-        if b0.e_hi > b1.e_lo + 1e-9:
-            raise GridTooCoarse("band intervals overlap; grid missed an edge")
-
-
-def _band_samples(spec: LatticeSpec, e_lo: float, e_hi: float,
-                  n: int) -> tuple[tuple[float, float], ...]:
-    out = []
-    for e in np.linspace(e_lo, e_hi, n):
-        if e <= 0:
-            continue
-        k = math.sqrt(e)
-        tr = trace_at_energy(spec, e)
-        out.append((k, math.acos(max(-1.0, min(1.0, tr / 2.0)))))
-    return tuple(out)
+def _band_samples(coeffs: tuple[float, float, float], ell: float, e_lo: np.ndarray,
+                  e_hi: np.ndarray, n: int) -> list[tuple[tuple[float, float], ...]]:
+    # n (k, theta) samples across each band [e_lo_i, e_hi_i], positive energies only
+    es = np.linspace(e_lo, e_hi, n, axis=-1)
+    theta = np.arccos(np.clip(_floquet_trace(coeffs, ell, es) / 2.0, -1.0, 1.0))
+    ks = np.sqrt(np.maximum(es, 0.0))
+    return [tuple((k, th) for e, k, th in zip(e_row, k_row, th_row) if e > 0)
+            for e_row, k_row, th_row in zip(es.tolist(), ks.tolist(), theta.tolist())]
 
 
 def dispersion(spec: LatticeSpec, band: BandInterval,
@@ -384,11 +407,9 @@ def dispersion(spec: LatticeSpec, band: BandInterval,
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     hi = band.e_hi if math.isfinite(band.e_hi) else band.e_lo + 10.0 / spec.ell ** 2
-    out = []
-    for e in np.linspace(band.e_lo, hi, n_samples):
-        tr = trace_at_energy(spec, e)
-        out.append((float(e), math.acos(max(-1.0, min(1.0, tr / 2.0)))))
-    return out
+    es = np.linspace(band.e_lo, hi, n_samples)
+    tr = _floquet_trace(_trace_coeffs(spec), spec.ell, es)
+    return list(zip(es.tolist(), np.arccos(np.clip(tr / 2.0, -1.0, 1.0)).tolist()))
 
 
 # ---------------------------------------------------------------------------

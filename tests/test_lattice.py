@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gpi1d import (CouplingScheme, GreekParams, HalflineParams,
+import gpi1d
+from gpi1d import (CouplingScheme, GreekParams, GridTooCoarse, HalflineParams,
                    InsufficientBands, LatticeSpec, Regime, asymptotic_regime,
                    band_condition_lhs_bound, band_condition_rhs, band_structure,
                    bloch_determinant, classify_regime, dispersion,
-                   gauge_transform, monodromy_trace, trace_at_energy)
+                   gauge_transform, monodromy_trace, scheme_to_transfer,
+                   trace_at_energy)
+from gpi1d import lattice
 from conftest import random_greek
 
 PI = math.pi
@@ -79,6 +85,47 @@ def test_monodromy_agrees_with_band_condition(rng):
             tr = monodromy_trace(spec, k)
             rhs = band_condition_rhs(spec, k)
             assert abs(abs(tr) - 2 * abs(rhs) / wmod) < 1e-9 * max(1.0, abs(tr))
+
+
+def test_array_trace_matches_scalar_oracles(rng):
+    # one array call over mixed energies against monodromy_trace and the band
+    # condition above zero, the hyperbolic formula below, s + c ell at zero
+    for _ in range(30):
+        g = random_greek(rng, allow_beta_zero=True)
+        spec = LatticeSpec(CouplingScheme.from_greek(g), float(rng.uniform(0.5, 2.0)))
+        ell = spec.ell
+        t = scheme_to_transfer(spec.scheme)
+        s, c, b = t.ta + t.td, t.tc, t.tb
+        ks = rng.uniform(0.05, 25.0, 40)
+        qs = rng.uniform(0.05, 6.0, 20)
+        energies = np.concatenate([ks * ks, -qs * qs, [0.0]])
+        rng.shuffle(energies)
+        tr = lattice._floquet_trace(lattice._trace_coeffs(spec), ell, energies)
+        assert tr.shape == energies.shape
+        wmod = band_condition_lhs_bound(spec)
+        signs = set()
+        for e, val in zip(energies, tr):
+            assert abs(val - trace_at_energy(spec, e)) <= 1e-12 * max(1.0, abs(val))
+            if e > 0:
+                k = math.sqrt(e)
+                mono = monodromy_trace(spec, k)
+                assert abs(val - mono) < 1e-12 * max(1.0, abs(s) + abs(c / k - b * k))
+                rhs = 2.0 * band_condition_rhs(spec, k) / wmod
+                assert abs(abs(val) - abs(rhs)) < 1e-9 * max(1.0, abs(val))
+                if abs(rhs) > 1e-3:
+                    signs.add(math.copysign(1.0, val * rhs))
+            elif e < 0:
+                q = math.sqrt(-e)
+                hyp = s * math.cosh(q * ell) + (c / q + b * q) * math.sinh(q * ell)
+                terms = abs(s) * math.cosh(q * ell) + abs(c / q + b * q) * math.sinh(q * ell)
+                assert abs(val - hyp) < 1e-12 * max(1.0, terms)
+            else:
+                assert val == s + c * ell
+        # tr = +-2 rhs / |w| with one sign per coupling
+        assert len(signs) == 1
+        # the three branches join continuously at the threshold
+        for e in (1e-14, -1e-14):
+            assert abs(trace_at_energy(spec, e) - (s + c * ell)) < 1e-9 * max(1.0, abs(s) + abs(c))
 
 
 def test_bloch_determinant_oracle(rng):
@@ -166,6 +213,92 @@ def test_band_structure_gauge_invariance(rng):
     assert len(b1) == len(b2)
     for x, y in zip(b1, b2):
         assert abs(x.e_lo - y.e_lo) < 1e-8 and abs(x.e_hi - y.e_hi) < 1e-8
+
+
+def _fuzzed_lattice(rng: np.random.Generator, regime: str) -> LatticeSpec:
+    # couplings whose narrowest band or gap below m = 12 stays above ~7e-3 in
+    # k ell, two steps of the oracle grid (1000 points per period)
+    ell = float(rng.uniform(0.5, 2.0))
+    while True:
+        alpha = float(rng.choice([-1, 1]) * rng.uniform(1.0, 3.0))
+        gamma = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        if regime == "delta_prime":
+            beta = float(rng.choice([-1, 1]) * rng.uniform(0.3, 1.5))
+            g = GreekParams(float(rng.uniform(-3.0, 3.0)), beta, gamma)
+        elif regime == "delta":
+            g = GreekParams(alpha, 0.0, complex(0.0, gamma.imag))
+        elif regime == "intermediate":
+            re = float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.5))
+            g = GreekParams(alpha, 0.0, complex(re, gamma.imag))
+        else:  # near delta-like: Re gamma from 1e-6 to 1e-1
+            re = float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6.0, -1.0))
+            g = GreekParams(alpha, 0.0, complex(re, gamma.imag))
+        if math.hypot(4.0 - g.det, 4.0 * g.gamma.imag) > 1.0:
+            return LatticeSpec(CouplingScheme.from_greek(g), ell)
+
+
+def _oracle_edges(spec: LatticeSpec, k_top: float) -> list[float]:
+    """Positive-energy roots of |tr| - 2 up to k_top^2: sign changes on a dense
+    scalar grid in k, each refined by scalar bisection on monodromy_trace."""
+    def f(k):
+        return abs(monodromy_trace(spec, k)) - 2.0
+
+    ks = np.linspace(0.0, k_top, int(1000 * k_top * spec.ell / PI) + 1)[1:].tolist()
+    vals = [f(k) for k in ks]
+    edges = []
+    for k0, k1, f0, f1 in zip(ks, ks[1:], vals, vals[1:]):
+        if (f0 <= 0.0) == (f1 <= 0.0):
+            continue
+        lo, hi = k0, k1
+        while hi - lo > 4.0 * np.spacing(hi):
+            mid = 0.5 * (lo + hi)
+            if (f(mid) <= 0.0) == (f0 <= 0.0):
+                lo = mid
+            else:
+                hi = mid
+        edges.append((0.5 * (lo + hi)) ** 2)
+    return edges
+
+
+@pytest.mark.parametrize("regime", ["delta_prime", "delta", "intermediate", "near_delta"])
+def test_band_edges_match_scalar_oracle(rng, regime):
+    m_max = 12
+    for _ in range(3):
+        spec = _fuzzed_lattice(rng, regime)
+        bands, _ = band_structure(spec, m_max)
+        top = bands[-1].e_hi
+        got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 1e-6)
+        k_top = (m_max + 1.5) * PI / spec.ell
+        want = [e for e in _oracle_edges(spec, k_top) if 1e-6 < e <= top * (1.0 + 1e-9)]
+        assert len(got) == len(want), (spec.scheme.greek, spec.ell)
+        for e_got, e_want in zip(got, want):
+            assert abs(e_got - e_want) <= 1e-10 * max(1.0, abs(e_want)), spec.scheme.greek
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.8 + 0.5j, 0.05 - 0.3j])
+def test_intermediate_grid_is_linear_in_band_index(gamma):
+    # beta = 0, Re gamma != 0: gaps do not close at high energy, so the grid
+    # needs a fixed number of points per pi/ell period
+    spec = _spec(1.0, 0.0, gamma)
+    n60 = len(lattice._positive_grid(spec, 61.5 * PI))
+    n200 = len(lattice._positive_grid(spec, 201.5 * PI))
+    assert n200 <= 4 * n60
+
+
+def test_grid_too_coarse_names_window_and_density(monkeypatch):
+    spec = _spec(0.0, 1.0, 0.0)
+    monkeypatch.setattr(lattice, "_positive_grid",
+                        lambda spec, k_max: np.linspace(1e-9, k_max, 40))
+    with pytest.raises(GridTooCoarse, match=r"energy window \[.*\] sampled at \d+ grid points"):
+        band_structure(spec, 20)
+
+
+def test_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gpi1d.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gpi1d; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_dispersion_free_folds_k():

@@ -427,22 +427,25 @@ def halfline_to_transfer(h: HalflineParams) -> TransferParams:
 def greek_to_transfer(g: GreekParams) -> TransferParams:
     """Matrix form -> transfer form; exists for every coupled scheme.
 
-    For beta != 0 this routes through the halfline form.  For beta = 0 the
-    solution of the defining relations with tb = 0 is
-    omega = ((4 - det) + 4i Im gamma)/|w|, E = 16/|w|,
-    ta,td = (E - 2 Re omega -+ E Re gamma / 2)/2, tc = alpha E / 4,
-    where |w| = hypot(4 - det, 4 Im gamma).
+    One closed form, regular at beta = 0: with w = (4 - det) + 4i Im gamma,
+    E = 16/|w|, omega0 = w/|w| and s = -1 for beta < 0, +1 otherwise,
+    omega = s omega0, ta,td = s (E - 2 Re omega0 -+ E Re gamma / 2)/2,
+    tb = s E beta / 4, tc = s E alpha / 4.  For beta != 0 it equals the route
+    through the halfline form, halfline_to_transfer(greek_to_halfline(g)),
+    without dividing by beta.
     """
-    if abs(g.beta) > DEGENERACY_TOL * g.scale:
-        return halfline_to_transfer(greek_to_halfline(g))
     det = g.det
     wmod = math.hypot(4.0 - det, 4.0 * g.gamma.imag)
     _check_denominator(wmod, max(1.0, det), "|4-det+4i*Im(gamma)|")
-    omega = complex(4.0 - det, 4.0 * g.gamma.imag) / wmod
+    s = -1.0 if g.beta < 0 else 1.0
+    omega0 = complex(4.0 - det, 4.0 * g.gamma.imag) / wmod
     e = 16.0 / wmod
-    ta = (e - 2.0 * omega.real - e * g.gamma.real / 2.0) / 2.0
-    td = (e - 2.0 * omega.real + e * g.gamma.real / 2.0) / 2.0
-    return TransferParams(omega, ta, 0.0, g.alpha * e / 4.0, td)
+    # s multiplies finished values, so beta = 0 results stay bit for bit; a
+    # shorter ta = s (4+det-4 Re gamma)/|w| rounds |tr| above 2 on gapless couplings
+    ta = s * ((e - 2.0 * omega0.real - e * g.gamma.real / 2.0) / 2.0)
+    td = s * ((e - 2.0 * omega0.real + e * g.gamma.real / 2.0) / 2.0)
+    omega = complex(s * omega0.real, s * omega0.imag)
+    return TransferParams(omega, ta, s * (e * g.beta / 4.0), s * (g.alpha * e / 4.0), td)
 
 
 def scheme_to_transfer(scheme: CouplingScheme) -> TransferParams:

@@ -5,16 +5,22 @@ so Im k >= 0 on the physical sheet; kappa := -i k, so bound states sit at real
 kappa > 0 with energy -kappa^2.
 
 The resolvent kernel splits as (Dirichlet pair kernel) + (rank-one-per-quadrant
-correction).  In halfline form the correction reads::
+correction).  Every coupled scheme evaluates the correction in matrix form::
+
+    ( (4+det-4 Re gamma-4ik beta) [x,x'>0] + (4+det+4 Re gamma-4ik beta) [x,x'<0]
+      + (4-det+4i Im gamma) [x>0>x'] + (4-det-4i Im gamma) [x<0<x'] )
+        * exp(ik (|x|+|x'|)) / (2 Delta(k)),
+
+    Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2,
+
+which is regular at beta = 0.  The halfline form of the same function,
 
     ( (b-ik) [x,x'>0] + (a-ik) [x,x'<0] - c [x>0>x'] - conj(c) [x<0<x'] )
-        * exp(ik (|x|+|x'|)) / D(k),        D(k) = (a-ik)(b-ik) - |c|^2
+        * exp(ik (|x|+|x'|)) / D(k),        D(k) = (a-ik)(b-ik) - |c|^2,
 
-and in matrix form the same function is (beta/2) F(k)^{-1} times coefficients
-(4+det -+ 4 Re gamma - 4ik beta, 4-det +- 4i Im gamma) with
-F(k) = (det - 2ik beta)(2 - ik beta) - 2|gamma|^2 = 2 beta^2 D(k).  For the
-beta = 0 family the correction prefactor has the finite limit
-1 / (2 (2 alpha - ik (4+|gamma|^2))).
+with 2 beta D(k) = Delta(k), exists only for beta != 0 and is kept as an
+independent oracle (`green_kernel_halfline`).  The point spectrum, the kernel
+residues and the bound-state coefficients come from the same Delta.
 
 Roots of the spectral denominator on the imaginary k-axis classify as bound
 (kappa > 0), zero-energy resonance (kappa = 0), or antibound (kappa < 0); a
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidSheet, InvalidWavenumber, PoleEvaluation
 from .params import (DEGENERACY_TOL, DIRICHLET, CouplingScheme, GreekParams,
-                     HalflineBoundary, HalflineParams, greek_to_halfline)
+                     HalflineBoundary, HalflineParams)
 
 _POLE_TOL = 1e-12
 
@@ -137,16 +143,11 @@ def _halfline_prefactor(h: HalflineParams, k: complex) -> complex:
 
 
 def _greek_prefactor(g: GreekParams, k: complex) -> complex:
-    if abs(g.beta) > DEGENERACY_TOL * g.scale:
-        f = denominator_F(g, k)
-        scale = max(1.0, (abs(g.det) + 2 * abs(k * g.beta)) * (2 + abs(k * g.beta)),
-                    2 * abs(g.gamma) ** 2)
-        if abs(f) <= _POLE_TOL * scale:
-            raise PoleEvaluation(f"F(k) = {f!r} vanishes at k = {k!r}")
-        return (g.beta / 2.0) / f
-    d = 2.0 * g.alpha - 1j * k * (4.0 + abs(g.gamma) ** 2)
-    if abs(d) <= _POLE_TOL * max(1.0, abs(g.alpha), abs(k) * (4 + abs(g.gamma) ** 2)):
-        raise PoleEvaluation(f"beta=0 denominator vanishes at k = {k!r}")
+    # 1/(2 Delta) with Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k)
+    d = 2.0 * g.alpha - 1j * k * (4.0 + g.det) - 2.0 * g.beta * k * k
+    if abs(d) <= _POLE_TOL * max(1.0, abs(g.alpha), abs(k) * abs(4.0 + g.det),
+                                 abs(g.beta) * abs(k) ** 2):
+        raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
     return 0.5 / d
 
 
@@ -165,9 +166,9 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
     """Resolvent kernel G(x, x'; k) for Im k > 0.
 
     `x_side` / `xp_side` select the one-sided limit when the corresponding
-    argument is exactly 0.  Uses the halfline form whenever it exists, the
-    matrix form (with its exact beta -> 0 limit) otherwise, and the decoupled
-    kernel for separated schemes.
+    argument is exactly 0.  Coupled schemes use the matrix form, regular at
+    beta = 0 (the same expression as `green_kernel_greek`); separated schemes
+    use the decoupled kernel.
     """
     k = _check_sheet(k)
     sx = _side(x, x_side, "x")
@@ -179,9 +180,6 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
             return 0.0 + 0.0j
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
         return free + _separated_corr(bc, k) * expfac
-    h = scheme.halfline
-    if h is not None:
-        return free + _halfline_prefactor(h, k) * _halfline_coef(h, k, sx, sxp) * expfac
     g = scheme.greek
     return free + _greek_prefactor(g, k) * _greek_coef(g, k, sx, sxp) * expfac
 
@@ -200,9 +198,6 @@ def green_kernel_dx(scheme: CouplingScheme, x: float, xp: float, k: complex,
             return 0.0 + 0.0j
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
         return free_dx + _separated_corr(bc, k) * dfac * expfac
-    h = scheme.halfline
-    if h is not None:
-        return free_dx + _halfline_prefactor(h, k) * _halfline_coef(h, k, sx, sxp) * dfac * expfac
     g = scheme.greek
     return free_dx + _greek_prefactor(g, k) * _greek_coef(g, k, sx, sxp) * dfac * expfac
 
@@ -265,22 +260,15 @@ class SpectralPoint:
 
 
 def _denominator_roots(scheme: CouplingScheme) -> list[float]:
+    # Delta(i kappa) = 0 reads 2 beta kappa^2 + (4+det) kappa + 2 alpha = 0;
+    # stable quadratic, so neither root cancels.  The discriminant is
+    # (4 - alpha beta)^2 + 2|gamma|^2 (4 + alpha beta) + |gamma|^4 >= 0.
     g = scheme.greek
-    if abs(g.beta) > DEGENERACY_TOL * g.scale:
-        h = greek_to_halfline(g)
-        s = h.a + h.b
-        p = h.a * h.b - abs(h.c) ** 2
-        sq = math.sqrt((h.a - h.b) ** 2 + 4.0 * abs(h.c) ** 2)
-        # stable quadratic: avoid cancellation in the smaller-magnitude root
-        if s >= 0:
-            r_lo = (-s - sq) / 2.0
-            r_hi = p / r_lo if r_lo != 0.0 else (-s + sq) / 2.0
-        else:
-            r_hi = (-s + sq) / 2.0
-            r_lo = p / r_hi if r_hi != 0.0 else (-s - sq) / 2.0
-        return sorted([r_hi, r_lo], reverse=True)
-    # beta = 0: single root (the second escapes to -infinity in the limit)
-    return [-2.0 * g.alpha / (4.0 + abs(g.gamma) ** 2)]
+    b = 4.0 + g.det
+    q = -(b + math.copysign(math.sqrt(max(b * b - 16.0 * g.alpha * g.beta, 0.0)), b)) / 2.0
+    if abs(g.beta) <= DEGENERACY_TOL * g.scale:
+        return [2.0 * g.alpha / q]  # the second root escapes to -infinity
+    return sorted([2.0 * g.alpha / q, q / (2.0 * g.beta)], reverse=True)
 
 
 def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -> complex:
@@ -296,41 +284,32 @@ def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -
             return 0.0 + 0.0j
         return 1j * expfac  # d/dk (slope - ik) = -i
     g = scheme.greek
-    kk = 1j * kappa0
-    if abs(g.beta) > DEGENERACY_TOL * g.scale:
-        h = greek_to_halfline(g)
-        dprime = -1j * (h.a + h.b + 2.0 * kappa0)
-        return _halfline_coef(h, kk, sx, sxp) * expfac / dprime
-    dprime = -1j * (4.0 + abs(g.gamma) ** 2)
-    return _greek_coef(g, kk, sx, sxp) * expfac / (2.0 * dprime)
-
-
-_RESIDUE_SAMPLES = ((0.7, 1.3), (0.7, -1.1), (-0.6, -1.7), (-0.5, 0.9))
+    # Delta'(i kappa) = -i (4 + det + 4 beta kappa)
+    dprime = -1j * (4.0 + g.det + 4.0 * g.beta * kappa0)
+    return _greek_coef(g, 1j * kappa0, sx, sxp) * expfac / (2.0 * dprime)
 
 
 def _zero_root_is_spurious(scheme: CouplingScheme) -> bool:
     # The free kernel (i/2k) e^{ik|x-x'|} carries residue i/2 at k = 0; a
     # kappa = 0 root is spurious when the full kernel's residue matches it
-    # identically, i.e. the interacting part has vanishing residue.
+    # identically, i.e. the interacting part has vanishing residue.  At
+    # kappa = 0 the exponential is 1, so the residue depends only on the
+    # quadrant of (x, x').
     devs = []
     scale = 0.5
-    for x, xp in _RESIDUE_SAMPLES:
-        res = kernel_residue(scheme, 0.0, x, xp)
-        devs.append(abs(res - 0.5j))
-        scale = max(scale, abs(res))
+    for sx in (1.0, -1.0):
+        for sxp in (1.0, -1.0):
+            res = kernel_residue(scheme, 0.0, sx, sxp)
+            devs.append(abs(res - 0.5j))
+            scale = max(scale, abs(res))
     return max(devs) <= 1e-10 * scale
 
 
 def _bound_coefficients(scheme: CouplingScheme, kappa: float) -> tuple[complex, complex]:
     g = scheme.greek
-    h = scheme.halfline
-    if h is not None:
-        # boundary system at the root: (a+kappa) mu + c nu = 0
-        mu0, nu0 = -h.c, complex(h.a + kappa)
-    else:
-        # matrix form, beta = 0: mu (1 + conj(g)/2) + nu (conj(g)/2 - 1) = 0
-        gb = g.gamma.conjugate()
-        mu0, nu0 = 1.0 - gb / 2.0, 1.0 + gb / 2.0
+    # boundary system at the root, (a+kappa) mu + c nu = 0, times 4 beta
+    mu0 = complex(4.0 - g.det, 4.0 * g.gamma.imag)
+    nu0 = complex(4.0 + g.det + 4.0 * g.gamma.real + 4.0 * g.beta * kappa)
     norm = math.sqrt((abs(mu0) ** 2 + abs(nu0) ** 2) / (2.0 * kappa))
     mu0, nu0 = mu0 / norm, nu0 / norm
     anchor = mu0 if abs(mu0) > 1e-300 else nu0

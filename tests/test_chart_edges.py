@@ -1,0 +1,190 @@
+"""Chart edges: beta -> 0 (through DEGENERACY_TOL), alpha -> 0 and det -> 4.
+
+The oracles here are independent of the library's floating-point route:
+roots come from 60-digit `decimal` arithmetic, kernel coefficients from exact
+`fractions.Fraction` arithmetic on the binary inputs (only the exponential is
+evaluated in floating point).
+"""
+
+from __future__ import annotations
+
+import cmath
+import decimal
+import math
+from fractions import Fraction
+
+import pytest
+
+from gpi1d import (CouplingScheme, GreekParams, TransferParams, green_kernel,
+                   green_kernel_dx, greek_to_transfer, point_spectrum,
+                   transfer_to_greek)
+from gpi1d.params import DEGENERACY_TOL
+
+_BETA_BASES = ((-2.681821950849469, complex(0.26487946756737557, -0.978265951835119)),
+               (1.3, 0.4 + 0.2j), (-1.3, 0.4 + 0.2j), (0.5, -1.1 + 0.0j))
+_EXPONENTS = [-14.0 + 0.5 * j for j in range(23)]   # 1e-14 ... 1e-3
+
+
+def _beta_sweep() -> list[GreekParams]:
+    out = []
+    for alpha, gamma in _BETA_BASES:
+        scale = max(abs(alpha), abs(gamma), 1.0)
+        mags = [10.0 ** e for e in _EXPONENTS]
+        mags += [f * DEGENERACY_TOL * scale for f in (0.5, 0.999, 1.001, 2.0)]
+        for beta in mags:
+            out += [GreekParams(alpha, beta, gamma), GreekParams(alpha, -beta, gamma)]
+    return out
+
+
+def _alpha_sweep() -> list[GreekParams]:
+    return [GreekParams(sign * 10.0 ** e, beta, 0.4 + 0.2j)
+            for beta in (0.7, -1.9) for sign in (1.0, -1.0) for e in _EXPONENTS[::2]]
+
+
+def _det_sweep() -> list[GreekParams]:
+    out = []
+    for beta, gamma in ((0.9, 0.3 + 0.8j), (-1.6, -0.5 + 0.6j)):
+        for sign in (1.0, -1.0):
+            for e in _EXPONENTS[::2]:
+                alpha = (4.0 + sign * 10.0 ** e - abs(gamma) ** 2) / beta
+                out.append(GreekParams(alpha, beta, gamma))
+    return out
+
+
+SWEEPS = {"beta": _beta_sweep(), "alpha": _alpha_sweep(), "det": _det_sweep()}
+edge_sweeps = pytest.mark.parametrize("edge", sorted(SWEEPS))
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+def _exact_roots(g: GreekParams) -> list[decimal.Decimal]:
+    """Roots of 2 beta kappa^2 + (4+det) kappa + 2 alpha = 0 to 60 digits, small root first."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        al, be = decimal.Decimal(g.alpha), decimal.Decimal(g.beta)
+        gr, gi = decimal.Decimal(g.gamma.real), decimal.Decimal(g.gamma.imag)
+        b = 4 + al * be + gr * gr + gi * gi
+        if be == 0:
+            return [-2 * al / b]
+        sq = (b * b - 16 * al * be).sqrt()
+        roots = [(-b + sq) / (4 * be), (-b - sq) / (4 * be)]
+        return sorted(roots, key=abs)
+
+
+def _cmul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _cdiv(u, v):
+    den = v[0] * v[0] + v[1] * v[1]
+    return ((u[0] * v[0] + u[1] * v[1]) / den, (u[1] * v[0] - u[0] * v[1]) / den)
+
+
+def _exact_correction_ratio(g: GreekParams, k: complex, sx: int, sxp: int) -> complex:
+    """coefficient / (2 Delta(k)) of the matrix-form kernel, in exact rationals."""
+    al, be = Fraction(g.alpha), Fraction(g.beta)
+    gr, gi = Fraction(g.gamma.real), Fraction(g.gamma.imag)
+    kk = (Fraction(k.real), Fraction(k.imag))
+    det = al * be + gr * gr + gi * gi
+    if sx == sxp:
+        # 4 + det -+ 4 Re gamma - 4ik beta
+        coef = (4 + det - sx * 4 * gr + 4 * be * kk[1], -4 * be * kk[0])
+    else:
+        coef = (4 - det, sx * 4 * gi)
+    # Delta = 2 alpha - ik (4+det) - 2 beta k^2
+    k2 = _cmul(kk, kk)
+    delta = (2 * al + (4 + det) * kk[1] - 2 * be * k2[0], -(4 + det) * kk[0] - 2 * be * k2[1])
+    re, im = _cdiv(coef, (2 * delta[0], 2 * delta[1]))
+    return complex(float(re), float(im))
+
+
+def _free_pair(x: float, xp: float, k: complex) -> tuple[complex, complex]:
+    """Dirichlet pair kernel and its d/dx off the diagonal."""
+    if x > 0 and xp > 0:
+        if x > xp:
+            return cmath.exp(1j * k * x) * cmath.sin(k * xp) / k, \
+                1j * cmath.exp(1j * k * x) * cmath.sin(k * xp)
+        return cmath.exp(1j * k * xp) * cmath.sin(k * x) / k, \
+            cmath.exp(1j * k * xp) * cmath.cos(k * x)
+    if x < 0 and xp < 0:
+        if x < xp:
+            return -cmath.exp(-1j * k * x) * cmath.sin(k * xp) / k, \
+                1j * cmath.exp(-1j * k * x) * cmath.sin(k * xp)
+        return -cmath.exp(-1j * k * xp) * cmath.sin(k * x) / k, \
+            -cmath.exp(-1j * k * xp) * cmath.cos(k * x)
+    return 0j, 0j
+
+
+_KERNEL_POINTS = ((0.7, 1.3), (0.7, -1.1), (-0.6, -1.7), (-0.5, 0.9))
+_KS = (0.7 + 0.9j, -1.3 + 0.4j, 2.1 + 1.5j)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@edge_sweeps
+def test_roots_match_60_digit_oracle(edge):
+    # one root when |beta| <= DEGENERACY_TOL * scale (the other escapes to -inf)
+    for g in SWEEPS[edge]:
+        scheme = CouplingScheme.from_greek(g)
+        assert not scheme.is_separated
+        kappas = [p.kappa for p in point_spectrum(scheme)]
+        expected_count = 1 if abs(g.beta) <= DEGENERACY_TOL * g.scale else 2
+        assert len(kappas) == expected_count, g
+        for kappa, r in zip(sorted(kappas, key=abs), _exact_roots(g)):
+            err = float(abs(decimal.Decimal(kappa) - r) / max(1, abs(r)))
+            assert err <= 1e-12, (g, kappa, r, err)
+
+
+@edge_sweeps
+def test_kernel_matches_exact_rational_coefficients(edge):
+    for g in SWEEPS[edge]:
+        scheme = CouplingScheme.from_greek(g)
+        for k in _KS:
+            for x, xp in _KERNEL_POINTS:
+                sx = 1 if x > 0 else -1
+                corr = (_exact_correction_ratio(g, k, sx, 1 if xp > 0 else -1)
+                        * cmath.exp(1j * k * (abs(x) + abs(xp))))
+                dcorr = corr * 1j * k * sx
+                free, free_dx = _free_pair(x, xp, k)
+                err = abs(green_kernel(scheme, x, xp, k) - (free + corr))
+                assert err <= 1e-12 * (abs(free) + abs(corr)), (g, k, x, xp, err)
+                err = abs(green_kernel_dx(scheme, x, xp, k) - (free_dx + dcorr))
+                assert err <= 1e-12 * (abs(free_dx) + abs(dcorr)), (g, k, x, xp, err)
+
+
+@edge_sweeps
+def test_transfer_chart_exists_and_round_trips(edge):
+    for g in SWEEPS[edge]:
+        back = transfer_to_greek(greek_to_transfer(g))
+        gap = max(abs(back.alpha - g.alpha), abs(back.beta - g.beta),
+                  abs(back.gamma - g.gamma))
+        assert gap <= 1e-10 * g.scale, (g, gap)
+
+
+def _transfer_beta_zero_reference(g: GreekParams) -> TransferParams:
+    # the beta = 0 transfer form in its original arithmetic order
+    det = g.det
+    wmod = math.hypot(4.0 - det, 4.0 * g.gamma.imag)
+    omega = complex(4.0 - det, 4.0 * g.gamma.imag) / wmod
+    e = 16.0 / wmod
+    ta = (e - 2.0 * omega.real - e * g.gamma.real / 2.0) / 2.0
+    td = (e - 2.0 * omega.real + e * g.gamma.real / 2.0) / 2.0
+    return TransferParams(omega, ta, 0.0, g.alpha * e / 4.0, td)
+
+
+def test_transfer_chart_is_bit_identical_at_beta_zero(rng):
+    couplings = [GreekParams(0.0, 0.0, 0.9j), GreekParams(-2.0, 0.0, 0.0),
+                 GreekParams(1.7, 0.0, -0.3 + 1.2j), GreekParams(-0.0, 0.0, complex(0.5, -0.0))]
+    for _ in range(200):
+        couplings.append(GreekParams(rng.uniform(-3, 3), 0.0,
+                                     complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))))
+    for g in couplings:
+        if abs(g.det - 4) < 1e-2 and abs(g.gamma.imag) < 1e-2:
+            continue
+        got, ref = greek_to_transfer(g), _transfer_beta_zero_reference(g)
+        fields = ("omega", "ta", "tb", "tc", "td")
+        assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(ref, f)) for f in fields]

@@ -175,3 +175,16 @@ def test_cli_runs_as_module():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["summary"]["phase"] - math.pi) < 1e-9
+
+
+@pytest.mark.parametrize("task", [["convert"], ["bands", "--ell", "1", "--mmax", "10"]])
+def test_near_beta_zero_coupling_has_a_transfer_form(run, task):
+    # |beta| = 1e-12 sits just above the beta = 0 chart edge; the transfer form
+    # (and the band structure built on it) must exist there
+    code, out, _ = run(*task, "--scheme", "greek", "--alpha=-2.681821950849469",
+                       "--beta=1e-12", "--gamma-re=0.26487946756737557",
+                       "--gamma-im=-0.978265951835119")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"]["task"] == task[0]
+    assert payload["rows"]

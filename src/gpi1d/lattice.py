@@ -13,6 +13,17 @@ tr(M T(k, ell)) obeys band <=> |tr| <= 2; the two routes agree identically and
 serve as mutual oracles.  Negative energies use the hyperbolic continuation
 k = i kappa.
 
+Amplitude-phase (Pruefer) form: with s = ta + td, c = tc, b = tb and
+B(k) = c/k - b k,
+
+    tr(k) = s cos(k ell) + B(k) sin(k ell) = R(k) cos theta(k),
+    R = hypot(s, B),  theta = k ell - phi,  phi = atan2(B, s).
+
+Since |phi'| <= |B'|/(2|B|), theta' >= ell/2 from k* = max(5/(3 ell),
+2 sqrt|c/b|) on (k* = 1/ell for b = 0), so theta is monotone there.  Its
+quarter-period nodes theta in (pi/2)Z bracket every band edge: |tr| = R at
+theta = j pi and tr = 0 at theta = j pi + pi/2.
+
 Three high-energy regimes, decided by the coupling:
 beta != 0 (delta'-like): band widths tend to 2|w| / (|beta| ell), gaps grow;
 beta = 0, Re gamma != 0 (intermediate): per period of pi/ell the band occupies
@@ -27,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +61,12 @@ class LatticeSpec:
             raise ValueError("ell must be positive and finite")
         if is_decoupled(self.scheme):
             raise ValueError("lattice requires a coupled (non-separating) scheme")
+
+    @cached_property
+    def _trace_coeffs(self) -> tuple[float, float, float]:
+        # tr(M T) = (ta + td) cos(k ell) + tc sin(k ell)/k - tb k sin(k ell)
+        t = scheme_to_transfer(self.scheme)
+        return t.ta + t.td, t.tc, t.tb
 
 
 @dataclass(frozen=True)
@@ -117,9 +135,8 @@ def band_condition_lhs_bound(spec: LatticeSpec) -> float:
 
 
 def _trace_coeffs(spec: LatticeSpec) -> tuple[float, float, float]:
-    # tr(M T) = (ta + td) cos(k ell) + tc sin(k ell)/k - tb k sin(k ell)
-    t = scheme_to_transfer(spec.scheme)
-    return t.ta + t.td, t.tc, t.tb
+    # (s, c, b) of tr = s cos(k ell) + (c/k - b k) sin(k ell), computed once per spec
+    return spec._trace_coeffs
 
 
 def monodromy_trace(spec: LatticeSpec, k: float) -> float:
@@ -203,15 +220,22 @@ def _feature_scale_k(spec: LatticeSpec, k: np.ndarray) -> np.ndarray:
 
 
 def _positive_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
+    # Above k* the quarter-period nodes theta = j pi/2 of the amplitude-phase
+    # form bracket every edge (|tr| = R at theta = j pi, tr = 0 between), so
+    # the grid is O(m); below k* one piece per period of pi/ell, at least 48
+    # points each and finer where the asymptotic widths predict narrow features.
     ell = spec.ell
+    s, c_sin, b_sin = _trace_coeffs(spec)
+    # |phi'| <= |B'|/(2|B|) <= ell/2 from k* on, so theta' >= ell/2
+    k_star = (max(5.0 / (3.0 * ell), 2.0 * math.sqrt(abs(c_sin / b_sin)))
+              if b_sin != 0.0 else 1.0 / ell)
+    k_low = min(k_star, k_max)
     period = math.pi / ell
     k_min = 1e-9 / ell
-    # one piece per period (the last one cut at k_max) of n points up to and
-    # including its end: at least 48, finer where features shrink
-    steps = int(math.ceil((k_max - k_min) / period)) + 1
+    steps = int(math.ceil((k_low - k_min) / period)) + 1
     starts = np.cumsum(np.concatenate([[k_min], np.full(steps, period)]))
-    starts = starts[starts < k_max]
-    ends = np.minimum(starts + period, k_max)
+    starts = starts[starts < k_low]
+    ends = np.minimum(starts + period, k_low)
     n = np.maximum(48, np.ceil(5.0 * period / _feature_scale_k(spec, ends)).astype(np.int64))
     grid = np.empty(int(n.sum()) + 1)
     grid[0] = k_min
@@ -220,7 +244,27 @@ def _positive_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
         grid[j:j + m] = np.arange(1, m + 1) * ((k1 - k0) / m) + k0
         j += m
         grid[j - 1] = k1
-    return grid
+    if k_star >= k_max:
+        return grid
+
+    def phase(k):
+        return np.arctan2(c_sin / k - b_sin * k, s)
+
+    def theta(k):
+        return k * ell - float(phase(k))
+
+    quarter = 0.5 * math.pi
+    js = np.arange(math.floor(theta(k_star) / quarter) + 1, math.ceil(theta(k_max) / quarter))
+    # node j solves k ell = j pi/2 + phi(k); from k* the step contracts by 1/2 or better
+    nodes = np.full(js.shape, k_star)
+    for _ in range(64):
+        step = (quarter * js + phase(nodes)) / ell
+        done = bool(np.all(np.abs(step - nodes) <= 4.0 * np.finfo(float).eps * step))
+        nodes = step
+        if done:
+            break
+    nodes = nodes[(nodes > k_star) & (nodes < k_max)]
+    return np.concatenate([grid, nodes, [k_max]])
 
 
 def _negative_kappa_max(spec: LatticeSpec, coeffs: tuple[float, float, float],
@@ -314,11 +358,14 @@ def _grid_note(energies: np.ndarray, e_lo: float, e_hi: float) -> str:
 def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], list[GapInterval]]:
     """Bands and gaps up to band index m_max.
 
-    Edges are bracketed by sign changes of |tr| - 2 on an adaptive grid
-    (at least 48 samples per pi/ell period, denser where the asymptotic widths
-    predict narrow features) and refined, all brackets at once, by Illinois
-    false position safeguarded by bisection to an energy tolerance of 1e-12
-    (plus 8 ulp relative).  Bands are indexed by the nearest (pi m / ell)^2,
+    Edges are bracketed by sign changes of |tr| - 2 on a grid in k: above k*
+    (module docstring) the quarter-period nodes of the phase theta, so O(m_max)
+    points in all; below k* at least 48 samples per pi/ell period, denser where
+    the asymptotic widths predict narrow features.  The negative-energy grid
+    clusters around the single-center bound levels, and a trace that overflows
+    there counts as outside a band.  All brackets are refined at once by
+    Illinois false position safeguarded by bisection to an energy tolerance of
+    1e-12 (plus 8 ulp relative).  Bands are indexed by the nearest (pi m / ell)^2,
     ties broken downward, then forced strictly increasing.  Gapless spectra
     (the free and phase-equivalent couplings) come back as a single
     [e_lo, inf) band.
@@ -334,7 +381,9 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     qs = _negative_grid(spec, _negative_kappa_max(spec, coeffs, levels), levels)
     ks = _positive_grid(spec, k_max)
     energies = np.concatenate([-qs * qs, [0.0], ks * ks])
-    inside = np.abs(_floquet_trace(coeffs, ell, energies)) <= 2.0
+    # deep in the negative grid cosh overflows; an inf or nan trace is outside a band
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = np.abs(_floquet_trace(coeffs, ell, energies)) <= 2.0
     if inside[0]:
         # in band at the lowest sampled energy: the negative bound failed
         raise GridTooCoarse("negative-energy grid did not clear the lowest band: "

@@ -275,14 +275,63 @@ def test_band_edges_match_scalar_oracle(rng, regime):
             assert abs(e_got - e_want) <= 1e-10 * max(1.0, abs(e_want)), spec.scheme.greek
 
 
-@pytest.mark.parametrize("gamma", [1.0, 0.8 + 0.5j, 0.05 - 0.3j])
-def test_intermediate_grid_is_linear_in_band_index(gamma):
-    # beta = 0, Re gamma != 0: gaps do not close at high energy, so the grid
-    # needs a fixed number of points per pi/ell period
-    spec = _spec(1.0, 0.0, gamma)
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    pytest.param(1.0, 0.0, 1.0, id="1.0"),
+    pytest.param(1.0, 0.0, 0.8 + 0.5j, id="(0.8+0.5j)"),
+    pytest.param(1.0, 0.0, 0.05 - 0.3j, id="(0.05-0.3j)"),
+    pytest.param(-2.0, 0.0, 0.0, id="delta"),
+    pytest.param(0.0, 1.0, 0.0, id="delta_prime"),
+    pytest.param(-1.0, 0.5, 0.3 + 0.4j, id="generic"),
+])
+def test_intermediate_grid_is_linear_in_band_index(alpha, beta, gamma):
+    # every regime needs a fixed number of points per pi/ell period at high
+    # energy, even where gaps (delta) or bands (delta') close like 1/k
+    spec = _spec(alpha, beta, gamma)
     n60 = len(lattice._positive_grid(spec, 61.5 * PI))
     n200 = len(lattice._positive_grid(spec, 201.5 * PI))
     assert n200 <= 4 * n60
+
+
+def test_wide_delta_prime_lattice_edges_match_scalar_oracle():
+    # at ell ~ 300 the whole spectrum up to m = 12 lies below k ~ 0.14
+    spec = _spec(0.0, 0.47039136464501174, 0.0, ell=313.8992808817786)
+    m_max = 12
+    bands, _ = band_structure(spec, m_max)
+    assert bands[-1].m == m_max
+    got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
+    want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI / spec.ell)
+            if e <= bands[-1].e_hi * (1.0 + 1e-9)]
+    assert len(got) == len(want) == 23
+    for e_got, e_want in zip(got, want):
+        assert abs(e_got - e_want) <= 1e-10 * max(1.0, e_want)
+
+
+@pytest.mark.parametrize("alpha, gamma, ell, m_max", [
+    (-0.05353731173266851, -0.9938699780119435j, 0.007245323765147425, 12),
+    (-0.01876, -0.7575j, 0.518, 60),
+], ids=["narrow_cell", "weak_coupling"])
+def test_weak_delta_like_gaps_are_resolved(alpha, gamma, ell, m_max):
+    # the gaps shrink like 1/k, far below the oracle grid's spacing, so check
+    # the (pi m / ell)^2 anchors and the edge residuals instead
+    spec = _spec(alpha, 0.0, gamma, ell=ell)
+    bands, gaps = band_structure(spec, m_max)
+    assert bands[-1].m == m_max
+    assert [gp.m for gp in gaps] == list(range(1, m_max))
+    for gp in gaps:
+        anchor = (PI * gp.m / ell) ** 2
+        assert min(abs(gp.e_lo - anchor), abs(gp.e_hi - anchor)) <= 1e-10 * anchor
+    for b in bands:
+        for e in (b.e_lo, b.e_hi):
+            assert abs(abs(trace_at_energy(spec, e)) - 2.0) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_band_scan_does_not_warn_on_cosh_overflow():
+    # kappa ~ 1/beta puts the deepest negative samples past cosh's range
+    spec = _spec(1.9387891452115085, 0.004907289763501331,
+                 -0.5847032372448747 + 1.3942822924711984j, ell=0.6524145117875798)
+    bands, _ = band_structure(spec, 12)
+    assert bands[-1].m == 12
 
 
 def test_grid_too_coarse_names_window_and_density(monkeypatch):

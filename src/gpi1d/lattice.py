@@ -13,16 +13,19 @@ tr(M T(k, ell)) obeys band <=> |tr| <= 2; the two routes agree identically and
 serve as mutual oracles.  Negative energies use the hyperbolic continuation
 k = i kappa.
 
-Amplitude-phase (Pruefer) form: with s = ta + td, c = tc, b = tb and
-B(k) = c/k - b k,
+Gap points: where an off-diagonal entry of the monodromy vanishes,
 
-    tr(k) = s cos(k ell) + B(k) sin(k ell) = R(k) cos theta(k),
-    R = hypot(s, B),  theta = k ell - phi,  phi = atan2(B, s).
+    (M T)_12 = ta sin(k ell)/k + tb cos(k ell) = 0   (Dirichlet points),
+    (M T)_21 = tc cos(k ell) - td k sin(k ell) = 0   (Neumann points),
 
-Since |phi'| <= |B'|/(2|B|), theta' >= ell/2 from k* = max(5/(3 ell),
-2 sqrt|c/b|) on (k* = 1/ell for b = 0), so theta is monotone there.  Its
-quarter-period nodes theta in (pi/2)Z bracket every band edge: |tr| = R at
-theta = j pi and tr = 0 at theta = j pi + pi/2.
+M T is triangular with real diagonal lam, 1/lam, so |tr| = |lam + 1/lam| >= 2
+and the point lies in a closed gap; every gap holds exactly one Dirichlet
+point (Hill's-equation oscillation theory: Magnus & Winkler, Hill's Equation,
+1966; Eastham, The Spectral Theory of Periodic Differential Equations, 1973).
+Two gap points of one open gap cannot share an end, where M T = +-I + N with
+N nilpotent and nonzero, so their midpoint lies strictly inside the gap; the
+root of tr between two gap points of opposite trace sign lies inside the band
+that separates them.  These points bracket every positive band edge.
 
 Three high-energy regimes, decided by the coupling:
 beta != 0 (delta'-like): band widths tend to 2|w| / (|beta| ell), gaps grow;
@@ -43,9 +46,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooCoarse, InsufficientBands
-from .params import CouplingScheme, is_decoupled, scheme_to_transfer
+from .params import CouplingScheme, TransferParams, is_decoupled, scheme_to_transfer
 
-_EDGE_XTOL = 1e-12  # energy tolerance of edge refinement
+_EDGE_XTOL = 1e-12  # absolute stop tolerance of the root solver (in energy for the edges)
 _EDGE_RTOL = 8.0 * np.finfo(float).eps  # relative part of the same tolerance
 
 
@@ -63,20 +66,23 @@ class LatticeSpec:
             raise ValueError("lattice requires a coupled (non-separating) scheme")
 
     @cached_property
+    def _transfer(self) -> TransferParams:
+        return scheme_to_transfer(self.scheme)
+
+    @cached_property
     def _trace_coeffs(self) -> tuple[float, float, float]:
         # tr(M T) = (ta + td) cos(k ell) + tc sin(k ell)/k - tb k sin(k ell)
-        t = scheme_to_transfer(self.scheme)
+        t = self._transfer
         return t.ta + t.td, t.tc, t.tb
 
 
 @dataclass(frozen=True)
 class BandInterval:
-    """Closed energy interval [e_lo, e_hi] of band index m, with (k, theta) samples."""
+    """Closed energy interval [e_lo, e_hi] of band index m."""
 
     m: int
     e_lo: float
     e_hi: float
-    samples: tuple[tuple[float, float], ...] = ()
 
     @property
     def width(self) -> float:
@@ -194,77 +200,55 @@ def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
 # Band extraction
 # ---------------------------------------------------------------------------
 
-def _feature_scale_k(spec: LatticeSpec, k: np.ndarray) -> np.ndarray:
-    # Smallest band/gap width in k expected near each k, from the asymptotic
-    # widths; keeps the sampling grid fine enough to bracket narrow features.
-    g = spec.scheme.greek
-    ell = spec.ell
-    wmod = band_condition_lhs_bound(spec)
-    k = np.maximum(k, 1.0)
-    scale = np.full(k.shape, math.pi / ell)
-    if abs(g.beta) > 1e-12 * g.scale:
-        scale = np.minimum(scale, wmod / (abs(g.beta) * ell * k))
-    else:
-        gm2 = abs(g.gamma) ** 2
-        tinf = min(1.0, wmod / (4.0 + gm2))
-        # vanishing band/gap widths are closed features, not ones to resolve
-        if tinf < 1.0 - 1e-9:
-            scale = np.minimum(scale, 2.0 * math.acos(tinf) / ell)
-        elif abs(g.alpha) > 0:
-            # delta-like (t_inf = 1): the gaps close like 1/k; in the
-            # intermediate regime they do not, and this would make the grid O(m^2)
-            scale = np.minimum(scale, 4.0 * abs(g.alpha) / ((4.0 + gm2) * ell * k))
-        if tinf > 1e-9:
-            scale = np.minimum(scale, 2.0 * math.asin(tinf) / ell)
-    return np.maximum(scale, math.pi / (4000.0 * ell))
-
-
 def _positive_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
-    # Above k* the quarter-period nodes theta = j pi/2 of the amplitude-phase
-    # form bracket every edge (|tr| = R at theta = j pi, tr = 0 between), so
-    # the grid is O(m); below k* one piece per period of pi/ell, at least 48
-    # points each and finer where the asymptotic widths predict narrow features.
+    # The gap points below k_max between k_min and k_max; between neighbours
+    # in one gap (same trace sign) their midpoint, strictly inside it, and
+    # between neighbours in different gaps the root of tr in the band between.
+    t = spec._transfer
     ell = spec.ell
-    s, c_sin, b_sin = _trace_coeffs(spec)
-    # |phi'| <= |B'|/(2|B|) <= ell/2 from k* on, so theta' >= ell/2
-    k_star = (max(5.0 / (3.0 * ell), 2.0 * math.sqrt(abs(c_sin / b_sin)))
-              if b_sin != 0.0 else 1.0 / ell)
-    k_low = min(k_star, k_max)
-    period = math.pi / ell
     k_min = 1e-9 / ell
-    steps = int(math.ceil((k_low - k_min) / period)) + 1
-    starts = np.cumsum(np.concatenate([[k_min], np.full(steps, period)]))
-    starts = starts[starts < k_low]
-    ends = np.minimum(starts + period, k_low)
-    n = np.maximum(48, np.ceil(5.0 * period / _feature_scale_k(spec, ends)).astype(np.int64))
-    grid = np.empty(int(n.sum()) + 1)
-    grid[0] = k_min
-    j = 1
-    for k0, k1, m in zip(starts.tolist(), ends.tolist(), n.tolist()):
-        grid[j:j + m] = np.arange(1, m + 1) * ((k1 - k0) / m) + k0
-        j += m
-        grid[j - 1] = k1
-    if k_star >= k_max:
-        return grid
+    ns = np.arange(math.floor(k_max * ell / math.pi + 0.5) + 1, dtype=float)
+    # Away from a zero diagonal factor, (M T)_12 = 0 and (M T)_21 = 0 read
+    # t pi + atan(u k - v/k) = 0 with (u, v) = (tb/ta, 0) and (0, tc/td), where
+    # k ell = (n + t) pi; for n >= 1 exactly one root has |t| <= 1/2.  Besides
+    # k = 0, n = 0 has a root only if v > 0 (bracketed from k = 0) or
+    # u < -ell (bracketed from the minimum of t pi + atan(u k)).
+    closed, n, u, v, t_lo = [], [], [], [], []
+    for diag, u_diag, v_diag in ((t.ta, t.tb, 0.0), (t.td, 0.0, t.tc)):
+        if diag == 0.0:  # the entry is a multiple of cos(k ell)
+            closed.append((ns + 0.5) * (math.pi / ell))
+            continue
+        uj, vj = u_diag / diag, v_diag / diag
+        lo = np.full(ns.shape, -0.5)
+        lo[0] = math.sqrt(-uj / ell - 1.0) * ell / (-uj * math.pi) if uj < -ell else 0.0
+        n.append(ns)
+        u.append(np.full(ns.shape, uj))
+        v.append(np.full(ns.shape, vj))
+        t_lo.append(lo)
+    n, u, v, t_lo = (np.concatenate([np.empty(0)] + x) for x in (n, u, v, t_lo))
 
-    def phase(k):
-        return np.arctan2(c_sin / k - b_sin * k, s)
+    def phase(tt, n, u, v):
+        k = (n + tt) * (math.pi / ell)
+        return tt * math.pi + np.arctan2(u * k * k - v, k)
 
-    def theta(k):
-        return k * ell - float(phase(k))
+    keep = (n > 0) | (phase(t_lo, n, u, v) < 0.0)
+    n, u, v, t_lo = n[keep], u[keep], v[keep], t_lo[keep]
+    tt = _illinois(phase, t_lo, np.full(n.shape, 0.5), n, u, v)
+    pts = np.concatenate(closed + [(n + tt) * (math.pi / ell)])
+    pts = np.concatenate([[k_min], np.sort(pts[(pts > k_min) & (pts < k_max)]), [k_max]])
 
-    quarter = 0.5 * math.pi
-    js = np.arange(math.floor(theta(k_star) / quarter) + 1, math.ceil(theta(k_max) / quarter))
-    # node j solves k ell = j pi/2 + phi(k); from k* the step contracts by 1/2 or better
-    nodes = np.full(js.shape, k_star)
-    for _ in range(64):
-        step = (quarter * js + phase(nodes)) / ell
-        done = bool(np.all(np.abs(step - nodes) <= 4.0 * np.finfo(float).eps * step))
-        nodes = step
-        if done:
-            break
-    nodes = nodes[(nodes > k_star) & (nodes < k_max)]
-    return np.concatenate([grid, nodes, [k_max]])
+    coeffs = _trace_coeffs(spec)
+
+    def trace(k):
+        return _floquet_trace(coeffs, ell, k * k)
+
+    sign = np.sign(trace(pts))
+    split = sign[:-1] != sign[1:]
+    inner = 0.5 * (pts[:-1] + pts[1:])
+    inner[split] = _illinois(trace, pts[:-1][split], pts[1:][split])
+    grid = np.empty(2 * len(pts) - 1)
+    grid[0::2], grid[1::2] = pts, inner
+    return grid
 
 
 def _negative_kappa_max(spec: LatticeSpec, coeffs: tuple[float, float, float],
@@ -305,35 +289,30 @@ def _negative_grid(spec: LatticeSpec, q_max: float, levels: list) -> np.ndarray:
     return merged
 
 
-def _refine_edges(coeffs: tuple[float, float, float], ell: float,
-                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Roots of |tr| - 2 in every bracket [lo_i, hi_i] at once.
+def _illinois(resid, lo: np.ndarray, hi: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """A root of resid(x, *args) in every bracket [lo_i, hi_i] at once.
 
-    Illinois false position; a step that would leave its bracket, or that
-    follows two steps which did not halve the bracket, bisects instead, so
-    every bracket at least halves in three steps.  A bracket is done once
-    |hi - lo|/2 < _EDGE_XTOL + _EDGE_RTOL |lo| or an end is an exact root, and
-    its edge is the end with the smaller residual.
+    args are per-bracket arrays, passed on sliced to the brackets still open.
+    Illinois false position: an end kept twice running has its residual
+    halved.  A step that rounds onto or past an end goes tol = _EDGE_XTOL +
+    _EDGE_RTOL |lo| inside it instead, and one left undefined by an infinite
+    residual bisects.  A bracket is done once |hi - lo|/2 < tol or an end is
+    an exact root.  Its root is then the false-position point of the final
+    bracket, or the end with the smaller residual where that point is not in it.
     """
-    def resid(e):
-        return np.abs(_floquet_trace(coeffs, ell, e)) - 2.0
-
-    a, b = lo.copy(), hi.copy()
-    fa, fb = resid(a), resid(b)  # Illinois-scaled residuals; the signs stay exact
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = resid(a, *args), resid(b, *args)  # Illinois-scaled residuals; the signs stay exact
     kept = np.zeros(a.shape, dtype=np.int8)  # end the last step kept: -1 lower, +1 upper
-    width_last = np.full(a.shape, np.inf)
-    width_before = np.full(a.shape, np.inf)
     while True:
-        live = np.flatnonzero((0.5 * (b - a) >= _EDGE_XTOL + _EDGE_RTOL * np.abs(a))
-                              & (fa != 0.0) & (fb != 0.0))
+        tol = _EDGE_XTOL + _EDGE_RTOL * np.abs(a)
+        live = np.flatnonzero((0.5 * (b - a) >= tol) & (fa != 0.0) & (fb != 0.0))
         if live.size == 0:
             break
-        ai, bi, fai, fbi = a[live], b[live], fa[live], fb[live]
-        width = bi - ai
-        x = ai - fai * width / (fbi - fai)
-        bisect = ~((x > ai) & (x < bi)) | (width > 0.5 * width_before[live])
-        x = np.where(bisect, ai + 0.5 * width, x)
-        fx = resid(x)
+        ai, bi, fai, fbi, toli = a[live], b[live], fa[live], fb[live], tol[live]
+        x = ai - fai * (bi - ai) / (fbi - fai)
+        x = np.where(np.isnan(x), 0.5 * (ai + bi), x)
+        x = np.where(x <= ai, ai + toli, np.where(x >= bi, bi - toli, x))
+        fx = resid(x, *(p[live] for p in args))
         up = np.sign(fx) == np.sign(fai)  # the root lies in [x, b]: x replaces a
         # an end kept twice running has its residual halved
         fai = np.where(~up & (kept[live] == -1), 0.5 * fai, fai)
@@ -343,9 +322,16 @@ def _refine_edges(coeffs: tuple[float, float, float], ell: float,
         b[live] = np.where(up, bi, x)
         fb[live] = np.where(up, fbi, fx)
         kept[live] = np.where(up, 1, -1)
-        width_before[live] = width_last[live]
-        width_last[live] = width
-    edges = np.where(np.abs(resid(a)) <= np.abs(resid(b)), a, b)
+    ra, rb = resid(a, *args), resid(b, *args)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = a - ra * (b - a) / (rb - ra)
+    return np.where((x >= a) & (x <= b), x, np.where(np.abs(ra) <= np.abs(rb), a, b))
+
+
+def _refine_edges(coeffs: tuple[float, float, float], ell: float,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of |tr| - 2 in every energy bracket [lo_i, hi_i] at once."""
+    edges = _illinois(lambda e: np.abs(_floquet_trace(coeffs, ell, e)) - 2.0, lo, hi)
     # an edge within the refinement tolerance of zero is the threshold itself
     return np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
 
@@ -358,17 +344,17 @@ def _grid_note(energies: np.ndarray, e_lo: float, e_hi: float) -> str:
 def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], list[GapInterval]]:
     """Bands and gaps up to band index m_max.
 
-    Edges are bracketed by sign changes of |tr| - 2 on a grid in k: above k*
-    (module docstring) the quarter-period nodes of the phase theta, so O(m_max)
-    points in all; below k* at least 48 samples per pi/ell period, denser where
-    the asymptotic widths predict narrow features.  The negative-energy grid
-    clusters around the single-center bound levels, and a trace that overflows
-    there counts as outside a band.  All brackets are refined at once by
-    Illinois false position safeguarded by bisection to an energy tolerance of
-    1e-12 (plus 8 ulp relative).  Bands are indexed by the nearest (pi m / ell)^2,
-    ties broken downward, then forced strictly increasing.  Gapless spectra
-    (the free and phase-equivalent couplings) come back as a single
-    [e_lo, inf) band.
+    Edges are bracketed by sign changes of |tr| - 2 on a grid in k: the gap
+    points below k_max (module docstring) with k_min and k_max, the midpoint
+    of two neighbours in one gap and the root of tr between two in different
+    gaps, so about 4 m_max points in all.  The negative-energy grid clusters
+    around the single-center bound levels, and a trace that overflows there
+    counts as outside a band.  The gap points, the band points and the edges
+    come from one vectorised Illinois solver, the edges to an energy
+    tolerance of 1e-12 (plus 8 ulp relative).  Bands are indexed by the
+    nearest (pi m / ell)^2, ties broken downward, then forced strictly
+    increasing.  Gapless spectra (the free and phase-equivalent couplings)
+    come back as a single [e_lo, inf) band.
     """
     from .spectral import point_spectrum  # local import; spectral does not import lattice
     if m_max < 1:
@@ -395,9 +381,7 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     # k_max, and a fully gapless spectrum (free and phase-equivalent couplings)
     # shows up as one such band
     if len(edges) == 1:
-        lo = float(edges[0])
-        samples = _band_samples(coeffs, ell, edges, np.array([k_max * k_max]), 9)
-        return [BandInterval(0, lo, math.inf, samples[0])], []
+        return [BandInterval(0, float(edges[0]), math.inf)], []
     lo, hi = edges[0:len(edges) - 1:2], edges[1::2]
 
     # nearest (pi m / ell)^2, exact ties broken downward, then made strictly
@@ -406,9 +390,7 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     nearest = np.maximum(np.floor(x + 0.5 - 1e-12).astype(np.int64), 0)
     i = np.arange(len(nearest))
     ms = np.maximum.accumulate(nearest - i) + i
-    samples = _band_samples(coeffs, ell, lo, hi, 9)
-    bands = [BandInterval(int(m), float(e0), float(e1), smp)
-             for m, e0, e1, smp in zip(ms, lo, hi, samples)]
+    bands = [BandInterval(int(m), float(e0), float(e1)) for m, e0, e1 in zip(ms, lo, hi)]
 
     if not bands or bands[-1].m < m_max:
         raise GridTooCoarse(
@@ -434,16 +416,6 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
                 f"found {n_win} bands in a 3-period window where ~3 are expected: "
                 + _grid_note(energies, win_lo, win_hi))
     return bands, gaps
-
-
-def _band_samples(coeffs: tuple[float, float, float], ell: float, e_lo: np.ndarray,
-                  e_hi: np.ndarray, n: int) -> list[tuple[tuple[float, float], ...]]:
-    # n (k, theta) samples across each band [e_lo_i, e_hi_i], positive energies only
-    es = np.linspace(e_lo, e_hi, n, axis=-1)
-    theta = np.arccos(np.clip(_floquet_trace(coeffs, ell, es) / 2.0, -1.0, 1.0))
-    ks = np.sqrt(np.maximum(es, 0.0))
-    return [tuple((k, th) for e, k, th in zip(e_row, k_row, th_row) if e > 0)
-            for e_row, k_row, th_row in zip(es.tolist(), ks.tolist(), theta.tolist())]
 
 
 def dispersion(spec: LatticeSpec, band: BandInterval,

@@ -325,7 +325,8 @@ def _classified_point(scheme: CouplingScheme, kappa: float, ztol: float) -> Spec
         return SpectralPoint(kappa, -kappa * kappa, PointKind.ANTIBOUND)
     kind = (PointKind.SPURIOUS_ROOT if _zero_root_is_spurious(scheme)
             else PointKind.ZERO_RESONANCE)
-    return SpectralPoint(0.0, 0.0, kind)
+    # the window decides the kind only; the root is reported as computed (+ 0.0 turns -0.0 into 0.0)
+    return SpectralPoint(kappa + 0.0, 0.0 - kappa * kappa, kind)
 
 
 def point_spectrum(scheme: CouplingScheme) -> list[SpectralPoint]:

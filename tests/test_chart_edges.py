@@ -188,3 +188,19 @@ def test_transfer_chart_is_bit_identical_at_beta_zero(rng):
         got, ref = greek_to_transfer(g), _transfer_beta_zero_reference(g)
         fields = ("omega", "ta", "tb", "tc", "td")
         assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(ref, f)) for f in fields]
+
+
+def test_root_inside_the_zero_window_is_reported_as_computed():
+    # |kappa| <= DEGENERACY_TOL * scale makes the root a zero resonance, but
+    # its value is the computed root, not 0.0
+    g = GreekParams(4e-12, 2.5, 0.4 + 0.2j)
+    point = min(point_spectrum(CouplingScheme.from_greek(g)), key=lambda p: abs(p.kappa))
+    assert point.kind.value == "zero_resonance"
+    r = _exact_roots(g)[0]
+    assert float(abs(decimal.Decimal(point.kappa) - r)) <= 1e-12 * float(abs(r))
+    assert point.energy == -point.kappa ** 2
+    # an exact zero root stays +0.0
+    point = min(point_spectrum(CouplingScheme.from_greek(GreekParams(0.0, 1.0, 0.0))),
+                key=lambda p: abs(p.kappa))
+    assert point.kappa == 0.0 and math.copysign(1.0, point.kappa) == 1.0
+    assert math.copysign(1.0, point.energy) == 1.0

@@ -188,3 +188,12 @@ def test_near_beta_zero_coupling_has_a_transfer_form(run, task):
     payload = json.loads(out)
     assert payload["summary"]["task"] == task[0]
     assert payload["rows"]
+
+
+def test_bands_task_keeps_the_narrow_gaps_of_a_weak_coupling(run):
+    # every (pi m)^2 anchor carries a gap with |tr| - 2 of 1e-4 or less
+    code, out, _ = run("bands", "--scheme", "greek", "--alpha=-0.05", "--beta=1e-5",
+                       "--gamma-re", "0", "--gamma-im", "0.1", "--ell", "1", "--mmax", "12")
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["n_bands"] == 12 and summary["n_gaps"] == 11

@@ -230,6 +230,11 @@ def _fuzzed_lattice(rng: np.random.Generator, regime: str) -> LatticeSpec:
         elif regime == "intermediate":
             re = float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.5))
             g = GreekParams(alpha, 0.0, complex(re, gamma.imag))
+        elif regime == "strong_delta":
+            # delta-like below k ~ sqrt(|alpha/beta|): narrow low bands on wide cells
+            ell = float(rng.uniform(3.0, 10.0))
+            g = GreekParams(float(rng.choice([-1, 1]) * rng.uniform(5.0, 30.0)),
+                            float(rng.choice([-1, 1]) * rng.uniform(0.05, 0.5)), gamma)
         else:  # near delta-like: Re gamma from 1e-6 to 1e-1
             re = float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6.0, -1.0))
             g = GreekParams(alpha, 0.0, complex(re, gamma.imag))
@@ -260,10 +265,13 @@ def _oracle_edges(spec: LatticeSpec, k_top: float) -> list[float]:
     return edges
 
 
-@pytest.mark.parametrize("regime", ["delta_prime", "delta", "intermediate", "near_delta"])
+@pytest.mark.parametrize("regime", ["delta_prime", "delta", "intermediate", "near_delta",
+                                    "strong_delta"])
 def test_band_edges_match_scalar_oracle(rng, regime):
     m_max = 12
-    for _ in range(3):
+    # a strong delta-like draw has a band narrower than the old k-grid about
+    # once in 40, so that regime gets more draws
+    for _ in range(30 if regime == "strong_delta" else 3):
         spec = _fuzzed_lattice(rng, regime)
         bands, _ = band_structure(spec, m_max)
         top = bands[-1].e_hi
@@ -290,6 +298,50 @@ def test_intermediate_grid_is_linear_in_band_index(alpha, beta, gamma):
     n60 = len(lattice._positive_grid(spec, 61.5 * PI))
     n200 = len(lattice._positive_grid(spec, 201.5 * PI))
     assert n200 <= 4 * n60
+
+
+@pytest.mark.parametrize("gamma", [2.0 + 1.0j, -2.0 + 1.0j], ids=["ta_zero", "td_zero"])
+def test_zero_diagonal_transfer_factor_edges_match_scalar_oracle(gamma):
+    # det = 4 with Re gamma = +-2 makes ta (or td) exactly 0, where the gap
+    # points have a closed form
+    spec = _spec(-1.0, 1.0, gamma)
+    t = scheme_to_transfer(spec.scheme)
+    assert (t.ta if gamma.real > 0 else t.td) == 0.0
+    m_max = 12
+    bands, _ = band_structure(spec, m_max)
+    assert [b.m for b in bands] == list(range(m_max + 1))
+    got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
+    want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI)
+            if e <= bands[-1].e_hi * (1.0 + 1e-9)]
+    assert len(got) == len(want)
+    for e_got, e_want in zip(got, want):
+        assert abs(e_got - e_want) <= 1e-10 * max(1.0, e_want)
+
+
+def _max_edge_residual(spec: LatticeSpec, bands) -> float:
+    return max(abs(abs(trace_at_energy(spec, e)) - 2.0)
+               for b in bands for e in (b.e_lo, b.e_hi) if math.isfinite(e))
+
+
+def test_weak_coupling_keeps_every_gap():
+    # every anchor (pi m)^2 carries a gap of |tr| - 2 ~ 1e-4 or less, far
+    # narrower than one pi/ell period
+    spec = _spec(-0.05, 1e-5, 0.1j)
+    bands, gaps = band_structure(spec, 12)
+    assert len(bands) == 12 and len(gaps) == 11
+    assert not any(gp.closed for gp in gaps)
+    assert _max_edge_residual(spec, bands) <= 1e-8
+
+
+def test_narrow_lowest_band_of_a_strong_delta_like_coupling_is_found():
+    spec = _spec(16.457106274866916, 0.16176116715989217,
+                 1.056989722216858 + 0.23107466788681874j, ell=7.935160124145342)
+    bands, _ = band_structure(spec, 12)
+    first = bands[0]
+    assert first.m == 1
+    assert first.e_lo == pytest.approx(0.14674, abs=1e-5)
+    assert first.e_hi == pytest.approx(0.14879, abs=1e-5)
+    assert _max_edge_residual(spec, bands) <= 1e-8
 
 
 def test_wide_delta_prime_lattice_edges_match_scalar_oracle():

@@ -36,7 +36,7 @@ from .spectral import (AsymptoticExpansion, BindingKind, BindingRegime,
                        denominator_F, green_kernel, green_kernel_dx,
                        green_kernel_greek, green_kernel_halfline,
                        kernel_derivative_jump, kernel_residue, point_spectrum,
-                       s_matrix, scattering_asymptotics)
+                       s_matrix, s_matrix_array, scattering_asymptotics)
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,7 @@ __all__ = [
     "halfline_to_inverse", "halfline_to_transfer", "inverse_to_greek",
     "inverse_to_halfline", "is_decoupled", "kernel_derivative_jump",
     "kernel_residue", "monodromy_trace", "overlap", "point_spectrum",
-    "s_matrix", "scattering_asymptotics", "scheme_to_transfer",
+    "s_matrix", "s_matrix_array", "scattering_asymptotics", "scheme_to_transfer",
     "seba_to_halfline", "trace_at_energy", "transfer_to_greek",
     "transfer_to_halfline", "wilson_loop_phase",
 ]

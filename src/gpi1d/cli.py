@@ -8,6 +8,24 @@ any option; explicit flags override the file.  Exit codes: 0 success,
 Complex values serialize as two-element [re, im] arrays in JSON and as paired
 *_re / *_im columns in CSV; CSV carries the summary as leading '# key = value'
 comment lines so both formats encode identical values.
+
+The JSON object holds "summary", "columns" and "rows", with summary and
+columns indented by two spaces and one table row per line:
+
+    {
+      "summary": {
+        "task": "scatter",
+        ...
+      },
+      "columns": [
+        "k",
+        ...
+      ],
+      "rows": [
+        [0.05, -0.99, 0.065, -0.023, 0.088, 1.0],
+        ...
+      ]
+    }
 """
 
 from __future__ import annotations
@@ -191,21 +209,24 @@ def _task_bound_states(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
 
 
 def _task_scatter(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
+    import numpy as np
+
     kmin = _as_float("kmin", args.kmin)
     kmax = _as_float("kmax", args.kmax)
     steps = _as_int("steps", args.steps)
     if not (0 < kmin <= kmax) or steps < 1:
         raise ConfigError("need 0 < kmin <= kmax and steps >= 1")
-    rows = []
-    for j in range(steps):
-        k = kmin if steps == 1 else kmin + (kmax - kmin) * j / (steps - 1)
-        amp = spectral.s_matrix(scheme, k)
-        rows.append([k, amp.r.real, amp.r.imag, amp.t.real, amp.t.imag, amp.unitarity])
+    k = kmin + (kmax - kmin) * np.arange(steps) / (steps - 1) if steps > 1 else np.full(1, kmin)
+    r, t = spectral.s_matrix_array(scheme, k)
+    unitarity = np.abs(r) ** 2 + np.abs(t) ** 2
+    rows = np.column_stack([k, r.real, r.imag, t.real, t.imag, unitarity]).tolist()
     summary = {"task": "scatter", "kmin": kmin, "kmax": kmax, "steps": steps}
     return summary, ["k", "r_re", "r_im", "t_re", "t_im", "unitarity"], rows
 
 
 def _task_berry(args) -> tuple[dict, list, list]:
+    import numpy as np
+
     loop = berry_mod.ParameterLoop(
         a=_as_float("a", args.a),
         c_mod=_as_float("cmod", args.cmod),
@@ -214,8 +235,10 @@ def _task_berry(args) -> tuple[dict, list, list]:
     result = berry_mod.berry_phase_discrete(loop)
     summary = {"task": "berry", "phase": result.phase, "samples": loop.samples,
                "branch": loop.branch, "kappa": loop.kappa}
-    rows = [[j, 2.0 * math.pi * j / loop.samples, w.real, w.imag]
-            for j, w in enumerate(result.per_step_overlaps)]
+    n = loop.samples
+    w = np.array(result.per_step_overlaps)
+    rows = [[j, *row] for j, row in enumerate(
+        np.column_stack([2.0 * math.pi * np.arange(n) / n, w.real, w.imag]).tolist())]
     return summary, ["step", "xi", "overlap_re", "overlap_im"], rows
 
 
@@ -260,17 +283,18 @@ def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
 
 def _emit(summary: dict, header: list, rows: list, fmt: str) -> str:
     if fmt == "json":
-        payload = {"summary": summary,
-                   "columns": header,
-                   "rows": [list(r) for r in rows]}
-        return json.dumps(payload, indent=2, sort_keys=False, default=_json_default) + "\n"
+        head = json.dumps({"summary": summary, "columns": header}, indent=2,
+                          default=_json_default)
+        # the rows go through the C encoder (indent None), one row per line
+        encode = json.JSONEncoder(default=_json_default).encode
+        body = "[\n    " + ",\n    ".join(map(encode, rows)) + "\n  ]" if rows else "[]"
+        return f'{head[:-2]},\n  "rows": {body}\n}}\n'
     buf = io.StringIO()
     for key, val in summary.items():
         buf.write(f"# {key} = {_scalar_str(val)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_scalar_str(v) for v in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

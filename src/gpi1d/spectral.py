@@ -27,7 +27,9 @@ Roots of the spectral denominator on the imaginary k-axis classify as bound
 root whose kernel residue coincides with the free-kernel residue is spurious
 (the delta' family's kappa = 0 root).  The on-shell amplitudes for a wave
 incident from the left are r(k) = -((a-ik)(b+ik)-|c|^2)/D(k), t(k) = 2ikc/D(k),
-unitary: |r|^2 + |t|^2 = 1.
+unitary: |r|^2 + |t|^2 = 1.  `s_matrix` evaluates them at one k;
+`s_matrix_array` evaluates the same formula over a whole array of k with
+numpy, converting the scheme once per call, for tables.
 """
 
 from __future__ import annotations
@@ -428,10 +430,22 @@ class ScatteringAmplitudes:
         return abs(self.r) ** 2 + abs(self.t) ** 2
 
 
-def _separated_reflection(bc: HalflineBoundary, k: float) -> complex:
-    if bc.kind == DIRICHLET:
-        return complex(-1.0)
-    return -(bc.slope + 1j * k) / (bc.slope - 1j * k)
+def _amplitudes(scheme: CouplingScheme, k):
+    # (r, t) at k > 0; the same arithmetic serves a float k and an ndarray k
+    if scheme.is_separated:
+        bc = scheme.separated.right
+        if bc.kind == DIRICHLET:
+            return -1.0 + 0.0j * k, 0.0j * k
+        return -(bc.slope + 1j * k) / (bc.slope - 1j * k), 0.0j * k
+    h = scheme.halfline
+    if h is not None:
+        d = (h.a - 1j * k) * (h.b - 1j * k) - abs(h.c) ** 2
+        return -((h.a - 1j * k) * (h.b + 1j * k) - abs(h.c) ** 2) / d, 2j * k * h.c / d
+    g = scheme.greek
+    gm = abs(g.gamma) ** 2
+    den = 2.0 * g.alpha - 1j * k * (4.0 + gm)
+    return (-(2.0 * g.alpha + 4j * k * g.gamma.real) / den,
+            -1j * k * (4.0 - gm + 4j * g.gamma.imag) / den)
 
 
 def s_matrix(scheme: CouplingScheme, k: float) -> ScatteringAmplitudes:
@@ -446,20 +460,28 @@ def s_matrix(scheme: CouplingScheme, k: float) -> ScatteringAmplitudes:
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}") from exc
     if not (math.isfinite(k) and k > 0):
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}")
-    if scheme.is_separated:
-        return ScatteringAmplitudes(k, _separated_reflection(scheme.separated.right, k), 0.0j)
-    h = scheme.halfline
-    if h is not None:
-        d = denominator_D(h, k)
-        r = -((h.a - 1j * k) * (h.b + 1j * k) - abs(h.c) ** 2) / d
-        t = 2j * k * h.c / d
-        return ScatteringAmplitudes(k, r, t)
-    g = scheme.greek
-    gm = abs(g.gamma) ** 2
-    den = 2.0 * g.alpha - 1j * k * (4.0 + gm)
-    r = -(2.0 * g.alpha + 4j * k * g.gamma.real) / den
-    t = -1j * k * (4.0 - gm + 4j * g.gamma.imag) / den
+    r, t = _amplitudes(scheme, k)
     return ScatteringAmplitudes(k, r, t)
+
+
+def s_matrix_array(scheme: CouplingScheme, k):
+    """(r, t) as complex arrays over an array of wavenumbers k > 0.
+
+    The same amplitudes as `s_matrix`, broadcast over k; the scheme is put in
+    halfline form once per call.  Raises InvalidWavenumber naming the first k
+    that is not finite and positive.
+    """
+    import numpy as np
+
+    try:
+        k = np.asarray(k, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidWavenumber(f"k must be an array of positive real numbers: {exc}") from exc
+    bad = np.flatnonzero(~(np.isfinite(k) & (k > 0)))
+    if bad.size:
+        raise InvalidWavenumber(
+            f"k must be a positive real number, got {float(k.flat[bad[0]])!r} at index {bad[0]}")
+    return _amplitudes(scheme, k)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from gpi1d import CouplingScheme, GreekParams, cli, s_matrix
 from gpi1d.cli import main
 
 
@@ -197,3 +198,57 @@ def test_bands_task_keeps_the_narrow_gaps_of_a_weak_coupling(run):
     assert code == 0
     summary = json.loads(out)["summary"]
     assert summary["n_bands"] == 12 and summary["n_gaps"] == 11
+
+
+_GENERIC = ("--scheme", "greek", "--alpha", "-1.5", "--beta", "1",
+            "--gamma-re", "0.3", "--gamma-im", "0.4")
+_TASK_ARGV = {
+    "convert": _GENERIC,
+    "bound-states": _GENERIC,
+    "scatter": _GENERIC + ("--kmin", "0.05", "--kmax", "20", "--steps", "50"),
+    "berry": ("--a", "-2", "--cmod", "0.6", "--samples", "50"),
+    "bands": _GENERIC + ("--ell", "1", "--mmax", "12"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_TASK_ARGV))
+def test_json_parses_like_the_indented_encoding(run, monkeypatch, task):
+    seen = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda *a: seen.append(a) or emit(*a))
+    code, out, _ = run(task, *_TASK_ARGV[task])
+    assert code == 0
+    summary, header, rows, _fmt = seen[0]
+    payload = {"summary": summary, "columns": header, "rows": rows}
+    assert json.loads(out) == json.loads(json.dumps(payload, indent=2,
+                                                    default=cli._json_default))
+    # one row per line
+    lines = out.splitlines()
+    start = lines.index('  "rows": [')
+    assert lines[start + 1 + len(rows):] == ["  ]", "}"]
+    assert [json.loads(line.strip().rstrip(",")) for line in lines[start + 1:-2]] == \
+        json.loads(out)["rows"]
+
+
+def test_scatter_table_matches_scalar_calls(run):
+    kmin, kmax, steps = 0.05, 20.0, 10_000
+    code, out, _ = run("scatter", *_GENERIC, "--kmin", str(kmin), "--kmax", str(kmax),
+                       "--steps", str(steps))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == steps
+    scheme = CouplingScheme.from_greek(GreekParams(-1.5, 1.0, 0.3 + 0.4j))
+    worst = 0.0
+    for j, row in enumerate(rows):
+        k = kmin + (kmax - kmin) * j / (steps - 1)
+        amp = s_matrix(scheme, k)
+        want = [k, amp.r.real, amp.r.imag, amp.t.real, amp.t.imag, amp.unitarity]
+        worst = max(worst, max(abs(a - b) for a, b in zip(row, want)))
+    assert worst <= 1e-15
+
+
+def test_csv_rows_write_floats_as_repr():
+    text = cli._emit({"task": "x", "flag": True}, ["a", "b", "c", "d", "e"],
+                     [[math.inf, math.nan, -0.0, 0.1 + 0.2, 7]], "csv")
+    assert text.splitlines() == ["# task = x", "# flag = true", "a,b,c,d,e",
+                                 "inf,nan,-0.0,0.30000000000000004,7"]

@@ -244,25 +244,59 @@ def _fuzzed_lattice(rng: np.random.Generator, regime: str) -> LatticeSpec:
 
 def _oracle_edges(spec: LatticeSpec, k_top: float) -> list[float]:
     """Positive-energy roots of |tr| - 2 up to k_top^2: sign changes on a dense
-    scalar grid in k, each refined by scalar bisection on monodromy_trace."""
+    scalar grid in k, each refined by scalar bisection on monodromy_trace.
+
+    A gap (or band) narrower than the grid shows as a local maximum (minimum)
+    of |tr| - 2 whose three samples share one sign; each such extremum is
+    refined by golden-section search, and if its extreme value has the other
+    sign, the two edges on either side of it are bisected as well.
+    """
     def f(k):
         return abs(monodromy_trace(spec, k)) - 2.0
+
+    def bisect(lo, hi, f_lo):
+        while hi - lo > 4.0 * np.spacing(hi):
+            mid = 0.5 * (lo + hi)
+            if (f(mid) <= 0.0) == (f_lo <= 0.0):
+                lo = mid
+            else:
+                hi = mid
+        return (0.5 * (lo + hi)) ** 2
+
+    def extremum(lo, hi, sign):
+        # golden-section search for the maximum of sign * f on [lo, hi]
+        g = 0.5 * (math.sqrt(5.0) - 1.0)
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        f1, f2 = sign * f(x1), sign * f(x2)
+        while hi - lo > 4.0 * np.spacing(hi):
+            if f1 >= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - g * (hi - lo)
+                f1 = sign * f(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + g * (hi - lo)
+                f2 = sign * f(x2)
+        return x1 if f1 >= f2 else x2
 
     ks = np.linspace(0.0, k_top, int(1000 * k_top * spec.ell / PI) + 1)[1:].tolist()
     vals = [f(k) for k in ks]
     edges = []
     for k0, k1, f0, f1 in zip(ks, ks[1:], vals, vals[1:]):
-        if (f0 <= 0.0) == (f1 <= 0.0):
+        if (f0 <= 0.0) != (f1 <= 0.0):
+            edges.append(bisect(k0, k1, f0))
+    for k0, k2, f0, f1, f2 in zip(ks, ks[2:], vals, vals[1:], vals[2:]):
+        inside = f1 <= 0.0
+        if (f0 <= 0.0) != inside or (f2 <= 0.0) != inside:
             continue
-        lo, hi = k0, k1
-        while hi - lo > 4.0 * np.spacing(hi):
-            mid = 0.5 * (lo + hi)
-            if (f(mid) <= 0.0) == (f0 <= 0.0):
-                lo = mid
-            else:
-                hi = mid
-        edges.append((0.5 * (lo + hi)) ** 2)
-    return edges
+        # a maximum inside a band may hide a gap, a minimum inside a gap a band
+        sign = 1.0 if inside else -1.0
+        if sign * f1 < sign * f0 or sign * f1 < sign * f2:
+            continue
+        k_ext = extremum(k0, k2, sign)
+        if (f(k_ext) <= 0.0) != inside:
+            edges += [bisect(k0, k_ext, f0), bisect(k_ext, k2, f(k_ext))]
+    return sorted(edges)
 
 
 @pytest.mark.parametrize("regime", ["delta_prime", "delta", "intermediate", "near_delta",
@@ -350,6 +384,21 @@ def test_wide_delta_prime_lattice_edges_match_scalar_oracle():
     m_max = 12
     bands, _ = band_structure(spec, m_max)
     assert bands[-1].m == m_max
+    got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
+    want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI / spec.ell)
+            if e <= bands[-1].e_hi * (1.0 + 1e-9)]
+    assert len(got) == len(want) == 23
+    for e_got, e_want in zip(got, want):
+        assert abs(e_got - e_want) <= 1e-10 * max(1.0, e_want)
+
+
+def test_oracle_finds_gaps_narrower_than_its_grid():
+    # the gaps of this weak coupling are narrower than the oracle's 1000
+    # points per period; a sign-change scan alone finds 17 of the 23 edges
+    spec = _spec(-0.006588008621684658, 0.0010129834398322052,
+                 0.00034194609650965127 - 0.8467155676587824j, ell=5.794485405907231)
+    m_max = 12
+    bands, _ = band_structure(spec, m_max)
     got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
     want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI / spec.ell)
             if e <= bands[-1].e_hi * (1.0 + 1e-9)]

@@ -11,7 +11,7 @@ from gpi1d import (BindingKind, CouplingScheme, GreekParams, HalflineBoundary,
                    HalflineParams, InvalidWavenumber, PointKind, binding_regime,
                    denominator_D, denominator_F, gauge_transform,
                    greek_to_halfline, kernel_residue, point_spectrum, s_matrix,
-                   scattering_asymptotics)
+                   s_matrix_array, scattering_asymptotics)
 from conftest import random_greek, random_halfline, random_scheme
 
 
@@ -294,6 +294,48 @@ def test_s_matrix_rejects_bad_wavenumber():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidWavenumber):
             s_matrix(scheme, bad)
+
+
+def _denominator_condition(scheme: CouplingScheme, k: float) -> float:
+    # relative condition number of the amplitudes' denominator at k: the
+    # halfline D(k) and the beta = 0 denominator cancel at small k when
+    # alpha is small, and there any two roundings of the same formula differ
+    if scheme.is_separated:
+        return 1.0
+    h = scheme.halfline
+    if h is not None:
+        d = (h.a - 1j * k) * (h.b - 1j * k) - abs(h.c) ** 2
+        return ((abs(h.a) + k) * (abs(h.b) + k) + abs(h.c) ** 2) / abs(d)
+    g = scheme.greek
+    gm = abs(g.gamma) ** 2
+    return (2.0 * abs(g.alpha) + k * (4.0 + gm)) / abs(2.0 * g.alpha - 1j * k * (4.0 + gm))
+
+
+def test_s_matrix_array_matches_scalar_calls(rng):
+    schemes = [random_scheme(rng, allow_beta_zero=True) for _ in range(200)]
+    schemes += [CouplingScheme.from_halfline(HalflineParams(a, b, 0.0))
+                for a, b in rng.uniform(-3.0, 3.0, (20, 2))]
+    schemes += [CouplingScheme.from_separated(HalflineBoundary.dirichlet(),
+                                              HalflineBoundary.robin(1.0)),
+                CouplingScheme.from_greek(GreekParams(1.0, 0.0, 2.0))]  # Dirichlet right side
+    assert sum(s.is_separated for s in schemes) >= 22
+    for scheme in schemes:
+        ks = 10.0 ** rng.uniform(-3, 3, 25)
+        r, t = s_matrix_array(scheme, ks)
+        assert r.shape == t.shape == ks.shape
+        assert np.max(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0)) <= 1e-12
+        for k, r_k, t_k in zip(ks.tolist(), r.tolist(), t.tolist()):
+            amp = s_matrix(scheme, k)
+            # numpy and CPython round complex products and quotients differently
+            tol = 5e-14 * max(1.0, abs(amp.r), abs(amp.t)) * _denominator_condition(scheme, k)
+            assert abs(r_k - amp.r) <= tol and abs(t_k - amp.t) <= tol, (scheme, k)
+
+
+def test_s_matrix_array_rejects_bad_wavenumbers():
+    scheme = CouplingScheme.from_greek(GreekParams(1.0, 0.0, 0.0))
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidWavenumber, match=rf"got {bad!r} at index 1"):
+            s_matrix_array(scheme, np.array([1.0, bad, 2.0, bad]))
 
 
 # ---------------------------------------------------------------------------

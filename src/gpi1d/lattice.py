@@ -10,8 +10,7 @@ so k lies in a band iff |RHS(k)| <= |w|.  Equivalently, with the single-center
 transfer matrix omega * M (M real, det M = 1) and the free-cell propagator
 T(k, ell) = [[cos, sin/k], [-k sin, cos]], the Floquet discriminant
 tr(M T(k, ell)) obeys band <=> |tr| <= 2; the two routes agree identically and
-serve as mutual oracles.  Negative energies use the hyperbolic continuation
-k = i kappa.
+serve as mutual oracles.  Negative energies continue k = i q.
 
 Gap points: where an off-diagonal entry of the monodromy vanishes,
 
@@ -25,7 +24,17 @@ point (Hill's-equation oscillation theory: Magnus & Winkler, Hill's Equation,
 Two gap points of one open gap cannot share an end, where M T = +-I + N with
 N nilpotent and nonzero, so their midpoint lies strictly inside the gap; the
 root of tr between two gap points of opposite trace sign lies inside the band
-that separates them.  These points bracket every positive band edge.
+that separates them.
+
+Below zero (q = sqrt(-E), x = q ell, (u, v) = (tb/ta, tc/td)) they vanish
+where tanh x = -u q and q tanh x = -v, the n = 0 gap points continued through
+E = 0: one each at most, with x in [x0 - 1, x0 + 1] for x0 = -ell/u > 1
+(1/(1 + x) < tanh x / x < 1/x) and in [max(x0 - 1, sqrt(x0/2)), x0 + 1] for
+x0 = -v ell > 0 (x - 1 < x tanh x <= min(x, x^2)).  In tr = (sinh x / q)
+(b q^2 + s q coth x + c), (s, c, b) = (ta + td, tc, tb), the second factor
+keeps the sign of b (of s if b = 0) past q_up, the positive root of
+|b| q^2 - |s| q - |s|/ell - |c| (|c/s| if b = 0); as every band holds a root
+of tr, the first q_bot = q_up 2^j with |tr| > 2 lies below every band.
 
 Three high-energy regimes, decided by the coupling:
 beta != 0 (delta'-like): band widths tend to 2|w| / (|beta| ell), gaps grow;
@@ -154,18 +163,33 @@ def monodromy_trace(spec: LatticeSpec, k: float) -> float:
     return s * math.cos(kl) + (c_sin / k - b_sin * k) * math.sin(kl)
 
 
-def _floquet_trace(coeffs: tuple[float, float, float], ell: float, energy) -> np.ndarray:
-    # The discriminant at every energy of an array: trigonometric in k = sqrt(E)
-    # above zero, hyperbolic in q = sqrt(-E) below, and s + c ell at E = 0.
+def _scaled_trace(coeffs: tuple[float, float, float], ell: float,
+                  energy) -> tuple[np.ndarray, np.ndarray]:
+    # (tr sech, sech) at every energy of an array, sech = 1/cosh(q ell) below
+    # zero (q = sqrt(-E)) and 1 elsewhere: tr is trigonometric in k = sqrt(E)
+    # above zero, s + c ell at 0, and tr sech = s + (c/q + b q) tanh(q ell) below.
     s, c_sin, b_sin = coeffs
     e = np.asarray(energy, dtype=float)
     k = np.sqrt(np.abs(e))
     tr = np.full(e.shape, s + c_sin * ell)
+    sech = 1.0
     up, down = e > 0, e < 0
-    ku, qd = k[up], k[down]
+    ku = k[up]
     tr[up] = s * np.cos(ku * ell) + (c_sin / ku - b_sin * ku) * np.sin(ku * ell)
-    tr[down] = s * np.cosh(qd * ell) + (c_sin / qd + b_sin * qd) * np.sinh(qd * ell)
-    return tr
+    if down.any():
+        qd, sech = k[down], np.ones(e.shape)
+        tr[down] = s + (c_sin / qd + b_sin * qd) * np.tanh(qd * ell)
+        decay = np.exp(-qd * ell)
+        sech[down] = 2.0 * decay / (1.0 + decay * decay)
+    return tr, sech
+
+
+def _floquet_trace(coeffs: tuple[float, float, float], ell: float, energy) -> np.ndarray:
+    # The discriminant at every energy of an array; it overflows to +-inf, and
+    # an exact zero of tr sech stays 0 rather than inf * 0
+    scaled, sech = _scaled_trace(coeffs, ell, energy)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(scaled == 0.0, 0.0, scaled / sech)
 
 
 def trace_at_energy(spec: LatticeSpec, energy: float) -> float:
@@ -200,20 +224,27 @@ def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
 # Band extraction
 # ---------------------------------------------------------------------------
 
-def _positive_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
-    # The gap points below k_max between k_min and k_max; between neighbours
-    # in one gap (same trace sign) their midpoint, strictly inside it, and
-    # between neighbours in different gaps the root of tr in the band between.
+def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
+    # Signed wavenumbers z, E = z |z|, ascending: the gap points below k_max,
+    # the anchors -q_bot, -+k_min and k_max, and after each but the last
+    # (grid[1::2]) the midpoint of two in one gap or the root of tr between two.
     t = spec._transfer
     ell = spec.ell
+    s, c, b = coeffs = _trace_coeffs(spec)
     k_min = 1e-9 / ell
+    # below every band: q_bot = q_up 2^j, the first with |tr| > 2
+    q_bot = max(k_min, abs(c / s) if b == 0.0 else
+                (abs(s) + math.sqrt(s * s + 4.0 * abs(b) * (abs(s) / ell + abs(c)))) / (2.0 * abs(b)))
+    while not abs(_floquet_trace(coeffs, ell, -q_bot * q_bot)) > 2.0:
+        q_bot *= 2.0
     ns = np.arange(math.floor(k_max * ell / math.pi + 0.5) + 1, dtype=float)
     # Away from a zero diagonal factor, (M T)_12 = 0 and (M T)_21 = 0 read
     # t pi + atan(u k - v/k) = 0 with (u, v) = (tb/ta, 0) and (0, tc/td), where
     # k ell = (n + t) pi; for n >= 1 exactly one root has |t| <= 1/2.  Besides
     # k = 0, n = 0 has a root only if v > 0 (bracketed from k = 0) or
-    # u < -ell (bracketed from the minimum of t pi + atan(u k)).
-    closed, n, u, v, t_lo = [], [], [], [], []
+    # u < -ell (bracketed from the minimum of t pi + atan(u k)).  Below zero,
+    # t = -x/pi < 0 (module docstring), they read tanh(q ell)/q + u = 0 or q tanh(q ell) + v = 0.
+    closed, rows, below = [], [], []  # (n, u, v, t_lo, t_hi); those below zero go first
     for diag, u_diag, v_diag in ((t.ta, t.tb, 0.0), (t.td, 0.0, t.tc)):
         if diag == 0.0:  # the entry is a multiple of cos(k ell)
             closed.append((ns + 0.5) * (math.pi / ell))
@@ -221,26 +252,32 @@ def _positive_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
         uj, vj = u_diag / diag, v_diag / diag
         lo = np.full(ns.shape, -0.5)
         lo[0] = math.sqrt(-uj / ell - 1.0) * ell / (-uj * math.pi) if uj < -ell else 0.0
-        n.append(ns)
-        u.append(np.full(ns.shape, uj))
-        v.append(np.full(ns.shape, vj))
-        t_lo.append(lo)
-    n, u, v, t_lo = (np.concatenate([np.empty(0)] + x) for x in (n, u, v, t_lo))
+        rows.append(np.column_stack([ns, np.full(ns.shape, uj), np.full(ns.shape, vj),
+                                     lo, np.full(ns.shape, 0.5)]))
+        if -ell < uj < 0.0 or vj < 0.0:  # one root below zero, near x0 = q0 ell
+            x0 = -ell / uj if uj else -vj * ell
+            x_lo = max(x0 - 1.0, k_min * ell if uj else math.sqrt(0.5 * x0))
+            below.append([0.0, uj, vj, -(x0 + 1.0) / math.pi, -x_lo / math.pi])
+    n, u, v, t_lo, t_hi = np.concatenate([np.reshape(below, (-1, 5))] + rows).T
 
     def phase(tt, n, u, v):
         k = (n + tt) * (math.pi / ell)
-        return tt * math.pi + np.arctan2(u * k * k - v, k)
+        out = tt * math.pi + np.arctan2(u * k * k - v, k)
+        for i in range(np.count_nonzero(k < 0.0)):  # the (at most two) brackets below zero
+            q = -float(k[i])
+            th = math.tanh(q * ell)
+            out[i] = th / q + u[i] if u[i] else q * th + v[i]
+        return out
 
-    keep = (n > 0) | (phase(t_lo, n, u, v) < 0.0)
-    n, u, v, t_lo = n[keep], u[keep], v[keep], t_lo[keep]
-    tt = _illinois(phase, t_lo, np.full(n.shape, 0.5), n, u, v)
+    keep = (n > 0) | ((phase(t_lo, n, u, v) < 0.0) != (phase(t_hi, n, u, v) < 0.0))
+    n, u, v, t_lo, t_hi = n[keep], u[keep], v[keep], t_lo[keep], t_hi[keep]
+    tt = _illinois(phase, t_lo, t_hi, n, u, v)
     pts = np.concatenate(closed + [(n + tt) * (math.pi / ell)])
-    pts = np.concatenate([[k_min], np.sort(pts[(pts > k_min) & (pts < k_max)]), [k_max]])
+    pts = np.sort(np.concatenate([pts[(np.abs(pts) > k_min) & (pts < k_max)],
+                                  [-q_bot, -k_min, k_min, k_max]]))
 
-    coeffs = _trace_coeffs(spec)
-
-    def trace(k):
-        return _floquet_trace(coeffs, ell, k * k)
+    def trace(z):  # of the sign of tr at E = z |z|
+        return _scaled_trace(coeffs, ell, z * np.abs(z))[0]
 
     sign = np.sign(trace(pts))
     split = sign[:-1] != sign[1:]
@@ -251,89 +288,44 @@ def _positive_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
     return grid
 
 
-def _negative_kappa_max(spec: LatticeSpec, coeffs: tuple[float, float, float],
-                        levels: list) -> float:
-    # The first of 60 depths, each 1.5 times the last, below which |tr| > 10.
-    q0 = max(2.0, 2.0 * max((abs(p.kappa) for p in levels), default=0.0)) + 4.0 / spec.ell
-    qs = np.cumprod(np.concatenate([[q0], np.full(59, 1.5)]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cleared = np.abs(_floquet_trace(coeffs, spec.ell, -qs * qs)) > 10.0
-    if not cleared.any():
-        raise GridTooCoarse(
-            "could not bound the negative-energy spectrum: |tr| <= 10 at all"
-            f" {len(qs)} depths of the energy window [{-qs[-1] ** 2:.6g}, {-q0 * q0:.6g}]")
-    return float(qs[np.argmax(cleared)])
-
-
-def _negative_grid(spec: LatticeSpec, q_max: float, levels: list) -> np.ndarray:
-    # Uniform sweep plus dense clusters around the single-center bound levels,
-    # whose lattice bands are exponentially narrow: half-width in kappa on the
-    # tight-binding scale ~ kappa * exp(-kappa * ell).  The exact level always
-    # lies inside its band (the Floquet discriminant there is exponentially
-    # small), so it is included as a grid point outright; that keeps even
-    # sub-resolution bands bracketed.
-    from .spectral import PointKind
-    q_eps = 1e-9 / spec.ell
-    qs = [np.linspace(q_max, q_eps, 600)]
-    for p in levels:
-        if p.kind is not PointKind.BOUND:
-            continue
-        w_q = 4.0 * p.kappa * math.exp(-p.kappa * spec.ell)
-        for half, n in ((max(0.15 * p.kappa, 40.0 * w_q), 500), (10.0 * w_q, 400)):
-            lo = max(q_eps, p.kappa - half)
-            hi = min(q_max, p.kappa + half)
-            if hi > lo:
-                qs.append(np.linspace(hi, lo, n))
-        qs.append(np.array([p.kappa]))
-    merged = np.unique(np.concatenate(qs))[::-1]  # descending kappa = ascending energy
-    return merged
-
-
 def _illinois(resid, lo: np.ndarray, hi: np.ndarray, *args: np.ndarray) -> np.ndarray:
     """A root of resid(x, *args) in every bracket [lo_i, hi_i] at once.
 
     args are per-bracket arrays, passed on sliced to the brackets still open.
     Illinois false position: an end kept twice running has its residual
     halved.  A step that rounds onto or past an end goes tol = _EDGE_XTOL +
-    _EDGE_RTOL |lo| inside it instead, and one left undefined by an infinite
-    residual bisects.  A bracket is done once |hi - lo|/2 < tol or an end is
-    an exact root.  Its root is then the false-position point of the final
+    _EDGE_RTOL |lo| inside it instead.  Where an end's residual is infinite
+    (or nan) the step bisects: false position there is undefined or lands on
+    the finite end.  A bracket is done once |hi - lo|/2 < tol or an end is an
+    exact root.  Its root is then the false-position point of the final
     bracket, or the end with the smaller residual where that point is not in it.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     fa, fb = resid(a, *args), resid(b, *args)  # Illinois-scaled residuals; the signs stay exact
     kept = np.zeros(a.shape, dtype=np.int8)  # end the last step kept: -1 lower, +1 upper
-    while True:
-        tol = _EDGE_XTOL + _EDGE_RTOL * np.abs(a)
-        live = np.flatnonzero((0.5 * (b - a) >= tol) & (fa != 0.0) & (fb != 0.0))
-        if live.size == 0:
-            break
-        ai, bi, fai, fbi, toli = a[live], b[live], fa[live], fb[live], tol[live]
-        x = ai - fai * (bi - ai) / (fbi - fai)
-        x = np.where(np.isnan(x), 0.5 * (ai + bi), x)
-        x = np.where(x <= ai, ai + toli, np.where(x >= bi, bi - toli, x))
-        fx = resid(x, *(p[live] for p in args))
-        up = np.sign(fx) == np.sign(fai)  # the root lies in [x, b]: x replaces a
-        # an end kept twice running has its residual halved
-        fai = np.where(~up & (kept[live] == -1), 0.5 * fai, fai)
-        fbi = np.where(up & (kept[live] == 1), 0.5 * fbi, fbi)
-        a[live] = np.where(up, x, ai)
-        fa[live] = np.where(up, fx, fai)
-        b[live] = np.where(up, bi, x)
-        fb[live] = np.where(up, fbi, fx)
-        kept[live] = np.where(up, 1, -1)
-    ra, rb = resid(a, *args), resid(b, *args)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # infinite ends
+        while True:
+            tol = _EDGE_XTOL + _EDGE_RTOL * np.abs(a)
+            live = np.flatnonzero((0.5 * (b - a) >= tol) & (fa != 0.0) & (fb != 0.0))
+            if live.size == 0:
+                break
+            ai, bi, fai, fbi, toli = a[live], b[live], fa[live], fb[live], tol[live]
+            df = fbi - fai
+            x = np.where(np.isfinite(df), ai - fai * (bi - ai) / df, 0.5 * (ai + bi))
+            x = np.where(x <= ai, ai + toli, np.where(x >= bi, bi - toli, x))
+            fx = resid(x, *(p[live] for p in args))
+            up = np.sign(fx) == np.sign(fai)  # the root lies in [x, b]: x replaces a
+            # an end kept twice running has its residual halved
+            fai = np.where(~up & (kept[live] == -1), 0.5 * fai, fai)
+            fbi = np.where(up & (kept[live] == 1), 0.5 * fbi, fbi)
+            a[live] = np.where(up, x, ai)
+            fa[live] = np.where(up, fx, fai)
+            b[live] = np.where(up, bi, x)
+            fb[live] = np.where(up, fbi, fx)
+            kept[live] = np.where(up, 1, -1)
+        ra, rb = resid(a, *args), resid(b, *args)
         x = a - ra * (b - a) / (rb - ra)
     return np.where((x >= a) & (x <= b), x, np.where(np.abs(ra) <= np.abs(rb), a, b))
-
-
-def _refine_edges(coeffs: tuple[float, float, float], ell: float,
-                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Roots of |tr| - 2 in every energy bracket [lo_i, hi_i] at once."""
-    edges = _illinois(lambda e: np.abs(_floquet_trace(coeffs, ell, e)) - 2.0, lo, hi)
-    # an edge within the refinement tolerance of zero is the threshold itself
-    return np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
 
 
 def _grid_note(energies: np.ndarray, e_lo: float, e_hi: float) -> str:
@@ -344,39 +336,44 @@ def _grid_note(energies: np.ndarray, e_lo: float, e_hi: float) -> str:
 def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], list[GapInterval]]:
     """Bands and gaps up to band index m_max.
 
-    Edges are bracketed by sign changes of |tr| - 2 on a grid in k: the gap
-    points below k_max (module docstring) with k_min and k_max, the midpoint
-    of two neighbours in one gap and the root of tr between two in different
-    gaps, so about 4 m_max points in all.  The negative-energy grid clusters
-    around the single-center bound levels, and a trace that overflows there
-    counts as outside a band.  The gap points, the band points and the edges
-    come from one vectorised Illinois solver, the edges to an energy
-    tolerance of 1e-12 (plus 8 ulp relative).  Bands are indexed by the
-    nearest (pi m / ell)^2, ties broken downward, then forced strictly
-    increasing.  Gapless spectra (the free and phase-equivalent couplings)
-    come back as a single [e_lo, inf) band.
+    Edges are bracketed by sign changes of |tr| - 2 on one grid over the
+    whole energy axis: the gap points below k_max (module docstring) with the
+    anchors -q_bot^2, -+k_min^2 (k_min = 1e-9/ell) and k_max^2, the midpoint
+    of two neighbours in one gap and the root of tr between two gaps, so
+    about 4 m_max points in all.  The gap points, the band points and the
+    edges come from one vectorised Illinois solver, the edges to an energy
+    tolerance of 1e-12 (plus 8 ulp relative).  A band narrower than the float
+    spacing (below zero on wide cells) is reported as [E, E] at its root of
+    tr.  Bands are indexed by the nearest (pi m / ell)^2, ties broken
+    downward, then forced strictly increasing.  Gapless spectra (the free
+    and phase-equivalent couplings) come back as a single [e_lo, inf) band.
     """
-    from .spectral import point_spectrum  # local import; spectral does not import lattice
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     ell = spec.ell
     k_max = (m_max + 1.5) * math.pi / ell
     coeffs = _trace_coeffs(spec)
-    levels = point_spectrum(spec.scheme)
 
-    qs = _negative_grid(spec, _negative_kappa_max(spec, coeffs, levels), levels)
-    ks = _positive_grid(spec, k_max)
-    energies = np.concatenate([-qs * qs, [0.0], ks * ks])
-    # deep in the negative grid cosh overflows; an inf or nan trace is outside a band
-    with np.errstate(over="ignore", invalid="ignore"):
-        inside = np.abs(_floquet_trace(coeffs, ell, energies)) <= 2.0
-    if inside[0]:
-        # in band at the lowest sampled energy: the negative bound failed
-        raise GridTooCoarse("negative-energy grid did not clear the lowest band: "
-                            + _grid_note(energies, energies[0], 0.0))
+    def gap(e):  # |tr| - 2, and below zero that times sech: the same sign, no overflow
+        scaled, sech = _scaled_trace(coeffs, ell, e)
+        return np.abs(scaled) - 2.0 * sech
 
+    z = _gap_grid(spec, k_max)
+    energies = z * np.abs(z)
+    resolved = gap(energies) <= 0.0
+    # A band point (grid[1::2] between gap points of opposite trace sign) lies
+    # in its band.  Below zero, where a band can be narrower than the float
+    # spacing and |tr| round above 2 at every float, it is both band edges:
+    # the brackets beside it collapse onto it.
+    sign = np.sign(_scaled_trace(coeffs, ell, energies[0::2])[0])
+    inside = resolved.copy()
+    inside[1:-1:2] |= (sign[:-1] != sign[1:]) & (energies[1:-1:2] < 0.0)
+    stuck = inside & ~resolved
     j = np.flatnonzero(inside[:-1] != inside[1:])
-    edges = _refine_edges(coeffs, ell, energies[j], energies[j + 1])
+    edges = _illinois(gap, np.where(stuck[j + 1], energies[j + 1], energies[j]),
+                      np.where(stuck[j], energies[j], energies[j + 1]))
+    # an edge within the refinement tolerance of zero is the threshold itself
+    edges = np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
     # edges alternate band start, band end; an odd count leaves a band open at
     # k_max, and a fully gapless spectrum (free and phase-equivalent couplings)
     # shows up as one such band

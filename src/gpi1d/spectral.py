@@ -469,12 +469,18 @@ def s_matrix_array(scheme: CouplingScheme, k):
 
     The same amplitudes as `s_matrix`, broadcast over k; the scheme is put in
     halfline form once per call.  Raises InvalidWavenumber naming the first k
-    that is not finite and positive.
+    that is complex (the first with a nonzero imaginary part, if any), or else
+    the first that is not finite and positive.
     """
     import numpy as np
 
     try:
-        k = np.asarray(k, dtype=float)
+        k = np.asarray(k)
+        if np.iscomplexobj(k):
+            i = int(np.argmax(k.imag.ravel() != 0.0))
+            raise InvalidWavenumber(
+                f"k must be a positive real number, got {complex(k.flat[i])!r} at index {i}")
+        k = k.astype(float)
     except (TypeError, ValueError) as exc:
         raise InvalidWavenumber(f"k must be an array of positive real numbers: {exc}") from exc
     bad = np.flatnonzero(~(np.isfinite(k) & (k > 0)))

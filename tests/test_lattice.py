@@ -13,10 +13,10 @@ import pytest
 
 import gpi1d
 from gpi1d import (CouplingScheme, GreekParams, GridTooCoarse, HalflineParams,
-                   InsufficientBands, LatticeSpec, Regime, asymptotic_regime,
+                   InsufficientBands, LatticeSpec, PointKind, Regime, asymptotic_regime,
                    band_condition_lhs_bound, band_condition_rhs, band_structure,
                    bloch_determinant, classify_regime, dispersion,
-                   gauge_transform, monodromy_trace, scheme_to_transfer,
+                   gauge_transform, monodromy_trace, point_spectrum, scheme_to_transfer,
                    trace_at_energy)
 from gpi1d import lattice
 from conftest import random_greek
@@ -329,8 +329,8 @@ def test_intermediate_grid_is_linear_in_band_index(alpha, beta, gamma):
     # every regime needs a fixed number of points per pi/ell period at high
     # energy, even where gaps (delta) or bands (delta') close like 1/k
     spec = _spec(alpha, beta, gamma)
-    n60 = len(lattice._positive_grid(spec, 61.5 * PI))
-    n200 = len(lattice._positive_grid(spec, 201.5 * PI))
+    n60 = len(lattice._gap_grid(spec, 61.5 * PI))
+    n200 = len(lattice._gap_grid(spec, 201.5 * PI))
     assert n200 <= 4 * n60
 
 
@@ -435,9 +435,68 @@ def test_band_scan_does_not_warn_on_cosh_overflow():
     assert bands[-1].m == 12
 
 
+@pytest.mark.parametrize("ell", [5.0, 20.0, 80.0, 400.0, 1000.0])
+def test_bound_state_bands_of_wide_cells(ell):
+    # single-center levels kappa = 3.734 and 0.880: one band each, narrower
+    # than the float spacing once kappa ell >~ 40, and then [E, E] at -kappa^2
+    spec = _spec(-2.3, -0.7, 0.2 - 0.9j, ell=ell)
+    levels = [-p.kappa ** 2 for p in point_spectrum(spec.scheme) if p.kind is PointKind.BOUND]
+    assert len(levels) == 2
+    bands, _ = band_structure(spec, 3)
+    negative = [b for b in bands if b.e_lo < 0.0]
+    assert len(negative) == 2
+    for b in negative:
+        residual = max(abs(abs(trace_at_energy(spec, e)) - 2.0) for e in (b.e_lo, b.e_hi))
+        degenerate = any(max(abs(b.e_lo - e), abs(b.e_hi - e)) <= 1e-12 * abs(e) for e in levels)
+        assert residual <= 1e-8 or degenerate, (ell, b)
+
+
+def test_delta_band_narrower_than_the_float_spacing():
+    # kappa ell = 400: cosh overflows nowhere near the band, but the band is
+    # e^-400 wide, so it is reported at the bound level -1
+    bands, _ = band_structure(_spec(-2.0, 0.0, 0.0, ell=400.0), 3)
+    assert (bands[0].e_lo, bands[0].e_hi) == (-1.0, -1.0)
+    assert bands[1].e_lo > 0.0
+
+
+def test_trace_overflows_to_infinity_not_nan():
+    # written as s cosh(q ell) + (c/q) sinh(q ell) it would be inf - inf at q ell = 1000
+    assert trace_at_energy(_spec(-2.0, 0.0, 0.0), -1e6) == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cells_narrow_to_wide_bound_the_spectrum_without_warnings():
+    # small beta puts a bound level at kappa ~ 1/|beta|; with ell up to 10^2.5
+    # kappa ell reaches far past cosh's range
+    rng = np.random.default_rng(8)
+    for _ in range(150):
+        beta = float(rng.choice([0.0, rng.uniform(-3.0, 3.0),
+                                 rng.choice([-1, 1]) * 10.0 ** rng.uniform(-4.0, -1.0)]))
+        gamma = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        spec = _spec(float(rng.uniform(-3.0, 3.0)), beta, gamma,
+                     ell=float(10.0 ** rng.uniform(-2.5, 2.5)))
+        bands, _ = band_structure(spec, 12)
+        assert bands[-1].m == 12 or math.isinf(bands[-1].e_hi)
+
+
+def test_illinois_bisects_beside_an_infinite_residual():
+    # false position toward an infinite end lands on the finite end, which
+    # then creeps by one tolerance a step; the solver bisects instead
+    calls = []
+
+    def resid(x):
+        calls.append(x.size)
+        assert len(calls) < 200
+        return np.where(x > 0.3, -np.inf, 1.0 - x)
+
+    root = lattice._illinois(resid, np.array([0.0]), np.array([1.0]))
+    assert abs(root[0] - 0.3) <= 1e-11
+    assert len(calls) <= 60
+
+
 def test_grid_too_coarse_names_window_and_density(monkeypatch):
     spec = _spec(0.0, 1.0, 0.0)
-    monkeypatch.setattr(lattice, "_positive_grid",
+    monkeypatch.setattr(lattice, "_gap_grid",
                         lambda spec, k_max: np.linspace(1e-9, k_max, 40))
     with pytest.raises(GridTooCoarse, match=r"energy window \[.*\] sampled at \d+ grid points"):
         band_structure(spec, 20)

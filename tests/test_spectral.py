@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -336,6 +337,13 @@ def test_s_matrix_array_rejects_bad_wavenumbers():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidWavenumber, match=rf"got {bad!r} at index 1"):
             s_matrix_array(scheme, np.array([1.0, bad, 2.0, bad]))
+    # complex wavenumbers are rejected as by s_matrix, not cast to their real part
+    with pytest.raises(InvalidWavenumber, match=re.escape("got (1+1j) at index 0")):
+        s_matrix_array(scheme, [1 + 1j])
+    with pytest.raises(InvalidWavenumber, match=re.escape("got (2-3j) at index 1")):
+        s_matrix_array(scheme, np.array([1.0, 2.0 - 3.0j, 1.0j]))
+    with pytest.raises(InvalidWavenumber):
+        s_matrix(scheme, 1 + 1j)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ spectrum with bound/resonance/antibound classification, on-shell scattering
 with low/high-energy asymptotics, bound-state Berry phase over coupling loops,
 and the generalized Kronig-Penney band structure with its three high-energy
 regimes.
+
+The lattice names load `gpi1d.lattice`, and with it numpy, on first access,
+so the tasks that never touch a lattice do not import numpy.
 """
 
 from .berry import (BRANCH_MINUS, BRANCH_PLUS, Eigenstate, ParameterLoop,
@@ -14,11 +17,6 @@ from .berry import (BRANCH_MINUS, BRANCH_PLUS, Eigenstate, ParameterLoop,
 from .errors import (DegenerateOverlap, DegenerateParametrization, GpiError,
                      GridTooCoarse, InsufficientBands, InvalidSheet,
                      InvalidWavenumber, NoBoundState, PoleEvaluation)
-from .lattice import (BandInterval, GapInterval, LatticeSpec, Regime,
-                      RegimeReport, asymptotic_regime, band_condition_lhs_bound,
-                      band_condition_rhs, band_structure, bloch_determinant,
-                      classify_regime, dispersion, monodromy_trace,
-                      trace_at_energy)
 from .params import (DEGENERACY_TOL, CarreauParams, ChernoffHughesParams,
                      CouplingScheme, GreekParams, HalflineBoundary,
                      HalflineParams, InverseParams, SebaParams,
@@ -67,3 +65,23 @@ __all__ = [
     "seba_to_halfline", "trace_at_energy", "transfer_to_greek",
     "transfer_to_halfline", "wilson_loop_phase",
 ]
+
+_LATTICE_NAMES = frozenset((
+    "BandInterval", "GapInterval", "LatticeSpec", "Regime", "RegimeReport",
+    "asymptotic_regime", "band_condition_lhs_bound", "band_condition_rhs",
+    "band_structure", "bloch_determinant", "classify_regime", "dispersion",
+    "monodromy_trace", "trace_at_energy",
+))
+
+
+def __getattr__(name):
+    # looked up on every access and never stored here, so a wrapper installed
+    # on gpi1d.lattice is seen while installed and gone once removed
+    if name in _LATTICE_NAMES:
+        from . import lattice
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _LATTICE_NAMES)

@@ -38,7 +38,6 @@ import math
 import sys
 
 from . import berry as berry_mod
-from . import lattice as lattice_mod
 from . import spectral
 from .errors import DegenerateParametrization, GpiError
 from .params import (CarreauParams, ChernoffHughesParams, CouplingScheme,
@@ -243,6 +242,8 @@ def _task_berry(args) -> tuple[dict, list, list]:
 
 
 def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
+    from . import lattice as lattice_mod
+
     ell = _as_float("ell", args.ell)
     m_max = _as_int("mmax", args.mmax)
     spec = lattice_mod.LatticeSpec(scheme, ell)

@@ -149,16 +149,11 @@ def band_condition_lhs_bound(spec: LatticeSpec) -> float:
     return math.hypot(4.0 - g.det, 4.0 * g.gamma.imag)
 
 
-def _trace_coeffs(spec: LatticeSpec) -> tuple[float, float, float]:
-    # (s, c, b) of tr = s cos(k ell) + (c/k - b k) sin(k ell), computed once per spec
-    return spec._trace_coeffs
-
-
 def monodromy_trace(spec: LatticeSpec, k: float) -> float:
     """Floquet discriminant tr(M T(k, ell)) of the real transfer factor; band iff |tr| <= 2."""
     if not k > 0:
         raise ValueError("k must be positive")
-    s, c_sin, b_sin = _trace_coeffs(spec)
+    s, c_sin, b_sin = spec._trace_coeffs
     kl = k * spec.ell
     return s * math.cos(kl) + (c_sin / k - b_sin * k) * math.sin(kl)
 
@@ -194,7 +189,7 @@ def _floquet_trace(coeffs: tuple[float, float, float], ell: float, energy) -> np
 
 def trace_at_energy(spec: LatticeSpec, energy: float) -> float:
     """Floquet discriminant as a function of energy, hyperbolic below zero."""
-    return float(_floquet_trace(_trace_coeffs(spec), spec.ell, energy))
+    return float(_floquet_trace(spec._trace_coeffs, spec.ell, energy))
 
 
 def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
@@ -230,7 +225,7 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
     # (grid[1::2]) the midpoint of two in one gap or the root of tr between two.
     t = spec._transfer
     ell = spec.ell
-    s, c, b = coeffs = _trace_coeffs(spec)
+    s, c, b = coeffs = spec._trace_coeffs
     k_min = 1e-9 / ell
     # below every band: q_bot = q_up 2^j, the first with |tr| > 2
     q_bot = max(k_min, abs(c / s) if b == 0.0 else
@@ -352,7 +347,7 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         raise ValueError("m_max must be >= 1")
     ell = spec.ell
     k_max = (m_max + 1.5) * math.pi / ell
-    coeffs = _trace_coeffs(spec)
+    coeffs = spec._trace_coeffs
 
     def gap(e):  # |tr| - 2, and below zero that times sech: the same sign, no overflow
         scaled, sech = _scaled_trace(coeffs, ell, e)
@@ -426,7 +421,7 @@ def dispersion(spec: LatticeSpec, band: BandInterval,
         raise ValueError("need at least 2 samples")
     hi = band.e_hi if math.isfinite(band.e_hi) else band.e_lo + 10.0 / spec.ell ** 2
     es = np.linspace(band.e_lo, hi, n_samples)
-    tr = _floquet_trace(_trace_coeffs(spec), spec.ell, es)
+    tr = _floquet_trace(spec._trace_coeffs, spec.ell, es)
     return list(zip(es.tolist(), np.arccos(np.clip(tr / 2.0, -1.0, 1.0)).tolist()))
 
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DegenerateParametrization
 
@@ -56,11 +56,25 @@ def _check_denominator(value: complex, scale: float, name: str) -> None:
         raise DegenerateParametrization(name, abs(value))
 
 
-def _require_finite(*values: complex) -> None:
+def _require_finite(*values: float) -> None:
+    # real fields: a complex (numpy's complex scalars included) or a string is refused
     for v in values:
-        if not (math.isfinite(v.real if isinstance(v, complex) else float(v))
-                and math.isfinite(v.imag if isinstance(v, complex) else 0.0)):
-            raise ValueError("parameters must be finite")
+        try:
+            ok = not isinstance(v, complex) and math.isfinite(v)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"parameters must be finite real numbers, got {v!r}")
+
+
+def _require_finite_complex(*values: complex) -> None:
+    for v in values:
+        try:
+            ok = cmath.isfinite(v)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"parameters must be finite complex numbers, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +90,8 @@ class GreekParams:
     gamma: complex
 
     def __post_init__(self):
-        _require_finite(self.alpha, self.beta, complex(self.gamma))
+        _require_finite(self.alpha, self.beta)
+        _require_finite_complex(self.gamma)
         object.__setattr__(self, "gamma", complex(self.gamma))
 
     @property
@@ -98,7 +113,8 @@ class HalflineParams:
     c: complex
 
     def __post_init__(self):
-        _require_finite(self.a, self.b, complex(self.c))
+        _require_finite(self.a, self.b)
+        _require_finite_complex(self.c)
         object.__setattr__(self, "c", complex(self.c))
 
     @property
@@ -115,7 +131,8 @@ class InverseParams:
     C: complex
 
     def __post_init__(self):
-        _require_finite(self.A, self.B, complex(self.C))
+        _require_finite(self.A, self.B)
+        _require_finite_complex(self.C)
         object.__setattr__(self, "C", complex(self.C))
 
     @property
@@ -134,7 +151,8 @@ class TransferParams:
     td: float
 
     def __post_init__(self):
-        _require_finite(complex(self.omega), self.ta, self.tb, self.tc, self.td)
+        _require_finite_complex(self.omega)
+        _require_finite(self.ta, self.tb, self.tc, self.td)
         object.__setattr__(self, "omega", complex(self.omega))
         if abs(abs(self.omega) - 1.0) > 1e-12:
             raise ValueError(f"|omega| must be 1, got {abs(self.omega)!r}")
@@ -143,8 +161,10 @@ class TransferParams:
             raise ValueError(f"ta*td - tb*tc must be 1, got {det!r}")
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The real unimodular 2x2 factor."""
+    def matrix(self):
+        """The real unimodular 2x2 factor, as a numpy array."""
+        import numpy as np
+
         return np.array([[self.ta, self.tb], [self.tc, self.td]], dtype=float)
 
 
@@ -191,7 +211,8 @@ class ChernoffHughesParams:
     z: complex
 
     def __post_init__(self):
-        _require_finite(self.r, complex(self.z))
+        _require_finite(self.r)
+        _require_finite_complex(self.z)
         object.__setattr__(self, "z", complex(self.z))
 
 
@@ -269,14 +290,22 @@ class CouplingScheme:
     def is_separated(self) -> bool:
         return self.separated is not None
 
-    @property
+    @cached_property
     def halfline(self) -> HalflineParams | None:
-        """The halfline form, or None when it does not exist (separated or beta = 0)."""
+        """The halfline form, or None when it does not exist (separated or beta = 0).
+
+        Converted on first use and kept on the scheme.
+        """
         if self.greek is None:
             return None
         if abs(self.greek.beta) <= DEGENERACY_TOL * self.greek.scale:
             return None
         return greek_to_halfline(self.greek)
+
+    @cached_property
+    def _matrix(self) -> "_MatrixConstants | None":
+        # the matrix-form constants of a coupled scheme, built on first use
+        return None if self.greek is None else _matrix_constants(self.greek)
 
     @classmethod
     def from_greek(cls, greek: GreekParams) -> "CouplingScheme":
@@ -294,6 +323,40 @@ class CouplingScheme:
     @classmethod
     def from_separated(cls, right: HalflineBoundary, left: HalflineBoundary) -> "CouplingScheme":
         return cls(separated=SeparatedHalflineBC(right=right, left=left))
+
+
+class _MatrixConstants(NamedTuple):
+    """What the matrix-form kernel, roots and residues need of (alpha, beta, gamma).
+
+    Delta(k) = two_alpha - ik four_det - two_beta k^2 with four_det = 4 + det;
+    its pole test scales by abs_alpha, abs_four_det and abs_beta.  The four
+    quadrant coefficients of the kernel are pp - 4ik beta [x,x'>0],
+    mm - 4ik beta [x,x'<0], pm [x>0>x'] and mp [x<0<x'].
+    """
+
+    beta: float
+    det: float
+    scale: float
+    two_alpha: float
+    four_det: float
+    two_beta: float
+    abs_alpha: float
+    abs_four_det: float
+    abs_beta: float
+    pp: float
+    mm: float
+    pm: complex
+    mp: complex
+
+
+def _matrix_constants(g: GreekParams) -> _MatrixConstants:
+    det = g.det
+    four_det = 4.0 + det
+    return _MatrixConstants(
+        g.beta, det, g.scale, 2.0 * g.alpha, four_det, 2.0 * g.beta,
+        abs(g.alpha), abs(four_det), abs(g.beta),
+        four_det - 4.0 * g.gamma.real, four_det + 4.0 * g.gamma.real,
+        4.0 - det + 4j * g.gamma.imag, 4.0 - det - 4j * g.gamma.imag)
 
 
 def _greek_is_decoupled(g: GreekParams) -> bool:

@@ -29,7 +29,13 @@ root whose kernel residue coincides with the free-kernel residue is spurious
 incident from the left are r(k) = -((a-ik)(b+ik)-|c|^2)/D(k), t(k) = 2ikc/D(k),
 unitary: |r|^2 + |t|^2 = 1.  `s_matrix` evaluates them at one k;
 `s_matrix_array` evaluates the same formula over a whole array of k with
-numpy, converting the scheme once per call, for tables.
+numpy, for tables.
+
+What depends only on the coupling is built once per `CouplingScheme`, on
+first use, and kept on it: the matrix-form constants (2 alpha, 4 + det and
+2 beta of Delta, the magnitudes its pole test scales by, and the constant
+parts of the four quadrant coefficients) and the halfline form.  A scalar
+kernel or S-matrix call reads them instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidSheet, InvalidWavenumber, PoleEvaluation
 from .params import (DEGENERACY_TOL, DIRICHLET, CouplingScheme, GreekParams,
-                     HalflineBoundary, HalflineParams)
+                     HalflineBoundary, HalflineParams, _matrix_constants,
+                     _MatrixConstants)
 
 _POLE_TOL = 1e-12
 
@@ -118,15 +125,14 @@ def _halfline_coef(h: HalflineParams, k: complex, sx: int, sxp: int) -> complex:
     return -h.c.conjugate()
 
 
-def _greek_coef(g: GreekParams, k: complex, sx: int, sxp: int) -> complex:
-    det = g.det
+def _quadrant_coef(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> complex:
     if sx > 0 and sxp > 0:
-        return 4.0 + det - 4.0 * g.gamma.real - 4j * k * g.beta
+        return m.pp - 4j * k * m.beta
     if sx < 0 and sxp < 0:
-        return 4.0 + det + 4.0 * g.gamma.real - 4j * k * g.beta
+        return m.mm - 4j * k * m.beta
     if sx > 0 > sxp:
-        return 4.0 - det + 4j * g.gamma.imag
-    return 4.0 - det - 4j * g.gamma.imag
+        return m.pm
+    return m.mp
 
 
 def _check_sheet(k: complex) -> complex:
@@ -144,13 +150,13 @@ def _halfline_prefactor(h: HalflineParams, k: complex) -> complex:
     return 1.0 / d
 
 
-def _greek_prefactor(g: GreekParams, k: complex) -> complex:
-    # 1/(2 Delta) with Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k)
-    d = 2.0 * g.alpha - 1j * k * (4.0 + g.det) - 2.0 * g.beta * k * k
-    if abs(d) <= _POLE_TOL * max(1.0, abs(g.alpha), abs(k) * abs(4.0 + g.det),
-                                 abs(g.beta) * abs(k) ** 2):
+def _correction(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> complex:
+    # quadrant coefficient / (2 Delta), Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k)
+    d = m.two_alpha - 1j * k * m.four_det - m.two_beta * k * k
+    if abs(d) <= _POLE_TOL * max(1.0, m.abs_alpha, abs(k) * m.abs_four_det,
+                                 m.abs_beta * abs(k) ** 2):
         raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
-    return 0.5 / d
+    return 0.5 / d * _quadrant_coef(m, k, sx, sxp)
 
 
 def _separated_corr(bc: HalflineBoundary, k: complex) -> complex:
@@ -177,13 +183,13 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
     sxp = _side(xp, xp_side, "x'")
     free = _free_pair_value(sx, sxp, x, xp, k)
     expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
-    if scheme.is_separated:
+    m = scheme._matrix
+    if m is None:
         if sx != sxp:
             return 0.0 + 0.0j
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
         return free + _separated_corr(bc, k) * expfac
-    g = scheme.greek
-    return free + _greek_prefactor(g, k) * _greek_coef(g, k, sx, sxp) * expfac
+    return free + _correction(m, k, sx, sxp) * expfac
 
 
 def green_kernel_dx(scheme: CouplingScheme, x: float, xp: float, k: complex,
@@ -195,13 +201,13 @@ def green_kernel_dx(scheme: CouplingScheme, x: float, xp: float, k: complex,
     free_dx = _free_pair_dx(sx, sxp, x, xp, k, diag_side)
     expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
     dfac = 1j * k * sx
-    if scheme.is_separated:
+    m = scheme._matrix
+    if m is None:
         if sx != sxp:
             return 0.0 + 0.0j
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
         return free_dx + _separated_corr(bc, k) * dfac * expfac
-    g = scheme.greek
-    return free_dx + _greek_prefactor(g, k) * _greek_coef(g, k, sx, sxp) * dfac * expfac
+    return free_dx + _correction(m, k, sx, sxp) * dfac * expfac
 
 
 def green_kernel_halfline(h: HalflineParams, x: float, xp: float, k: complex,
@@ -223,7 +229,7 @@ def green_kernel_greek(g: GreekParams, x: float, xp: float, k: complex,
     sxp = _side(xp, xp_side, "x'")
     expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
     return (_free_pair_value(sx, sxp, x, xp, k)
-            + _greek_prefactor(g, k) * _greek_coef(g, k, sx, sxp) * expfac)
+            + _correction(_matrix_constants(g), k, sx, sxp) * expfac)
 
 
 def kernel_derivative_jump(scheme: CouplingScheme, xp: float, k: complex) -> complex:
@@ -265,12 +271,12 @@ def _denominator_roots(scheme: CouplingScheme) -> list[float]:
     # Delta(i kappa) = 0 reads 2 beta kappa^2 + (4+det) kappa + 2 alpha = 0;
     # stable quadratic, so neither root cancels.  The discriminant is
     # (4 - alpha beta)^2 + 2|gamma|^2 (4 + alpha beta) + |gamma|^4 >= 0.
-    g = scheme.greek
-    b = 4.0 + g.det
+    g, m = scheme.greek, scheme._matrix
+    b = m.four_det
     q = -(b + math.copysign(math.sqrt(max(b * b - 16.0 * g.alpha * g.beta, 0.0)), b)) / 2.0
-    if abs(g.beta) <= DEGENERACY_TOL * g.scale:
-        return [2.0 * g.alpha / q]  # the second root escapes to -infinity
-    return sorted([2.0 * g.alpha / q, q / (2.0 * g.beta)], reverse=True)
+    if abs(g.beta) <= DEGENERACY_TOL * m.scale:
+        return [m.two_alpha / q]  # the second root escapes to -infinity
+    return sorted([m.two_alpha / q, q / m.two_beta], reverse=True)
 
 
 def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -> complex:
@@ -278,17 +284,17 @@ def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -
     sx = _side(x, 0, "x")
     sxp = _side(xp, 0, "x'")
     expfac = math.exp(-kappa0 * (sx * x + sxp * xp))
-    if scheme.is_separated:
+    m = scheme._matrix
+    if m is None:
         if sx != sxp:
             return 0.0 + 0.0j
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
         if bc.kind == DIRICHLET or abs(-bc.slope - kappa0) > 1e-9 * max(1, abs(kappa0)):
             return 0.0 + 0.0j
         return 1j * expfac  # d/dk (slope - ik) = -i
-    g = scheme.greek
     # Delta'(i kappa) = -i (4 + det + 4 beta kappa)
-    dprime = -1j * (4.0 + g.det + 4.0 * g.beta * kappa0)
-    return _greek_coef(g, 1j * kappa0, sx, sxp) * expfac / (2.0 * dprime)
+    dprime = -1j * (m.four_det + 4.0 * m.beta * kappa0)
+    return _quadrant_coef(m, 1j * kappa0, sx, sxp) * expfac / (2.0 * dprime)
 
 
 def _zero_root_is_spurious(scheme: CouplingScheme) -> bool:
@@ -308,10 +314,10 @@ def _zero_root_is_spurious(scheme: CouplingScheme) -> bool:
 
 
 def _bound_coefficients(scheme: CouplingScheme, kappa: float) -> tuple[complex, complex]:
-    g = scheme.greek
+    m = scheme._matrix
     # boundary system at the root, (a+kappa) mu + c nu = 0, times 4 beta
-    mu0 = complex(4.0 - g.det, 4.0 * g.gamma.imag)
-    nu0 = complex(4.0 + g.det + 4.0 * g.gamma.real + 4.0 * g.beta * kappa)
+    mu0 = complex(4.0 - m.det, 4.0 * scheme.greek.gamma.imag)
+    nu0 = complex(m.mm + 4.0 * m.beta * kappa)
     norm = math.sqrt((abs(mu0) ** 2 + abs(nu0) ** 2) / (2.0 * kappa))
     mu0, nu0 = mu0 / norm, nu0 / norm
     anchor = mu0 if abs(mu0) > 1e-300 else nu0
@@ -358,8 +364,7 @@ def point_spectrum(scheme: CouplingScheme) -> list[SpectralPoint]:
         points.sort(key=lambda p: -p.kappa)
         return points
 
-    g = scheme.greek
-    ztol = DEGENERACY_TOL * g.scale
+    ztol = DEGENERACY_TOL * scheme._matrix.scale
     for kappa in _denominator_roots(scheme):
         points.append(_classified_point(scheme, kappa, ztol))
     return points
@@ -468,7 +473,7 @@ def s_matrix_array(scheme: CouplingScheme, k):
     """(r, t) as complex arrays over an array of wavenumbers k > 0.
 
     The same amplitudes as `s_matrix`, broadcast over k; the scheme is put in
-    halfline form once per call.  Raises InvalidWavenumber naming the first k
+    halfline form once, on its first S-matrix call.  Raises InvalidWavenumber naming the first k
     that is complex (the first with a nonzero imaginary part, if any), or else
     the first that is not finite and positive.
     """
@@ -540,11 +545,11 @@ def scattering_asymptotics(scheme: CouplingScheme) -> ScatteringAsymptotics:
             high = AsymptoticExpansion("high", "separated", -1, 1.0, 0.0j, -2j * s, 0.0j)
         return ScatteringAsymptotics(low, high)
 
-    g = scheme.greek
-    det = g.det
+    g, m = scheme.greek, scheme._matrix
+    det = m.det
     gm = abs(g.gamma) ** 2
     re, im = g.gamma.real, g.gamma.imag
-    tol = DEGENERACY_TOL * g.scale
+    tol = DEGENERACY_TOL * m.scale
 
     if abs(g.alpha) > tol:
         low = AsymptoticExpansion(

@@ -100,7 +100,7 @@ def test_array_trace_matches_scalar_oracles(rng):
         qs = rng.uniform(0.05, 6.0, 20)
         energies = np.concatenate([ks * ks, -qs * qs, [0.0]])
         rng.shuffle(energies)
-        tr = lattice._floquet_trace(lattice._trace_coeffs(spec), ell, energies)
+        tr = lattice._floquet_trace(spec._trace_coeffs, ell, energies)
         assert tr.shape == energies.shape
         wmod = band_condition_lhs_bound(spec)
         signs = set()

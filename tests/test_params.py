@@ -180,6 +180,10 @@ def test_transfer_invariants_enforced():
         TransferParams(1.0, 1.0, 1.0, 1.0, 1.0)  # det 0
     with pytest.raises(ValueError):
         TransferParams(2.0, 1.0, 0.0, 0.0, 1.0)  # |omega| != 1
+    with pytest.raises(ValueError, match="1j"):
+        TransferParams(1.0, 1.0 + 1j, 0.0, 0.0, 1.0)  # complex in a real field
+    with pytest.raises(ValueError, match="nan"):
+        TransferParams(complex(math.nan, 0.0), 1.0, 0.0, 0.0, 1.0)
 
 
 def test_transfer_round_trip_consistency(rng):
@@ -263,6 +267,30 @@ def test_carreau_validation():
         CarreauParams(0.0, 0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
         CarreauParams(0.0, 0.0, 1.0, 7.0)
+    with pytest.raises(ValueError, match="0.5j"):
+        CarreauParams(0.5j, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GreekParams(1 + 2j, 0.5, 0.3j),   # complex alpha: det would be complex
+    lambda: GreekParams(1.0, np.complex128(0.5), 0.3j),
+    lambda: GreekParams("1.5", 0.5, 0.3j),    # would store a string
+    lambda: GreekParams(1.0, math.inf, 0.3j),
+    lambda: GreekParams(1.0, 0.5, complex(0.3, math.nan)),
+    lambda: GreekParams(1.0, 0.5, "0.3"),
+    lambda: HalflineParams(1.0, 2j, 0.5),
+    lambda: InverseParams(math.nan, 1.0, 0.5),
+    lambda: ChernoffHughesParams(1j, 0.5),
+    lambda: ChernoffHughesParams(1.0, complex(math.inf, 0.0)),
+    lambda: SebaParams(-1.0, 0.0, -1.0, 1.0 + 0j),
+    lambda: HalflineBoundary.robin(-1j),
+], ids=["greek-complex-alpha", "greek-numpy-complex-beta", "greek-string-alpha",
+        "greek-inf-beta", "greek-nan-gamma", "greek-string-gamma", "halfline-complex-b",
+        "inverse-nan-A", "chernoff-complex-r", "chernoff-inf-z", "seba-complex-delta",
+        "robin-complex-slope"])
+def test_records_refuse_complex_or_nonnumeric_real_fields(make):
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        make()
 
 
 def test_seba_examples():

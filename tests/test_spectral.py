@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from gpi1d import (BindingKind, CouplingScheme, GreekParams, HalflineBoundary,
-                   HalflineParams, InvalidWavenumber, PointKind, binding_regime,
-                   denominator_D, denominator_F, gauge_transform,
-                   greek_to_halfline, kernel_residue, point_spectrum, s_matrix,
-                   s_matrix_array, scattering_asymptotics)
+                   HalflineParams, InvalidWavenumber, PointKind, PoleEvaluation,
+                   binding_regime, denominator_D, denominator_F,
+                   gauge_transform, greek_to_halfline, green_kernel,
+                   green_kernel_dx, green_kernel_greek, kernel_residue, params,
+                   point_spectrum, s_matrix, s_matrix_array,
+                   scattering_asymptotics, spectral)
 from conftest import random_greek, random_halfline, random_scheme
 
 
@@ -401,3 +404,82 @@ def test_low_high_duality(rng):
         high = scattering_asymptotics(CouplingScheme.from_greek(g_high)).high
         assert abs(low.r_limit - high.r_limit) < 1e-14
         assert abs(low.t_limit - high.t_limit) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# per-scheme constants
+# ---------------------------------------------------------------------------
+
+def _reference_prefactor(g, k):
+    # 1/(2 Delta(k)) as written on GreekParams, before the constants were kept per scheme
+    return 0.5 / (2.0 * g.alpha - 1j * k * (4.0 + g.det) - 2.0 * g.beta * k * k)
+
+
+def _reference_coef(g, k, sx, sxp):
+    det = g.det
+    if sx > 0 and sxp > 0:
+        return 4.0 + det - 4.0 * g.gamma.real - 4j * k * g.beta
+    if sx < 0 and sxp < 0:
+        return 4.0 + det + 4.0 * g.gamma.real - 4j * k * g.beta
+    if sx > 0 > sxp:
+        return 4.0 - det + 4j * g.gamma.imag
+    return 4.0 - det - 4j * g.gamma.imag
+
+
+def _sampled_schemes(rng):
+    for _ in range(150):
+        yield random_scheme(rng, allow_beta_zero=True)
+    for _ in range(50):
+        yield CouplingScheme.from_halfline(random_halfline(rng))
+    yield CouplingScheme.from_greek(GreekParams(-2.0, 0.0, 0.0))
+    yield CouplingScheme.from_greek(GreekParams(0.0, 1.0, 0.3 - 0.4j))
+
+
+def test_kernel_constants_are_those_of_the_matrix_form(rng):
+    # the per-scheme constants give the same floats as the formulas on GreekParams
+    for scheme in _sampled_schemes(rng):
+        g = scheme.greek
+        for _ in range(10):
+            x, xp = rng.uniform(-3.0, 3.0, 2)
+            k = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
+            sx, sxp = (1 if x > 0 else -1), (1 if xp > 0 else -1)
+            assert green_kernel(scheme, x, xp, k) == green_kernel_greek(g, x, xp, k)
+            expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
+            want = (spectral._free_pair_dx(sx, sxp, x, xp, k, 1)
+                    + _reference_prefactor(g, k) * _reference_coef(g, k, sx, sxp)
+                    * (1j * k * sx) * expfac)
+            assert green_kernel_dx(scheme, x, xp, k, diag_side=1) == want
+        kappas = [p.kappa for p in point_spectrum(scheme)] + [0.0, float(rng.uniform(-2, 2))]
+        for kappa in kappas:
+            for x, xp in ((0.8, 1.1), (-0.5, 1.1), (0.3, -2.0), (-1.0, -0.2)):
+                sx, sxp = (1 if x > 0 else -1), (1 if xp > 0 else -1)
+                dprime = -1j * (4.0 + g.det + 4.0 * g.beta * kappa)
+                want = (_reference_coef(g, 1j * kappa, sx, sxp)
+                        * math.exp(-kappa * (sx * x + sxp * xp)) / (2.0 * dprime))
+                assert kernel_residue(scheme, kappa, x, xp) == want
+
+
+def test_s_matrix_converts_once_per_scheme(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return greek_to_halfline(g)
+
+    monkeypatch.setattr(params, "greek_to_halfline", counted)
+    scheme = CouplingScheme.from_greek(GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+    amps = [s_matrix(scheme, k) for k in np.linspace(0.1, 10.0, 100)]
+    assert len(calls) == 1
+    assert max(abs(a.unitarity - 1.0) for a in amps) < 1e-12
+
+
+def test_kernel_raises_at_a_bound_state():
+    # beta = 0 included, in every quadrant of (x, x')
+    for g in (GreekParams(-2.0, 0.0, 0.0), GreekParams(-1.0, 0.5, 0.3 + 0.4j)):
+        scheme = CouplingScheme.from_greek(g)
+        bound = [p for p in point_spectrum(scheme) if p.kind is PointKind.BOUND]
+        assert bound
+        for p in bound:
+            for x, xp in ((0.5, 0.7), (-0.5, -0.7), (0.5, -0.7), (-0.5, 0.7)):
+                with pytest.raises(PoleEvaluation):
+                    green_kernel(scheme, x, xp, 1j * p.kappa)

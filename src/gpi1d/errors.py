@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class GpiError(Exception):
     """Base class for all gpi1d errors."""
@@ -19,6 +21,8 @@ class DegenerateParametrization(GpiError):
         self.magnitude = magnitude
         msg = f"degenerate parametrization: denominator {denominator!r} vanishes"
         if magnitude is not None:
+            if not math.isfinite(magnitude):
+                msg = f"degenerate parametrization: {denominator!r} is not finite"
             msg += f" (|value| = {magnitude:.3e})"
         super().__init__(msg)
 

@@ -26,6 +26,14 @@ N nilpotent and nonzero, so their midpoint lies strictly inside the gap; the
 root of tr between two gap points of opposite trace sign lies inside the band
 that separates them.
 
+Above zero tr = R cos(theta) with the Pruefer phase theta = k ell - atan(y/s),
+y = c/k - b k and R = hypot(s, y) sgn(s) (Pruefer 1926; Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993); theta rises by about pi per pi/ell.
+Gap j is where |theta - j pi| <= a = arccos(min(1, 2/R)), so a band edge beside
+gap j is a root of a - |theta - j pi|, a residual of slope about ell in k where
+|tr| - 2 flattens at a narrow gap.  The gap points, the band points and the
+edges all come from one vectorised bracketed Newton solver, _newton.
+
 Below zero (q = sqrt(-E), x = q ell, (u, v) = (tb/ta, tc/td)) they vanish
 where tanh x = -u q and q tanh x = -v, the n = 0 gap points continued through
 E = 0: one each at most, with x in [x0 - 1, x0 + 1] for x0 = -ell/u > 1
@@ -158,32 +166,52 @@ def monodromy_trace(spec: LatticeSpec, k: float) -> float:
     return s * math.cos(kl) + (c_sin / k - b_sin * k) * math.sin(kl)
 
 
-def _scaled_trace(coeffs: tuple[float, float, float], ell: float,
-                  energy) -> tuple[np.ndarray, np.ndarray]:
-    # (tr sech, sech) at every energy of an array, sech = 1/cosh(q ell) below
-    # zero (q = sqrt(-E)) and 1 elsewhere: tr is trigonometric in k = sqrt(E)
-    # above zero, s + c ell at 0, and tr sech = s + (c/q + b q) tanh(q ell) below.
+def _trace_above(coeffs: tuple[float, float, float], ell: float,
+                 k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # tr and its slope at wavenumbers k > 0
+    s, c_sin, b_sin = coeffs
+    cos, sin = np.cos(k * ell), np.sin(k * ell)
+    y = c_sin / k - b_sin * k
+    return s * cos + y * sin, y * ell * cos - (c_sin / k / k + b_sin + s * ell) * sin
+
+
+def _trace_below(coeffs: tuple[float, float, float], ell: float, q: np.ndarray):
+    # tr sech = s + (c/q + b q) tanh(q ell), sech = 1/cosh(q ell) and their
+    # slopes in z = -q at q = sqrt(-E) > 0; neither overflows
+    s, c_sin, b_sin = coeffs
+    th = np.tanh(q * ell)
+    w = c_sin / q + b_sin * q
+    decay = np.exp(-q * ell)
+    sech = 2.0 * decay / (1.0 + decay * decay)
+    return (s + w * th, sech, (c_sin / q / q - b_sin) * th - w * ell * sech * sech,
+            ell * sech * th)
+
+
+def _scaled_trace(coeffs: tuple[float, float, float], ell: float, energy):
+    # (tr sech, sech) at every energy of an array and their slopes in the signed
+    # wavenumber z (E = z |z|), sech = 1/cosh(q ell) below zero and 1
+    # elsewhere; at 0 tr = s + c ell and both slopes are 0
     s, c_sin, b_sin = coeffs
     e = np.asarray(energy, dtype=float)
     k = np.sqrt(np.abs(e))
     tr = np.full(e.shape, s + c_sin * ell)
+    slope = np.zeros(e.shape)
     sech = 1.0
+    sech_slope = 0.0
     up, down = e > 0, e < 0
-    ku = k[up]
-    tr[up] = s * np.cos(ku * ell) + (c_sin / ku - b_sin * ku) * np.sin(ku * ell)
+    if up.any():
+        tr[up], slope[up] = _trace_above(coeffs, ell, k[up])
     if down.any():
-        qd, sech = k[down], np.ones(e.shape)
-        tr[down] = s + (c_sin / qd + b_sin * qd) * np.tanh(qd * ell)
-        decay = np.exp(-qd * ell)
-        sech[down] = 2.0 * decay / (1.0 + decay * decay)
-    return tr, sech
+        sech, sech_slope = np.ones(e.shape), np.zeros(e.shape)
+        tr[down], sech[down], slope[down], sech_slope[down] = _trace_below(coeffs, ell, k[down])
+    return tr, sech, slope, sech_slope
 
 
 def _floquet_trace(coeffs: tuple[float, float, float], ell: float, energy) -> np.ndarray:
     # The discriminant at every energy of an array; it overflows to +-inf, and
     # an exact zero of tr sech stays 0 rather than inf * 0
-    scaled, sech = _scaled_trace(coeffs, ell, energy)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled, sech = _scaled_trace(coeffs, ell, energy)[:2]
         return np.where(scaled == 0.0, 0.0, scaled / sech)
 
 
@@ -247,80 +275,112 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
         uj, vj = u_diag / diag, v_diag / diag
         lo = np.full(ns.shape, -0.5)
         lo[0] = math.sqrt(-uj / ell - 1.0) * ell / (-uj * math.pi) if uj < -ell else 0.0
+        first = 0 if uj < -ell or vj > 0.0 else 1
         rows.append(np.column_stack([ns, np.full(ns.shape, uj), np.full(ns.shape, vj),
-                                     lo, np.full(ns.shape, 0.5)]))
+                                     lo, np.full(ns.shape, 0.5)])[first:])
         if -ell < uj < 0.0 or vj < 0.0:  # one root below zero, near x0 = q0 ell
             x0 = -ell / uj if uj else -vj * ell
             x_lo = max(x0 - 1.0, k_min * ell if uj else math.sqrt(0.5 * x0))
             below.append([0.0, uj, vj, -(x0 + 1.0) / math.pi, -x_lo / math.pi])
     n, u, v, t_lo, t_hi = np.concatenate([np.reshape(below, (-1, 5))] + rows).T
 
-    def phase(tt, n, u, v):
+    def phase(tt):  # and its slope in t
         k = (n + tt) * (math.pi / ell)
-        out = tt * math.pi + np.arctan2(u * k * k - v, k)
+        y = u * k * k - v
+        out = tt * math.pi + np.arctan2(y, k)
+        slope = math.pi + (math.pi / ell) * (u * k * k + v) / (k * k + y * y)
         for i in range(np.count_nonzero(k < 0.0)):  # the (at most two) brackets below zero
             q = -float(k[i])
             th = math.tanh(q * ell)
-            out[i] = th / q + u[i] if u[i] else q * th + v[i]
-        return out
+            sech2 = 1.0 - th * th
+            if u[i]:
+                out[i] = th / q + u[i]
+                slope[i] = (th / q - ell * sech2) / ell * math.pi / q
+            else:
+                out[i] = q * th + v[i]
+                slope[i] = -(th + q * ell * sech2) * math.pi / ell
+        return out, slope
 
-    keep = (n > 0) | ((phase(t_lo, n, u, v) < 0.0) != (phase(t_hi, n, u, v) < 0.0))
-    n, u, v, t_lo, t_hi = n[keep], u[keep], v[keep], t_lo[keep], t_hi[keep]
-    tt = _illinois(phase, t_lo, t_hi, n, u, v)
+    tt = _newton(phase, t_lo, t_hi)
     pts = np.concatenate(closed + [(n + tt) * (math.pi / ell)])
     pts = np.sort(np.concatenate([pts[(np.abs(pts) > k_min) & (pts < k_max)],
                                   [-q_bot, -k_min, k_min, k_max]]))
 
-    def trace(z):  # of the sign of tr at E = z |z|
-        return _scaled_trace(coeffs, ell, z * np.abs(z))[0]
+    # tr changes sign across zero only where tr(0) = s + c ell rounds to 0: the
+    # midpoint 0 of -k_min and k_min is then the band point
+    sign = np.sign(_scaled_trace(coeffs, ell, pts * np.abs(pts))[0])
+    split = (sign[:-1] != sign[1:]) & ((pts[:-1] > 0.0) | (pts[1:] < 0.0))
+    lo, hi = pts[:-1][split], pts[1:][split]
+    n_below = np.count_nonzero(lo < 0.0)  # those brackets go first
 
-    sign = np.sign(trace(pts))
-    split = sign[:-1] != sign[1:]
+    def trace(z):  # tr sech at E = z |z| and its slope in z
+        if n_below == 0:
+            return _trace_above(coeffs, ell, z)
+        below = _trace_below(coeffs, ell, -z[:n_below])
+        above = _trace_above(coeffs, ell, z[n_below:])
+        return np.concatenate([below[0], above[0]]), np.concatenate([below[2], above[1]])
+
     inner = 0.5 * (pts[:-1] + pts[1:])
-    inner[split] = _illinois(trace, pts[:-1][split], pts[1:][split])
+    inner[split] = _newton(trace, lo, hi)
     grid = np.empty(2 * len(pts) - 1)
     grid[0::2], grid[1::2] = pts, inner
     return grid
 
 
-def _illinois(resid, lo: np.ndarray, hi: np.ndarray, *args: np.ndarray) -> np.ndarray:
-    """A root of resid(x, *args) in every bracket [lo_i, hi_i] at once.
+def _xtol(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # the stop tolerance of the brackets [lo, hi], set by their lower ends
+    return _EDGE_XTOL + _EDGE_RTOL * np.abs(lo)
 
-    args are per-bracket arrays, passed on sliced to the brackets still open.
-    Illinois false position: an end kept twice running has its residual
-    halved.  A step that rounds onto or past an end goes tol = _EDGE_XTOL +
-    _EDGE_RTOL |lo| inside it instead.  Where an end's residual is infinite
-    (or nan) the step bisects: false position there is undefined or lands on
-    the finite end.  A bracket is done once |hi - lo|/2 < tol or an end is an
-    exact root.  Its root is then the false-position point of the final
-    bracket, or the end with the smaller residual where that point is not in it.
+
+def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
+    """A root of f in every bracket [lo_i, hi_i] at once, where (f, f') = resid(x).
+
+    resid takes one point per bracket, in the order of the brackets.
+    Each step is the shorter of the Newton steps from the two ends where it
+    lands in the bracket (a step within tol of an end, or past it, goes tol
+    inside it instead, tol = tol(lo, hi)); else false position, or bisection
+    where the previous step was not a Newton step either or an end's residual
+    is infinite or nan.  A bracket is done once |hi - lo|/2 < tol, an end is
+    an exact root, or its ends' residuals share a sign, which happens only
+    where rounding flips the sign of an end that is itself a root.  Its root
+    is then the false-position point of the final bracket, or the end with
+    the smaller residual where that point is not in it or where that end's
+    Newton step is shorter than its float spacing.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    fa, fb = resid(a, *args), resid(b, *args)  # Illinois-scaled residuals; the signs stay exact
-    kept = np.zeros(a.shape, dtype=np.int8)  # end the last step kept: -1 lower, +1 upper
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # infinite ends
+        (fa, da), (fb, db) = resid(a), resid(b)
+        done = np.sign(fa) * np.sign(fb) >= 0.0
+        newton = np.ones(a.shape, dtype=bool)
         while True:
-            tol = _EDGE_XTOL + _EDGE_RTOL * np.abs(a)
-            live = np.flatnonzero((0.5 * (b - a) >= tol) & (fa != 0.0) & (fb != 0.0))
-            if live.size == 0:
+            w = tol(a, b)
+            w2 = w + w
+            done |= b - a < w2
+            if done.all():
                 break
-            ai, bi, fai, fbi, toli = a[live], b[live], fa[live], fb[live], tol[live]
-            df = fbi - fai
-            x = np.where(np.isfinite(df), ai - fai * (bi - ai) / df, 0.5 * (ai + bi))
-            x = np.where(x <= ai, ai + toli, np.where(x >= bi, bi - toli, x))
-            fx = resid(x, *(p[live] for p in args))
-            up = np.sign(fx) == np.sign(fai)  # the root lies in [x, b]: x replaces a
-            # an end kept twice running has its residual halved
-            fai = np.where(~up & (kept[live] == -1), 0.5 * fai, fai)
-            fbi = np.where(up & (kept[live] == 1), 0.5 * fbi, fbi)
-            a[live] = np.where(up, x, ai)
-            fa[live] = np.where(up, fx, fai)
-            b[live] = np.where(up, bi, x)
-            fb[live] = np.where(up, fbi, fx)
-            kept[live] = np.where(up, 1, -1)
-        ra, rb = resid(a, *args), resid(b, *args)
-        x = a - ra * (b - a) / (rb - ra)
-    return np.where((x >= a) & (x <= b), x, np.where(np.abs(ra) <= np.abs(rb), a, b))
+            step_a, step_b = fa / da, fb / db
+            x = np.where(np.abs(step_a) <= np.abs(step_b), a - step_a, b - step_b)
+            lo_in, hi_in = a + w, b - w
+            step = np.minimum(np.maximum(x, lo_in), hi_in)
+            fallback = ~(np.abs(step - x) <= w2)  # a Newton step that leaves the bracket
+            if fallback.any():
+                df = fb - fa
+                x = np.where(newton & np.isfinite(df), a - fa * (b - a) / df, 0.5 * (a + b))
+                step = np.where(fallback, np.minimum(np.maximum(x, lo_in), hi_in), step)
+            newton = ~fallback
+            step = np.where(done, a, step)  # a bracket that is done stays as it is
+            fx, dx = resid(step)
+            done |= fx == 0.0
+            # the root lies in [step, b] where step has the sign of a: step replaces a
+            up = (np.sign(fx) == np.sign(fa)) | done
+            a, fa, da = np.where(up, step, a), np.where(up, fx, fa), np.where(up, dx, da)
+            b, fb, db = np.where(up, b, step), np.where(up, fb, fx), np.where(up, db, dx)
+        x = a - fa * (b - a) / (fb - fa)
+        at_a = np.abs(fa) <= np.abs(fb)
+        end = np.where(at_a, a, b)
+        # an end whose Newton step is shorter than its float spacing is the root
+        settled = np.abs(np.where(at_a, fa / da, fb / db)) < np.abs(np.spacing(end))
+    return np.where((x >= a) & (x <= b) & ~settled, x, end)
 
 
 def _grid_note(energies: np.ndarray, e_lo: float, e_hi: float) -> str:
@@ -336,37 +396,71 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     anchors -q_bot^2, -+k_min^2 (k_min = 1e-9/ell) and k_max^2, the midpoint
     of two neighbours in one gap and the root of tr between two gaps, so
     about 4 m_max points in all.  The gap points, the band points and the
-    edges come from one vectorised Illinois solver, the edges to an energy
-    tolerance of 1e-12 (plus 8 ulp relative).  A band narrower than the float
-    spacing (below zero on wide cells) is reported as [E, E] at its root of
-    tr.  Bands are indexed by the nearest (pi m / ell)^2, ties broken
-    downward, then forced strictly increasing.  Gapless spectra (the free
-    and phase-equivalent couplings) come back as a single [e_lo, inf) band.
+    edges come from one vectorised bracketed Newton solver, the edges to an
+    energy tolerance of 1e-12 (plus 8 ulp relative); above zero each edge is
+    solved in k on the Pruefer phase of the gap beside it (module docstring).
+    A band narrower than the float spacing (below zero on wide cells) is
+    reported as [E, E] at its root of tr.  Bands are indexed by the nearest
+    (pi m / ell)^2, ties broken downward, then forced strictly increasing.
+    Gapless spectra (the free and phase-equivalent couplings) come back as a
+    single [e_lo, inf) band.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     ell = spec.ell
     k_max = (m_max + 1.5) * math.pi / ell
-    coeffs = spec._trace_coeffs
+    s, c, b = coeffs = spec._trace_coeffs
 
-    def gap(e):  # |tr| - 2, and below zero that times sech: the same sign, no overflow
-        scaled, sech = _scaled_trace(coeffs, ell, e)
-        return np.abs(scaled) - 2.0 * sech
+    sign_s = math.copysign(1.0, s)
+    ss_4 = (abs(s) - 2.0) * (abs(s) + 2.0)
+
+    def theta(y, k):  # the Pruefer phase above zero, y = c/k - b k (module docstring)
+        return k * ell - np.arctan2(sign_s * y, abs(s))
+
+    def pruefer(k, j_pi):  # a - |theta - j pi|: > 0 in gap j, < 0 in the bands beside it
+        c_k = c / k
+        y, dy = c_k - b * k, c_k / k + b  # dy = -y'
+        yy = y * y
+        r2 = ss_4 + 4.0 + yy
+        # tan a = sqrt(R^2 - 4)/2, with R^2 - 4 free of the cancellation in R - 2
+        root = np.sqrt(np.maximum(ss_4 + yy, 0.0))
+        d = theta(y, k) - j_pi
+        slope_a = np.where(root > 0.0, -2.0 * y * dy / (r2 * root), 0.0)
+        return np.arctan2(root, 2.0) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
 
     z = _gap_grid(spec, k_max)
     energies = z * np.abs(z)
-    resolved = gap(energies) <= 0.0
+    scaled, sech = _scaled_trace(coeffs, ell, energies)[:2]
+    resolved = np.abs(scaled) - 2.0 * sech <= 0.0
     # A band point (grid[1::2] between gap points of opposite trace sign) lies
     # in its band.  Below zero, where a band can be narrower than the float
     # spacing and |tr| round above 2 at every float, it is both band edges:
     # the brackets beside it collapse onto it.
-    sign = np.sign(_scaled_trace(coeffs, ell, energies[0::2])[0])
+    sign = np.sign(scaled[0::2])
     inside = resolved.copy()
     inside[1:-1:2] |= (sign[:-1] != sign[1:]) & (energies[1:-1:2] < 0.0)
     stuck = inside & ~resolved
-    j = np.flatnonzero(inside[:-1] != inside[1:])
-    edges = _illinois(gap, np.where(stuck[j + 1], energies[j + 1], energies[j]),
-                      np.where(stuck[j], energies[j], energies[j + 1]))
+    i = np.flatnonzero(inside[:-1] != inside[1:])
+    lo = np.where(stuck[i + 1], z[i + 1], z[i])
+    hi = np.where(stuck[i], z[i], z[i + 1])
+    # Above zero each edge is solved in k on the Pruefer phase of index j, that
+    # of the bracket's gap end (theta near j pi).  The brackets are ascending,
+    # and the n with an end at zero or below go first.  The edges are solved
+    # in z, so the energy tolerance maps to tol/(|z_lo| + |z_hi|).
+    n = np.count_nonzero(lo <= 0.0)
+    gap_end = z[np.where(inside[i], i + 1, i)[n:]]
+    j_pi = math.pi * np.round(theta(c / gap_end - b * gap_end, gap_end) / math.pi)
+
+    def edge(x):  # > 0 in a gap: |tr| - 2 times sech, then pruefer
+        f, slope = pruefer(x[n:], j_pi)
+        if n == 0:
+            return f, slope
+        scaled, sech, scaled_slope, sech_slope = _scaled_trace(coeffs, ell, x[:n] * np.abs(x[:n]))
+        return (np.concatenate([np.abs(scaled) - 2.0 * sech, f]),
+                np.concatenate([np.sign(scaled) * scaled_slope - 2.0 * sech_slope, slope]))
+
+    edges = _newton(edge, lo, hi, tol=lambda z0, z1: _xtol(z0 * z0, z1 * z1) / np.abs(z0 + z1))
+    edges *= np.abs(edges)
     # an edge within the refinement tolerance of zero is the threshold itself
     edges = np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
     # edges alternate band start, band end; an odd count leaves a band open at
@@ -382,27 +476,28 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     nearest = np.maximum(np.floor(x + 0.5 - 1e-12).astype(np.int64), 0)
     i = np.arange(len(nearest))
     ms = np.maximum.accumulate(nearest - i) + i
-    bands = [BandInterval(int(m), float(e0), float(e1)) for m, e0, e1 in zip(ms, lo, hi)]
-
-    if not bands or bands[-1].m < m_max:
+    if not len(ms) or ms[-1] < m_max:
         raise GridTooCoarse(
-            f"resolved band indices up to {bands[-1].m if bands else 'none'}"
+            f"resolved band indices up to {ms[-1] if len(ms) else 'none'}"
             f" < m_max = {m_max}: " + _grid_note(energies, energies[0], energies[-1]))
-    bands = [b for b in bands if b.m <= m_max]
-
-    gaps: list[GapInterval] = []
-    for b0, b1 in zip(bands, bands[1:]):
-        if b0.e_hi > b1.e_lo + 1e-9:
-            raise GridTooCoarse(f"bands {b0.m} and {b1.m} overlap; the grid missed an edge"
-                                " in the " + _grid_note(energies, b0.e_lo, b1.e_hi))
-        width = b1.e_lo - b0.e_hi
-        gaps.append(GapInterval(b0.m, b0.e_hi, b1.e_lo, closed=width <= 1e-10))
+    count = np.searchsorted(ms, m_max, side="right")  # the bands with m <= m_max
+    ms, lo, hi = ms[:count].tolist(), lo[:count], hi[:count]
+    overlap = np.flatnonzero(hi[:-1] > lo[1:] + 1e-9)
+    if overlap.size:
+        j = overlap[0]
+        raise GridTooCoarse(f"bands {ms[j]} and {ms[j + 1]} overlap; the grid missed an edge"
+                            " in the " + _grid_note(energies, lo[j], hi[j + 1]))
+    closed = (lo[1:] - hi[:-1] <= 1e-10).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    bands = [BandInterval(m, e0, e1) for m, e0, e1 in zip(ms, lo, hi)]
+    gaps = [GapInterval(m, e0, e1, closed=shut)
+            for m, e0, e1, shut in zip(ms, hi, lo[1:], closed)]
     if m_max >= 8:
         # asymptotically one band per pi/ell period; a shortfall in a fully
         # resolved high window means the grid skipped over a feature
         win_hi = (k_max - 1.5 * math.pi / ell) ** 2
         win_lo = (k_max - 4.5 * math.pi / ell) ** 2
-        n_win = sum(win_lo <= 0.5 * (b.e_lo + b.e_hi) <= win_hi for b in bands)
+        n_win = sum(win_lo <= 0.5 * (e0 + e1) <= win_hi for e0, e1 in zip(lo, hi))
         if not 2 <= n_win <= 4:
             raise GridTooCoarse(
                 f"found {n_win} bands in a 3-period window where ~3 are expected: "

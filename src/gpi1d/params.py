@@ -360,8 +360,11 @@ def _matrix_constants(g: GreekParams) -> _MatrixConstants:
 
 
 def _greek_is_decoupled(g: GreekParams) -> bool:
-    tol = DEGENERACY_TOL * max(1.0, abs(g.det), g.scale)
-    return abs(g.det - 4.0) <= tol and abs(g.gamma.imag) <= tol
+    det = g.det
+    if not math.isfinite(det):  # alpha beta overflowed; it must not scale the tolerance
+        raise DegenerateParametrization("det", abs(det))
+    tol = DEGENERACY_TOL * max(1.0, abs(det), g.scale)
+    return abs(det - 4.0) <= tol and abs(g.gamma.imag) <= tol
 
 
 def _separated_from_decoupled_greek(g: GreekParams) -> SeparatedHalflineBC:

@@ -88,31 +88,34 @@ def _side(x: float, side: int, name: str) -> int:
 
 
 def _free_pair_value(sx: int, sxp: int, x: float, xp: float, k: complex) -> complex:
-    # Dirichlet kernel of the decoupled pair of halflines.
-    if sx > 0 and sxp > 0:
-        lo, hi = min(x, xp), max(x, xp)
-        return cmath.exp(1j * k * hi) * cmath.sin(k * lo) / k
-    if sx < 0 and sxp < 0:
-        lo, hi = min(x, xp), max(x, xp)
-        return -cmath.exp(-1j * k * lo) * cmath.sin(k * hi) / k
-    return 0.0 + 0.0j
+    # Dirichlet kernel of the decoupled pair of halflines, e^{ikP} sin(kQ)/k on
+    # either side, P = max(|x|, |x'|) and Q = min(|x|, |x'|)
+    if sx != sxp:
+        return 0.0 + 0.0j
+    p, q = abs(x), abs(xp)
+    if p < q:
+        p, q = q, p
+    if k.imag * q <= 1.0:
+        return cmath.exp(1j * k * p) * cmath.sin(k * q) / k
+    # sin(kQ) alone overflows at large Im(k) Q, where |e^{2ikQ}| < e^-2 cancels nothing
+    return cmath.exp(1j * k * (p - q)) * (cmath.exp(2j * k * q) - 1.0) / (2j * k)
 
 
 def _free_pair_dx(sx: int, sxp: int, x: float, xp: float, k: complex,
                   diag_side: int) -> complex:
-    if sx > 0 and sxp > 0:
-        if x > xp or (x == xp and diag_side > 0):
-            return 1j * cmath.exp(1j * k * x) * cmath.sin(k * xp)
-        if x < xp or (x == xp and diag_side < 0):
-            return cmath.exp(1j * k * xp) * cmath.cos(k * x)
+    # d/dx of the Dirichlet kernel: sx i e^{ikP} sin(kQ) where |x| = P, sx e^{ikP} cos(kQ) where |x| = Q
+    if sx != sxp:
+        return 0.0 + 0.0j
+    if x == xp and diag_side == 0:
         raise ValueError("x = x' requires diag_side (+1 or -1)")
-    if sx < 0 and sxp < 0:
-        if x < xp or (x == xp and diag_side < 0):
-            return 1j * cmath.exp(-1j * k * x) * cmath.sin(k * xp)
-        if x > xp or (x == xp and diag_side > 0):
-            return -cmath.exp(-1j * k * xp) * cmath.cos(k * x)
-        raise ValueError("x = x' requires diag_side (+1 or -1)")
-    return 0.0 + 0.0j
+    p, q = abs(x), abs(xp)
+    far = p > q or (p == q and diag_side * sx > 0)
+    if p < q:
+        p, q = q, p
+    if k.imag * q <= 1.0:
+        return sx * cmath.exp(1j * k * p) * (1j * cmath.sin(k * q) if far else cmath.cos(k * q))
+    e = cmath.exp(2j * k * q)
+    return 0.5 * sx * cmath.exp(1j * k * (p - q)) * (e - 1.0 if far else e + 1.0)
 
 
 def _halfline_coef(h: HalflineParams, k: complex, sx: int, sxp: int) -> complex:

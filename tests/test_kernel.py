@@ -71,6 +71,34 @@ def test_delta_prime_kernel_standard_expression():
         assert abs(val - (free + corr)) < 1e-12 * max(1.0, abs(val))
 
 
+@pytest.mark.parametrize("x, xp", [(1.0, 1.0), (0.95, 1.3), (-1.2, -0.9), (-0.01, 0.02)])
+def test_kernel_at_large_imaginary_k_stays_finite(x, xp):
+    # e^{ik|x|>} and sin(k|x|<) as separate factors overflow once
+    # Im k min(|x|, |x'|) passes ~710, although the kernel is ~e^{-Im k |x - x'|}/(2|k|)
+    alpha = -2.0
+    scheme = CouplingScheme.from_greek(GreekParams(alpha, 0.0, 0.0))
+    for k in (800j, 300 + 900j):
+        free = (1j / (2 * k)) * cmath.exp(1j * k * abs(x - xp))
+        corr = -(2 * k * alpha / (2 * k + 1j * alpha)) * (1j / (2 * k)) ** 2 \
+            * cmath.exp(1j * k * (abs(x) + abs(xp)))
+        val = green_kernel(scheme, x, xp, k)
+        assert abs(val - (free + corr)) <= 1e-12 * abs(free + corr)
+        if x != xp:
+            side = math.copysign(1.0, x)
+            dx = -0.5 * math.copysign(1.0, x - xp) * cmath.exp(1j * k * abs(x - xp)) \
+                + corr * 1j * k * side
+            assert abs(green_kernel_dx(scheme, x, xp, k) - dx) <= 1e-12 * abs(dx)
+
+
+def test_generic_kernel_at_large_imaginary_k():
+    # (1 - e^{-2 kappa})/(2 kappa) plus a correction times e^{-2 kappa}, which underflows
+    scheme = CouplingScheme.from_greek(GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+    kappa = 800.0
+    assert abs(green_kernel(scheme, 1.0, 1.0, kappa * 1j) - 0.5 / kappa) <= 1e-12 * 0.5 / kappa
+    assert green_kernel_dx(scheme, 1.0, 1.0, kappa * 1j, diag_side=+1) == pytest.approx(-0.5, rel=1e-12)
+    assert green_kernel_dx(scheme, 1.0, 1.0, kappa * 1j, diag_side=-1) == pytest.approx(0.5, rel=1e-12)
+
+
 def test_decoupled_kernel_has_no_cross_terms(rng):
     for _ in range(30):
         a, b = rng.uniform(-2, 2, 2)

@@ -479,7 +479,7 @@ def test_cells_narrow_to_wide_bound_the_spectrum_without_warnings():
         assert bands[-1].m == 12 or math.isinf(bands[-1].e_hi)
 
 
-def test_illinois_bisects_beside_an_infinite_residual():
+def test_newton_bisects_beside_an_infinite_residual():
     # false position toward an infinite end lands on the finite end, which
     # then creeps by one tolerance a step; the solver bisects instead
     calls = []
@@ -487,11 +487,45 @@ def test_illinois_bisects_beside_an_infinite_residual():
     def resid(x):
         calls.append(x.size)
         assert len(calls) < 200
-        return np.where(x > 0.3, -np.inf, 1.0 - x)
+        return np.where(x > 0.3, -np.inf, 1.0 - x), np.full(x.shape, -1.0)
 
-    root = lattice._illinois(resid, np.array([0.0]), np.array([1.0]))
+    root = lattice._newton(resid, np.array([0.0]), np.array([1.0]))
     assert abs(root[0] - 0.3) <= 1e-11
     assert len(calls) <= 60
+
+
+def _solver_evaluations(monkeypatch, spec, m_max) -> list[int]:
+    # residual evaluations of each _newton call of one band_structure
+    counts = []
+    solve = lattice._newton
+
+    def counted(resid, lo, hi, *args, **kwargs):
+        counts.append(0)
+
+        def resid_counted(x, *a):
+            counts[-1] += 1
+            return resid(x, *a)
+        return solve(resid_counted, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_newton", counted)
+    band_structure(spec, m_max)
+    return counts
+
+
+def test_band_points_below_zero_take_few_evaluations(monkeypatch):
+    # the scaled trace varies like c ell near q = 0 and like c/q further out,
+    # where false position alone took 25 evaluations for the band points
+    spec = _spec(-22.95, -0.2334, -0.891 - 0.667j, ell=47.63)
+    gap_points, band_points, edges = _solver_evaluations(monkeypatch, spec, 6)
+    assert band_points <= 10
+
+
+@pytest.mark.parametrize("alpha, beta", [(-2.0, 0.0), (0.0, 1.0)], ids=["delta", "delta_prime"])
+def test_edges_on_gap_points_take_few_evaluations(monkeypatch, alpha, beta):
+    # every Dirichlet point of delta and Neumann point of delta' is a band
+    # edge whose residual is rounding noise of either sign
+    counts = _solver_evaluations(monkeypatch, _spec(alpha, beta, 0.0), 60)
+    assert len(counts) == 3 and max(counts) <= 8
 
 
 def test_grid_too_coarse_names_window_and_density(monkeypatch):

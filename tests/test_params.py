@@ -152,6 +152,15 @@ def test_inverse_degeneracies():
         inverse_to_halfline(InverseParams(0.5, 0.5, 0.5))
 
 
+def test_overflowing_det_is_degenerate():
+    # alpha beta overflows det to inf, and an infinite det would scale the
+    # decoupling tolerance to inf: Im gamma = 0.5 would count as decoupled
+    with pytest.raises(DegenerateParametrization) as info:
+        CouplingScheme.from_greek(GreekParams(1e155, 1e155, 0.5 + 0.5j))
+    assert info.value.denominator == "det"
+    assert "not finite" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # transfer form
 # ---------------------------------------------------------------------------

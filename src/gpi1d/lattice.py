@@ -24,7 +24,9 @@ point (Hill's-equation oscillation theory: Magnus & Winkler, Hill's Equation,
 Two gap points of one open gap cannot share an end, where M T = +-I + N with
 N nilpotent and nonzero, so their midpoint lies strictly inside the gap; the
 root of tr between two gap points of opposite trace sign lies inside the band
-that separates them.
+that separates them.  So bands are counted, not matched to anchors: band m is
+the m-th band from the bottom, and gap m, between bands m and m+1, holds the
+m-th Dirichlet point, (pi m / ell)^2 when beta = 0 (then tb = 0).
 
 Above zero tr = R cos(theta) with the Pruefer phase theta = k ell - atan(y/s),
 y = c/k - b k and R = hypot(s, y) sgn(s) (Pruefer 1926; Pryce, Numerical
@@ -66,7 +68,8 @@ from .errors import GridTooCoarse, InsufficientBands
 from .params import CouplingScheme, TransferParams, is_decoupled, scheme_to_transfer
 
 _EDGE_XTOL = 1e-12  # absolute stop tolerance of the root solver (in energy for the edges)
-_EDGE_RTOL = 8.0 * np.finfo(float).eps  # relative part of the same tolerance
+_EPS = np.finfo(float).eps
+_EDGE_RTOL = 8.0 * _EPS  # relative part of the same tolerance
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class BandInterval:
-    """Closed energy interval [e_lo, e_hi] of band index m."""
+    """Closed energy interval [e_lo, e_hi] of band m, the m-th band from the bottom."""
 
     m: int
     e_lo: float
@@ -338,7 +341,8 @@ def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
     resid takes one point per bracket, in the order of the brackets.
     Each step is the shorter of the Newton steps from the two ends where it
     lands in the bracket (a step within tol of an end, or past it, goes tol
-    inside it instead, tol = tol(lo, hi)); else false position, or bisection
+    inside it instead, tol = max(tol(lo, hi), eps max(|lo|, |hi|)), at least
+    the float spacing of the ends); else false position, or bisection
     where the previous step was not a Newton step either or an end's residual
     is infinite or nan.  A bracket is done once |hi - lo|/2 < tol, an end is
     an exact root, or its ends' residuals share a sign, which happens only
@@ -353,7 +357,7 @@ def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
         done = np.sign(fa) * np.sign(fb) >= 0.0
         newton = np.ones(a.shape, dtype=bool)
         while True:
-            w = tol(a, b)
+            w = np.maximum(tol(a, b), _EPS * np.maximum(b, -a))  # a <= b
             w2 = w + w
             done |= b - a < w2
             if done.all():
@@ -400,10 +404,13 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     energy tolerance of 1e-12 (plus 8 ulp relative); above zero each edge is
     solved in k on the Pruefer phase of the gap beside it (module docstring).
     A band narrower than the float spacing (below zero on wide cells) is
-    reported as [E, E] at its root of tr.  Bands are indexed by the nearest
-    (pi m / ell)^2, ties broken downward, then forced strictly increasing.
+    reported as [E, E] at its root of tr.  Band m is the m-th band from the
+    bottom (m = 1..m_max); gap m, between bands m and m+1, holds the m-th
+    Dirichlet point, (pi m / ell)^2 when beta = 0.  A band holding two band
+    points (an exactly closed gap, or one the grid missed) raises
+    GridTooCoarse naming it, as do fewer than m_max bands below k_max.
     Gapless spectra (the free and phase-equivalent couplings) come back as a
-    single [e_lo, inf) band.
+    single [e_lo, inf) band 1.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -467,41 +474,26 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     # k_max, and a fully gapless spectrum (free and phase-equivalent couplings)
     # shows up as one such band
     if len(edges) == 1:
-        return [BandInterval(0, float(edges[0]), math.inf)], []
-    lo, hi = edges[0:len(edges) - 1:2], edges[1::2]
-
-    # nearest (pi m / ell)^2, exact ties broken downward, then made strictly
-    # increasing: m_i = max(nearest_i, m_{i-1} + 1)
-    x = np.sqrt(np.maximum(0.5 * (lo + hi), 0.0)) * ell / math.pi
-    nearest = np.maximum(np.floor(x + 0.5 - 1e-12).astype(np.int64), 0)
-    i = np.arange(len(nearest))
-    ms = np.maximum.accumulate(nearest - i) + i
-    if not len(ms) or ms[-1] < m_max:
-        raise GridTooCoarse(
-            f"resolved band indices up to {ms[-1] if len(ms) else 'none'}"
-            f" < m_max = {m_max}: " + _grid_note(energies, energies[0], energies[-1]))
-    count = np.searchsorted(ms, m_max, side="right")  # the bands with m <= m_max
-    ms, lo, hi = ms[:count].tolist(), lo[:count], hi[:count]
-    overlap = np.flatnonzero(hi[:-1] > lo[1:] + 1e-9)
-    if overlap.size:
-        j = overlap[0]
-        raise GridTooCoarse(f"bands {ms[j]} and {ms[j + 1]} overlap; the grid missed an edge"
-                            " in the " + _grid_note(energies, lo[j], hi[j + 1]))
+        return [BandInterval(1, float(edges[0]), math.inf)], []
+    lo, hi = edges[0:len(edges) - 1:2][:m_max], edges[1::2][:m_max]
+    # band m is the m-th from the bottom, so each must hold exactly one band
+    # point, a root of tr between two gap points of opposite trace sign
+    points = energies[1:-1:2][sign[:-1] != sign[1:]]
+    held = np.searchsorted(points, hi, side="right") - np.searchsorted(points, lo)
+    merged = np.flatnonzero(held != 1)
+    if merged.size:
+        j = merged[0]
+        raise GridTooCoarse(f"band {j + 1} [{lo[j]:.6g}, {hi[j]:.6g}] holds {held[j]} band points,"
+                            " not one (a closed or missed gap): "
+                            + _grid_note(energies, lo[j], hi[j]))
+    if len(lo) < m_max:
+        raise GridTooCoarse(f"found {len(lo)} bands below k_max, fewer than m_max = {m_max}: "
+                            + _grid_note(energies, energies[0], energies[-1]))
     closed = (lo[1:] - hi[:-1] <= 1e-10).tolist()
     lo, hi = lo.tolist(), hi.tolist()
-    bands = [BandInterval(m, e0, e1) for m, e0, e1 in zip(ms, lo, hi)]
+    bands = [BandInterval(m, e0, e1) for m, (e0, e1) in enumerate(zip(lo, hi), 1)]
     gaps = [GapInterval(m, e0, e1, closed=shut)
-            for m, e0, e1, shut in zip(ms, hi, lo[1:], closed)]
-    if m_max >= 8:
-        # asymptotically one band per pi/ell period; a shortfall in a fully
-        # resolved high window means the grid skipped over a feature
-        win_hi = (k_max - 1.5 * math.pi / ell) ** 2
-        win_lo = (k_max - 4.5 * math.pi / ell) ** 2
-        n_win = sum(win_lo <= 0.5 * (e0 + e1) <= win_hi for e0, e1 in zip(lo, hi))
-        if not 2 <= n_win <= 4:
-            raise GridTooCoarse(
-                f"found {n_win} bands in a 3-period window where ~3 are expected: "
-                + _grid_note(energies, win_lo, win_hi))
+            for m, (e0, e1, shut) in enumerate(zip(hi, lo[1:], closed), 1)]
     return bands, gaps
 
 
@@ -581,8 +573,11 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
         predicted_width = 2.0 * wmod / (abs(g.beta) * ell)
         measured_width = float(band_widths.mean())
         slope, intercept, r2 = _linear_fit(gap_ms, gap_widths)
-        centre_offsets = [0.5 * (b.e_lo + b.e_hi) - (math.pi * b.m / ell) ** 2
-                          for b in sel_bands]
+        # each band against its nearest (pi n / ell)^2: bound-state bands shift
+        # the count m against the anchors
+        centres = 0.5 * np.array([b.e_lo + b.e_hi for b in sel_bands])
+        ns = np.round(np.sqrt(np.maximum(centres, 0.0)) * ell / math.pi)
+        centre_offsets = (centres - (math.pi * ns / ell) ** 2).tolist()
         details.update(gap_slope=slope, gap_intercept=intercept, gap_fit_r2=r2,
                        centre_offsets=centre_offsets,
                        predicted_centre_offset=(4.0 + g.det) / (g.beta * ell))

@@ -175,8 +175,9 @@ def test_delta_gap_anchors():
 
 
 def test_delta_prime_band_widths_approach_constant():
+    # band 1 is the bound-state band, so the band starting at (50 pi)^2 is band 51
     bands, _ = band_structure(_spec(0.0, 1.0, 0.0), 52)
-    b50 = next(b for b in bands if b.m == 50)
+    b50 = next(b for b in bands if b.m == 51)
     assert abs(b50.width - 8.0) < 0.05 * 8.0
     assert b50.e_lo == pytest.approx((50 * PI) ** 2, abs=1e-8)
 
@@ -343,7 +344,7 @@ def test_zero_diagonal_transfer_factor_edges_match_scalar_oracle(gamma):
     assert (t.ta if gamma.real > 0 else t.td) == 0.0
     m_max = 12
     bands, _ = band_structure(spec, m_max)
-    assert [b.m for b in bands] == list(range(m_max + 1))
+    assert [b.m for b in bands] == list(range(1, m_max + 1))
     got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
     want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI)
             if e <= bands[-1].e_hi * (1.0 + 1e-9)]
@@ -504,6 +505,7 @@ def _solver_evaluations(monkeypatch, spec, m_max) -> list[int]:
 
         def resid_counted(x, *a):
             counts[-1] += 1
+            assert counts[-1] <= 100, "the solver does not converge"
             return resid(x, *a)
         return solve(resid_counted, lo, hi, *args, **kwargs)
 
@@ -526,6 +528,48 @@ def test_edges_on_gap_points_take_few_evaluations(monkeypatch, alpha, beta):
     # edge whose residual is rounding noise of either sign
     counts = _solver_evaluations(monkeypatch, _spec(alpha, beta, 0.0), 60)
     assert len(counts) == 3 and max(counts) <= 8
+
+
+@pytest.mark.parametrize("alpha, beta, gamma, ell, m_max", [
+    (6.374638238166747, 0.0, -1.410102540438015j, 1.656958599666053e-4, 12),
+    (4.363699631480355, -1.1158415309265318e-05, -0.3460478967885976j, 5.292428886414487e-4, 6),
+], ids=["delta_like", "delta_prime_like"])
+def test_newton_returns_on_narrow_cells(monkeypatch, alpha, beta, gamma, ell, m_max):
+    # an edge bracket wide in z, e.g. [160.30, 9481.35], has a stop tolerance
+    # below the float spacing of its ends; a step clamped that far inside an
+    # end rounds back onto it and the solver never returns
+    counts = _solver_evaluations(monkeypatch, _spec(alpha, beta, gamma, ell=ell), m_max)
+    assert len(counts) == 3 and max(counts) <= 20
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.4, -2.6, -6.0])
+def test_attractive_delta_bands_are_counted_from_the_bottom(alpha):
+    # on both sides of |alpha| = pi^2/4, where labels by the nearest (pi m)^2
+    # switch from calling the bound-state band 1 to calling it 0; band 2
+    # starts at the first Dirichlet point pi^2
+    bands, gaps = band_structure(_spec(alpha, 0.0, 0.0), 8)
+    assert [b.m for b in bands] == list(range(1, 9))
+    assert [gp.m for gp in gaps] == list(range(1, 8))
+    assert bands[1].e_lo == pytest.approx(PI ** 2, rel=1e-12)
+
+
+def test_exactly_closed_gap_raises_naming_the_merged_band():
+    # at this ell the gap at E = 1 closes: the two bands beside it touch and
+    # the scan sees one band holding two roots of tr
+    spec = _spec(-1.0, 1.0, 0.0, ell=8.497482742767767)
+    with pytest.raises(GridTooCoarse, match=r"band 3 \[0\.4408\d*, 1\.7953\d*\] holds 2 band points"):
+        band_structure(spec, 8)
+
+
+def test_bands_are_labelled_one_to_m_max():
+    rng = np.random.default_rng(12)
+    for i in range(300):
+        spec = _fuzzed_lattice(rng, ["delta_prime", "delta", "intermediate", "near_delta",
+                                     "strong_delta"][i % 5])
+        m_max = int(rng.choice([6, 12, 60]))
+        bands, gaps = band_structure(spec, m_max)
+        assert [b.m for b in bands] == list(range(1, m_max + 1)), (spec.scheme.greek, spec.ell)
+        assert [gp.m for gp in gaps] == list(range(1, m_max))
 
 
 def test_grid_too_coarse_names_window_and_density(monkeypatch):

@@ -34,7 +34,9 @@ Solution of Sturm-Liouville Problems, 1993); theta rises by about pi per pi/ell.
 Gap j is where |theta - j pi| <= a = arccos(min(1, 2/R)), so a band edge beside
 gap j is a root of a - |theta - j pi|, a residual of slope about ell in k where
 |tr| - 2 flattens at a narrow gap.  The gap points, the band points and the
-edges all come from one vectorised bracketed Newton solver, _newton.
+edges all come from one vectorised bracketed Newton solver, _newton: _gap_grid
+solves the gap points, band_structure the band points and then the edges, all
+on one trace evaluator, _trace, of the signed wavenumber z (E = z |z|).
 
 Below zero (q = sqrt(-E), x = q ell, (u, v) = (tb/ta, tc/td)) they vanish
 where tanh x = -u q and q tanh x = -v, the n = 0 gap points continued through
@@ -65,7 +67,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooCoarse, InsufficientBands
-from .params import CouplingScheme, TransferParams, is_decoupled, scheme_to_transfer
+from .params import (DEGENERACY_TOL, CouplingScheme, TransferParams, is_decoupled,
+                     scheme_to_transfer)
 
 _EDGE_XTOL = 1e-12  # absolute stop tolerance of the root solver (in energy for the edges)
 _EPS = np.finfo(float).eps
@@ -169,52 +172,44 @@ def monodromy_trace(spec: LatticeSpec, k: float) -> float:
     return s * math.cos(kl) + (c_sin / k - b_sin * k) * math.sin(kl)
 
 
-def _trace_above(coeffs: tuple[float, float, float], ell: float,
-                 k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # tr and its slope at wavenumbers k > 0
+def _trace(coeffs: tuple[float, float, float], ell: float, z):
+    # (tr sech, sech) at every signed wavenumber z of an array (E = z |z|) and
+    # their slopes in z, sech = 1/cosh(q ell) at q = -z > 0 and 1 elsewhere, so
+    # neither overflows; at z = 0 tr = s + c ell and both slopes are 0
     s, c_sin, b_sin = coeffs
-    cos, sin = np.cos(k * ell), np.sin(k * ell)
-    y = c_sin / k - b_sin * k
-    return s * cos + y * sin, y * ell * cos - (c_sin / k / k + b_sin + s * ell) * sin
+    z = np.asarray(z, dtype=float)
 
+    def above(k):  # tr and its slope at k > 0
+        cos, sin = np.cos(k * ell), np.sin(k * ell)
+        y = c_sin / k - b_sin * k
+        return s * cos + y * sin, y * ell * cos - (c_sin / k / k + b_sin + s * ell) * sin
 
-def _trace_below(coeffs: tuple[float, float, float], ell: float, q: np.ndarray):
-    # tr sech = s + (c/q + b q) tanh(q ell), sech = 1/cosh(q ell) and their
-    # slopes in z = -q at q = sqrt(-E) > 0; neither overflows
-    s, c_sin, b_sin = coeffs
-    th = np.tanh(q * ell)
-    w = c_sin / q + b_sin * q
-    decay = np.exp(-q * ell)
-    sech = 2.0 * decay / (1.0 + decay * decay)
-    return (s + w * th, sech, (c_sin / q / q - b_sin) * th - w * ell * sech * sech,
-            ell * sech * th)
-
-
-def _scaled_trace(coeffs: tuple[float, float, float], ell: float, energy):
-    # (tr sech, sech) at every energy of an array and their slopes in the signed
-    # wavenumber z (E = z |z|), sech = 1/cosh(q ell) below zero and 1
-    # elsewhere; at 0 tr = s + c ell and both slopes are 0
-    s, c_sin, b_sin = coeffs
-    e = np.asarray(energy, dtype=float)
-    k = np.sqrt(np.abs(e))
-    tr = np.full(e.shape, s + c_sin * ell)
-    slope = np.zeros(e.shape)
-    sech = 1.0
-    sech_slope = 0.0
-    up, down = e > 0, e < 0
+    sech, sech_slope = np.ones(z.shape), np.zeros(z.shape)
+    up = z > 0.0
+    if up.all():  # above zero only, as in most solver steps: no masks
+        scaled, slope = above(z)
+        return scaled, sech, slope, sech_slope
+    scaled, slope = np.full(z.shape, s + c_sin * ell), np.zeros(z.shape)
     if up.any():
-        tr[up], slope[up] = _trace_above(coeffs, ell, k[up])
+        scaled[up], slope[up] = above(z[up])
+    down = z < 0.0
     if down.any():
-        sech, sech_slope = np.ones(e.shape), np.zeros(e.shape)
-        tr[down], sech[down], slope[down], sech_slope[down] = _trace_below(coeffs, ell, k[down])
-    return tr, sech, slope, sech_slope
+        q = -z[down]
+        th = np.tanh(q * ell)
+        w = c_sin / q + b_sin * q
+        decay = np.exp(-q * ell)
+        h = 2.0 * decay / (1.0 + decay * decay)
+        scaled[down], sech[down] = s + w * th, h
+        slope[down] = (c_sin / q / q - b_sin) * th - w * ell * h * h
+        sech_slope[down] = ell * h * th
+    return scaled, sech, slope, sech_slope
 
 
 def _floquet_trace(coeffs: tuple[float, float, float], ell: float, energy) -> np.ndarray:
     # The discriminant at every energy of an array; it overflows to +-inf, and
     # an exact zero of tr sech stays 0 rather than inf * 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scaled, sech = _scaled_trace(coeffs, ell, energy)[:2]
+        scaled, sech = _trace(coeffs, ell, np.copysign(np.sqrt(np.abs(energy)), energy))[:2]
         return np.where(scaled == 0.0, 0.0, scaled / sech)
 
 
@@ -251,9 +246,8 @@ def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
-    # Signed wavenumbers z, E = z |z|, ascending: the gap points below k_max,
-    # the anchors -q_bot, -+k_min and k_max, and after each but the last
-    # (grid[1::2]) the midpoint of two in one gap or the root of tr between two.
+    # Signed wavenumbers z, E = z |z|, ascending: the gap points below k_max
+    # and the anchors -q_bot, -+k_min and k_max.
     t = spec._transfer
     ell = spec.ell
     s, c, b = coeffs = spec._trace_coeffs
@@ -261,8 +255,10 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
     # below every band: q_bot = q_up 2^j, the first with |tr| > 2
     q_bot = max(k_min, abs(c / s) if b == 0.0 else
                 (abs(s) + math.sqrt(s * s + 4.0 * abs(b) * (abs(s) / ell + abs(c)))) / (2.0 * abs(b)))
-    while not abs(_floquet_trace(coeffs, ell, -q_bot * q_bot)) > 2.0:
+    scaled, sech = _trace(coeffs, ell, -q_bot)[:2]
+    while not abs(scaled) > 2.0 * sech:
         q_bot *= 2.0
+        scaled, sech = _trace(coeffs, ell, -q_bot)[:2]
     ns = np.arange(math.floor(k_max * ell / math.pi + 0.5) + 1, dtype=float)
     # Away from a zero diagonal factor, (M T)_12 = 0 and (M T)_21 = 0 read
     # t pi + atan(u k - v/k) = 0 with (u, v) = (tb/ta, 0) and (0, tc/td), where
@@ -306,28 +302,8 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
 
     tt = _newton(phase, t_lo, t_hi)
     pts = np.concatenate(closed + [(n + tt) * (math.pi / ell)])
-    pts = np.sort(np.concatenate([pts[(np.abs(pts) > k_min) & (pts < k_max)],
-                                  [-q_bot, -k_min, k_min, k_max]]))
-
-    # tr changes sign across zero only where tr(0) = s + c ell rounds to 0: the
-    # midpoint 0 of -k_min and k_min is then the band point
-    sign = np.sign(_scaled_trace(coeffs, ell, pts * np.abs(pts))[0])
-    split = (sign[:-1] != sign[1:]) & ((pts[:-1] > 0.0) | (pts[1:] < 0.0))
-    lo, hi = pts[:-1][split], pts[1:][split]
-    n_below = np.count_nonzero(lo < 0.0)  # those brackets go first
-
-    def trace(z):  # tr sech at E = z |z| and its slope in z
-        if n_below == 0:
-            return _trace_above(coeffs, ell, z)
-        below = _trace_below(coeffs, ell, -z[:n_below])
-        above = _trace_above(coeffs, ell, z[n_below:])
-        return np.concatenate([below[0], above[0]]), np.concatenate([below[2], above[1]])
-
-    inner = 0.5 * (pts[:-1] + pts[1:])
-    inner[split] = _newton(trace, lo, hi)
-    grid = np.empty(2 * len(pts) - 1)
-    grid[0::2], grid[1::2] = pts, inner
-    return grid
+    return np.sort(np.concatenate([pts[(np.abs(pts) > k_min) & (pts < k_max)],
+                                   [-q_bot, -k_min, k_min, k_max]]))
 
 
 def _xtol(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -396,13 +372,15 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     """Bands and gaps up to band index m_max.
 
     Edges are bracketed by sign changes of |tr| - 2 on one grid over the
-    whole energy axis: the gap points below k_max (module docstring) with the
-    anchors -q_bot^2, -+k_min^2 (k_min = 1e-9/ell) and k_max^2, the midpoint
-    of two neighbours in one gap and the root of tr between two gaps, so
-    about 4 m_max points in all.  The gap points, the band points and the
-    edges come from one vectorised bracketed Newton solver, the edges to an
-    energy tolerance of 1e-12 (plus 8 ulp relative); above zero each edge is
-    solved in k on the Pruefer phase of the gap beside it (module docstring).
+    whole energy axis: from _gap_grid the gap points below k_max (module
+    docstring) and the anchors -q_bot^2, -+k_min^2 (k_min = 1e-9/ell) and
+    k_max^2, and, solved here, the midpoint of two neighbours in one gap and
+    the root of tr between two gaps, about 4 m_max points in all.  The gap
+    points, the band points and the edges come from one vectorised bracketed
+    Newton solver, the edges to an energy tolerance of 1e-12 (plus 8 ulp
+    relative); above zero each edge is solved in k on the Pruefer phase of
+    the gap beside it (module docstring).  A gap no wider than twice that
+    tolerance at its lower end is flagged closed.
     A band narrower than the float spacing (below zero on wide cells) is
     reported as [E, E] at its root of tr.  Band m is the m-th band from the
     bottom (m = 1..m_max); gap m, between bands m and m+1, holds the m-th
@@ -435,17 +413,28 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         slope_a = np.where(root > 0.0, -2.0 * y * dy / (r2 * root), 0.0)
         return np.arctan2(root, 2.0) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
 
-    z = _gap_grid(spec, k_max)
-    energies = z * np.abs(z)
-    scaled, sech = _scaled_trace(coeffs, ell, energies)[:2]
-    resolved = np.abs(scaled) - 2.0 * sech <= 0.0
-    # A band point (grid[1::2] between gap points of opposite trace sign) lies
-    # in its band.  Below zero, where a band can be narrower than the float
-    # spacing and |tr| round above 2 at every float, it is both band edges:
-    # the brackets beside it collapse onto it.
+    # The grid z: the gap points and anchors (z[0::2]) and after each but the
+    # last (z[1::2]) the root of tr between two of opposite trace sign, a band
+    # point, or else the midpoint of the two, which lies in their gap.  tr
+    # changes sign across zero only where tr(0) = s + c ell rounds to 0: the
+    # midpoint 0 of -k_min and k_min is then the band point.
+    pts = _gap_grid(spec, k_max)
+    z, scaled, sech = np.empty((3, 2 * len(pts) - 1))
+    scaled[0::2], sech[0::2] = _trace(coeffs, ell, pts)[:2]
     sign = np.sign(scaled[0::2])
+    flip = sign[:-1] != sign[1:]
+    split = flip & ((pts[:-1] > 0.0) | (pts[1:] < 0.0))
+    inner = 0.5 * (pts[:-1] + pts[1:])
+    inner[split] = _newton(lambda x: _trace(coeffs, ell, x)[::2], pts[:-1][split], pts[1:][split])
+    z[0::2], z[1::2] = pts, inner
+    scaled[1::2], sech[1::2] = _trace(coeffs, ell, inner)[:2]
+    energies = z * np.abs(z)
+    resolved = np.abs(scaled) - 2.0 * sech <= 0.0
+    # A band point lies in its band.  Below zero, where a band can be narrower
+    # than the float spacing and |tr| round above 2 at every float, it is both
+    # band edges: the brackets beside it collapse onto it.
     inside = resolved.copy()
-    inside[1:-1:2] |= (sign[:-1] != sign[1:]) & (energies[1:-1:2] < 0.0)
+    inside[1:-1:2] |= flip & (energies[1:-1:2] < 0.0)
     stuck = inside & ~resolved
     i = np.flatnonzero(inside[:-1] != inside[1:])
     lo = np.where(stuck[i + 1], z[i + 1], z[i])
@@ -462,7 +451,7 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         f, slope = pruefer(x[n:], j_pi)
         if n == 0:
             return f, slope
-        scaled, sech, scaled_slope, sech_slope = _scaled_trace(coeffs, ell, x[:n] * np.abs(x[:n]))
+        scaled, sech, scaled_slope, sech_slope = _trace(coeffs, ell, x[:n])
         return (np.concatenate([np.abs(scaled) - 2.0 * sech, f]),
                 np.concatenate([np.sign(scaled) * scaled_slope - 2.0 * sech_slope, slope]))
 
@@ -478,7 +467,7 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     lo, hi = edges[0:len(edges) - 1:2][:m_max], edges[1::2][:m_max]
     # band m is the m-th from the bottom, so each must hold exactly one band
     # point, a root of tr between two gap points of opposite trace sign
-    points = energies[1:-1:2][sign[:-1] != sign[1:]]
+    points = energies[1:-1:2][flip]
     held = np.searchsorted(points, hi, side="right") - np.searchsorted(points, lo)
     merged = np.flatnonzero(held != 1)
     if merged.size:
@@ -489,7 +478,8 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     if len(lo) < m_max:
         raise GridTooCoarse(f"found {len(lo)} bands below k_max, fewer than m_max = {m_max}: "
                             + _grid_note(energies, energies[0], energies[-1]))
-    closed = (lo[1:] - hi[:-1] <= 1e-10).tolist()
+    # a gap is closed where its width is within the edge solver's tolerance
+    closed = (lo[1:] - hi[:-1] <= 2.0 * _xtol(hi[:-1], lo[1:])).tolist()
     lo, hi = lo.tolist(), hi.tolist()
     bands = [BandInterval(m, e0, e1) for m, (e0, e1) in enumerate(zip(lo, hi), 1)]
     gaps = [GapInterval(m, e0, e1, closed=shut)
@@ -518,7 +508,7 @@ def dispersion(spec: LatticeSpec, band: BandInterval,
 
 def classify_regime(spec: LatticeSpec) -> Regime:
     g = spec.scheme.greek
-    tol = 1e-12 * g.scale
+    tol = DEGENERACY_TOL * g.scale
     if abs(g.beta) > tol:
         return Regime.DELTA_PRIME_LIKE
     if abs(g.gamma.real) > tol:

@@ -128,6 +128,45 @@ def test_array_trace_matches_scalar_oracles(rng):
             assert abs(trace_at_energy(spec, e) - (s + c * ell)) < 1e-9 * max(1.0, abs(s) + abs(c))
 
 
+def test_signed_wavenumber_trace_is_the_floquet_trace(rng):
+    # tr sech / sech at z is the discriminant at E = z |z|, bit for bit, on
+    # both sides of zero
+    for _ in range(30):
+        g = random_greek(rng, allow_beta_zero=True)
+        spec = LatticeSpec(CouplingScheme.from_greek(g), float(rng.uniform(0.5, 2.0)))
+        coeffs, ell = spec._trace_coeffs, spec.ell
+        z = np.concatenate([rng.uniform(0.05, 25.0, 40), -rng.uniform(0.05, 6.0, 20), [0.0]])
+        rng.shuffle(z)
+        scaled, sech = lattice._trace(coeffs, ell, z)[:2]
+        assert np.array_equal(scaled / sech, lattice._floquet_trace(coeffs, ell, z * np.abs(z)))
+
+
+def test_signed_wavenumber_trace_slopes_match_central_differences(rng):
+    for _ in range(30):
+        g = random_greek(rng, allow_beta_zero=True)
+        spec = LatticeSpec(CouplingScheme.from_greek(g), float(rng.uniform(0.5, 2.0)))
+        coeffs, ell = spec._trace_coeffs, spec.ell
+        z = np.concatenate([rng.uniform(0.05, 25.0, 20), -rng.uniform(0.05, 6.0, 20)])
+        h = 1e-6 * np.abs(z)
+        values = lattice._trace(coeffs, ell, z)
+        ahead, behind = lattice._trace(coeffs, ell, z + h), lattice._trace(coeffs, ell, z - h)
+        for value, slope, step_up, step_down in zip(values[:2], values[2:], ahead, behind):
+            central = (step_up - step_down) / (2.0 * h)
+            scale = np.maximum(np.abs(slope), np.abs(value) / np.abs(z))
+            assert np.all(np.abs(central - slope) <= 1e-6 * scale), g
+    s, c, _ = coeffs
+    at_zero = lattice._trace(coeffs, ell, np.array([0.0]))
+    assert [float(v[0]) for v in at_zero] == [s + c * ell, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_signed_wavenumber_trace_is_finite_far_below_zero():
+    # q ell ~ 1e3: cosh(q ell) overflows, tr sech and sech do not
+    spec = _spec(-2.3, -0.7, 0.2 - 0.9j, ell=2.0)
+    values = lattice._trace(spec._trace_coeffs, spec.ell, -np.array([400.0, 500.0, 600.0]))
+    assert all(np.all(np.isfinite(v)) for v in values)
+
+
 def test_bloch_determinant_oracle(rng):
     # in a band the determinant has a theta root at the band-condition solution;
     # outside, its minimum over theta scales with the band-condition excess
@@ -327,8 +366,8 @@ def test_band_edges_match_scalar_oracle(rng, regime):
     pytest.param(-1.0, 0.5, 0.3 + 0.4j, id="generic"),
 ])
 def test_intermediate_grid_is_linear_in_band_index(alpha, beta, gamma):
-    # every regime needs a fixed number of points per pi/ell period at high
-    # energy, even where gaps (delta) or bands (delta') close like 1/k
+    # every regime needs a fixed number of gap points per pi/ell period at
+    # high energy, even where gaps (delta) or bands (delta') close like 1/k
     spec = _spec(alpha, beta, gamma)
     n60 = len(lattice._gap_grid(spec, 61.5 * PI))
     n200 = len(lattice._gap_grid(spec, 201.5 * PI))
@@ -366,6 +405,18 @@ def test_weak_coupling_keeps_every_gap():
     assert len(bands) == 12 and len(gaps) == 11
     assert not any(gp.closed for gp in gaps)
     assert _max_edge_residual(spec, bands) <= 1e-8
+
+
+def test_weak_delta_gaps_are_open_at_their_predicted_width():
+    # every gap is 8|alpha| / ((4 + |gamma|^2) ell) = 2e-11 wide, 2e-6 of its
+    # energy: narrow in absolute terms, but far wider than the edge tolerance
+    spec = _spec(1e-8, 0.0, 0.0, ell=1000.0)
+    predicted = 8e-8 / (4.0 * 1000.0)
+    _, gaps = band_structure(spec, 6)
+    assert len(gaps) == 5
+    for gp in gaps:
+        assert not gp.closed
+        assert abs(gp.width - predicted) <= 0.01 * predicted, gp
 
 
 def test_narrow_lowest_band_of_a_strong_delta_like_coupling_is_found():
@@ -540,6 +591,35 @@ def test_newton_returns_on_narrow_cells(monkeypatch, alpha, beta, gamma, ell, m_
     # end rounds back onto it and the solver never returns
     counts = _solver_evaluations(monkeypatch, _spec(alpha, beta, gamma, ell=ell), m_max)
     assert len(counts) == 3 and max(counts) <= 20
+
+
+@pytest.mark.parametrize("greek, ell", [
+    ((0.0, 1.0, 0.0), 1.0), ((-2.0, 0.0, 0.0), 1.0), ((-1.0, 0.5, 0.3 + 0.4j), 1.0),
+    ((-1.0, 0.0, 0.5 + 0.3j), 1.0), ((-2.3, -0.7, 0.2 - 0.9j), 80.0),
+], ids=["delta_prime", "delta", "generic", "intermediate", "bound_bands"])
+def test_band_structure_takes_the_trace_once_per_grid_point(monkeypatch, greek, ell):
+    # the gap points and the points between them each go to _trace once;
+    # solver steps and the scalar probes that place the bottom anchor aside
+    seen, solving = [], []
+    trace, solve = lattice._trace, lattice._newton
+
+    def recorded(coeffs, ell, z):
+        if not solving and np.ndim(z):
+            seen.extend(np.asarray(z).tolist())
+        return trace(coeffs, ell, z)
+
+    def marked(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(lattice, "_trace", recorded)
+    monkeypatch.setattr(lattice, "_newton", marked)
+    band_structure(_spec(*greek, ell=ell), 60)
+    assert len(seen) > 240
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -2.4, -2.6, -6.0])

@@ -22,11 +22,14 @@ and the point lies in a closed gap; every gap holds exactly one Dirichlet
 point (Hill's-equation oscillation theory: Magnus & Winkler, Hill's Equation,
 1966; Eastham, The Spectral Theory of Periodic Differential Equations, 1973).
 Two gap points of one open gap cannot share an end, where M T = +-I + N with
-N nilpotent and nonzero, so their midpoint lies strictly inside the gap; the
-root of tr between two gap points of opposite trace sign lies inside the band
-that separates them.  So bands are counted, not matched to anchors: band m is
-the m-th band from the bottom, and gap m, between bands m and m+1, holds the
-m-th Dirichlet point, (pi m / ell)^2 when beta = 0 (then tb = 0).
+N nilpotent and nonzero, so their midpoint lies strictly inside the gap; at a
+closed gap M T = +-I, and its Dirichlet and Neumann points coincide.  tr runs
+monotonically from one of +-2 to the other across each band, so between two
+gap points of opposite trace sign lies one band, holding one root of tr; any
+point there with |tr| < 2 is a band point of that band.  So bands are
+counted, not matched to anchors: band m is the m-th band from the bottom, and
+gap m, between bands m and m+1, holds the m-th Dirichlet point, (pi m / ell)^2
+when beta = 0 (then tb = 0).
 
 Above zero tr = R cos(theta) with the Pruefer phase theta = k ell - atan(y/s),
 y = c/k - b k and R = hypot(s, y) sgn(s) (Pruefer 1926; Pryce, Numerical
@@ -35,8 +38,9 @@ Gap j is where |theta - j pi| <= a = arccos(min(1, 2/R)), so a band edge beside
 gap j is a root of a - |theta - j pi|, a residual of slope about ell in k where
 |tr| - 2 flattens at a narrow gap.  The gap points, the band points and the
 edges all come from one vectorised bracketed Newton solver, _newton: _gap_grid
-solves the gap points, band_structure the band points and then the edges, all
-on one trace evaluator, _trace, of the signed wavenumber z (E = z |z|).
+solves the gap points, band_structure the band points (Newton on tr, stopped
+above zero at its first step into the band) and then the edges, all on one
+trace evaluator, _trace, of the signed wavenumber z (E = z |z|).
 
 Below zero (q = sqrt(-E), x = q ell, (u, v) = (tb/ta, tc/td)) they vanish
 where tanh x = -u q and q tanh x = -v, the n = 0 gap points continued through
@@ -46,7 +50,9 @@ x0 = -v ell > 0 (x - 1 < x tanh x <= min(x, x^2)).  In tr = (sinh x / q)
 (b q^2 + s q coth x + c), (s, c, b) = (ta + td, tc, tb), the second factor
 keeps the sign of b (of s if b = 0) past q_up, the positive root of
 |b| q^2 - |s| q - |s|/ell - |c| (|c/s| if b = 0); as every band holds a root
-of tr, the first q_bot = q_up 2^j with |tr| > 2 lies below every band.
+of tr, the first q_bot = q_up 2^j where tr has that sign and |tr| > 2 lies
+below every band (at q_up itself, a root of tr on wide cells, rounding can
+give tr the other sign).
 
 Three high-energy regimes, decided by the coupling:
 beta != 0 (delta'-like): band widths tend to 2|w| / (|beta| ell), gaps grow;
@@ -63,6 +69,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +80,7 @@ from .params import (DEGENERACY_TOL, CouplingScheme, TransferParams, is_decouple
 _EDGE_XTOL = 1e-12  # absolute stop tolerance of the root solver (in energy for the edges)
 _EPS = np.finfo(float).eps
 _EDGE_RTOL = 8.0 * _EPS  # relative part of the same tolerance
+_K_MIN = 1e-9  # k_min ell: the anchors -+k_min either side of zero
 
 
 @dataclass(frozen=True)
@@ -98,9 +106,25 @@ class LatticeSpec:
         t = self._transfer
         return t.ta + t.td, t.tc, t.tb
 
+    @cached_property
+    def _bottom(self) -> tuple[float, float, float]:
+        # q_bot = q_up 2^j, the first where tr has the sign of b (of s if
+        # b = 0) and |tr| > 2, lies below every band (module docstring); with
+        # (tr sech, sech) at z = -q_bot
+        ell = self.ell
+        s, c, b = coeffs = self._trace_coeffs
+        q_bot = max(_K_MIN / ell, abs(c / s) if b == 0.0 else
+                    (abs(s) + math.sqrt(s * s + 4.0 * abs(b) * (abs(s) / ell + abs(c))))
+                    / (2.0 * abs(b)))
+        sign = math.copysign(1.0, b if b else s)
+        scaled, sech = _trace(coeffs, ell, -q_bot)[:2]
+        while not sign * scaled > 2.0 * sech:
+            q_bot *= 2.0
+            scaled, sech = _trace(coeffs, ell, -q_bot)[:2]
+        return q_bot, scaled, sech
 
-@dataclass(frozen=True)
-class BandInterval:
+
+class BandInterval(NamedTuple):
     """Closed energy interval [e_lo, e_hi] of band m, the m-th band from the bottom."""
 
     m: int
@@ -112,8 +136,7 @@ class BandInterval:
         return self.e_hi - self.e_lo
 
 
-@dataclass(frozen=True)
-class GapInterval:
+class GapInterval(NamedTuple):
     """Open gap (e_lo, e_hi) between band m and band m+1; closed flags zero width."""
 
     m: int
@@ -184,24 +207,27 @@ def _trace(coeffs: tuple[float, float, float], ell: float, z):
         y = c_sin / k - b_sin * k
         return s * cos + y * sin, y * ell * cos - (c_sin / k / k + b_sin + s * ell) * sin
 
-    sech, sech_slope = np.ones(z.shape), np.zeros(z.shape)
-    up = z > 0.0
-    if up.all():  # above zero only, as in most solver steps: no masks
-        scaled, slope = above(z)
-        return scaled, sech, slope, sech_slope
-    scaled, slope = np.full(z.shape, s + c_sin * ell), np.zeros(z.shape)
-    if up.any():
-        scaled[up], slope[up] = above(z[up])
-    down = z < 0.0
-    if down.any():
-        q = -z[down]
+    def below(q):  # tr sech, sech and their slopes in z at q = -z > 0
         th = np.tanh(q * ell)
         w = c_sin / q + b_sin * q
         decay = np.exp(-q * ell)
         h = 2.0 * decay / (1.0 + decay * decay)
-        scaled[down], sech[down] = s + w * th, h
-        slope[down] = (c_sin / q / q - b_sin) * th - w * ell * h * h
-        sech_slope[down] = ell * h * th
+        return s + w * th, h, (c_sin / q / q - b_sin) * th - w * ell * h * h, ell * h * th
+
+    # one side of zero only, as in nearly every solver step: no masks
+    up = z > 0.0
+    if up.all():
+        scaled, slope = above(z)
+        return scaled, np.ones(z.shape), slope, np.zeros(z.shape)
+    down = z < 0.0
+    if down.all():
+        return below(-z)
+    scaled, sech = np.full(z.shape, s + c_sin * ell), np.ones(z.shape)
+    slope, sech_slope = np.zeros(z.shape), np.zeros(z.shape)
+    if up.any():
+        scaled[up], slope[up] = above(z[up])
+    if down.any():
+        scaled[down], sech[down], slope[down], sech_slope[down] = below(-z[down])
     return scaled, sech, slope, sech_slope
 
 
@@ -246,19 +272,11 @@ def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
-    # Signed wavenumbers z, E = z |z|, ascending: the gap points below k_max
-    # and the anchors -q_bot, -+k_min and k_max.
+    # Signed wavenumbers z, E = z |z|, ascending: the bottom anchor -q_bot, the
+    # gap points between it and k_max, and the anchors -+k_min and k_max.
     t = spec._transfer
     ell = spec.ell
-    s, c, b = coeffs = spec._trace_coeffs
-    k_min = 1e-9 / ell
-    # below every band: q_bot = q_up 2^j, the first with |tr| > 2
-    q_bot = max(k_min, abs(c / s) if b == 0.0 else
-                (abs(s) + math.sqrt(s * s + 4.0 * abs(b) * (abs(s) / ell + abs(c)))) / (2.0 * abs(b)))
-    scaled, sech = _trace(coeffs, ell, -q_bot)[:2]
-    while not abs(scaled) > 2.0 * sech:
-        q_bot *= 2.0
-        scaled, sech = _trace(coeffs, ell, -q_bot)[:2]
+    k_min = _K_MIN / ell
     ns = np.arange(math.floor(k_max * ell / math.pi + 0.5) + 1, dtype=float)
     # Away from a zero diagonal factor, (M T)_12 = 0 and (M T)_21 = 0 read
     # t pi + atan(u k - v/k) = 0 with (u, v) = (tb/ta, 0) and (0, tc/td), where
@@ -302,7 +320,8 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
 
     tt = _newton(phase, t_lo, t_hi)
     pts = np.concatenate(closed + [(n + tt) * (math.pi / ell)])
-    return np.sort(np.concatenate([pts[(np.abs(pts) > k_min) & (pts < k_max)],
+    q_bot = spec._bottom[0]
+    return np.sort(np.concatenate([pts[(pts > -q_bot) & (np.abs(pts) > k_min) & (pts < k_max)],
                                    [-q_bot, -k_min, k_min, k_max]]))
 
 
@@ -375,20 +394,23 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     whole energy axis: from _gap_grid the gap points below k_max (module
     docstring) and the anchors -q_bot^2, -+k_min^2 (k_min = 1e-9/ell) and
     k_max^2, and, solved here, the midpoint of two neighbours in one gap and
-    the root of tr between two gaps, about 4 m_max points in all.  The gap
+    a band point between two gaps, about 4 m_max points in all: above zero
+    any point of the band with |tr| < 2, below zero its root of tr.  The gap
     points, the band points and the edges come from one vectorised bracketed
     Newton solver, the edges to an energy tolerance of 1e-12 (plus 8 ulp
     relative); above zero each edge is solved in k on the Pruefer phase of
     the gap beside it (module docstring).  A gap no wider than twice that
     tolerance at its lower end is flagged closed.
     A band narrower than the float spacing (below zero on wide cells) is
-    reported as [E, E] at its root of tr.  Band m is the m-th band from the
+    reported as [E, E] at its root of tr, and an exactly closed gap, where
+    the bands beside it meet, as the closed gap between its gap points,
+    which coincide to the edge tolerance.  Band m is the m-th band from the
     bottom (m = 1..m_max); gap m, between bands m and m+1, holds the m-th
-    Dirichlet point, (pi m / ell)^2 when beta = 0.  A band holding two band
-    points (an exactly closed gap, or one the grid missed) raises
-    GridTooCoarse naming it, as do fewer than m_max bands below k_max.
+    Dirichlet point, (pi m / ell)^2 when beta = 0.  Any other band holding
+    two band points (a gap the grid missed) raises GridTooCoarse naming it,
+    as do fewer than m_max bands below k_max.
     Gapless spectra (the free and phase-equivalent couplings) come back as a
-    single [e_lo, inf) band 1.
+    single [e_lo, inf) band 1.  The records are named tuples.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -414,28 +436,55 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         return np.arctan2(root, 2.0) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
 
     # The grid z: the gap points and anchors (z[0::2]) and after each but the
-    # last (z[1::2]) the root of tr between two of opposite trace sign, a band
-    # point, or else the midpoint of the two, which lies in their gap.  tr
-    # changes sign across zero only where tr(0) = s + c ell rounds to 0: the
-    # midpoint 0 of -k_min and k_min is then the band point.
+    # last (z[1::2]) a band point between two of opposite trace sign, or else
+    # the midpoint of the two, which lies in their gap.  A band point is any
+    # point with |tr| < 2 above zero, where Newton on tr stops at its first
+    # step into the band; below zero it is the root of tr.  tr changes sign
+    # across zero only where tr(0) = s + c ell rounds to 0: the midpoint 0 of
+    # -k_min and k_min is then the band point.
     pts = _gap_grid(spec, k_max)
     z, scaled, sech = np.empty((3, 2 * len(pts) - 1))
-    scaled[0::2], sech[0::2] = _trace(coeffs, ell, pts)[:2]
+    # the trace at the bottom anchor, the grid's first point, is known
+    q_bot, scaled[0], sech[0] = spec._bottom
+    known = int(pts[0] == -q_bot)
+    scaled[2 * known::2], sech[2 * known::2] = _trace(coeffs, ell, pts[known:])[:2]
     sign = np.sign(scaled[0::2])
     flip = sign[:-1] != sign[1:]
     split = flip & ((pts[:-1] > 0.0) | (pts[1:] < 0.0))
     inner = 0.5 * (pts[:-1] + pts[1:])
-    inner[split] = _newton(lambda x: _trace(coeffs, ell, x)[::2], pts[:-1][split], pts[1:][split])
+    left, right = pts[:-1][split], pts[1:][split]
+    stop = np.where(left > 0.0, 2.0, 0.0)  # below zero no step ends early
+
+    def band_point(x):  # tr, or 0 (a root) at a step inside where |tr| < stop
+        scaled, _, slope, _ = _trace(coeffs, ell, x)
+        return np.where((np.abs(scaled) < stop) & (x > left) & (x < right), 0.0, scaled), slope
+
+    inner[split] = _newton(band_point, left, right)
     z[0::2], z[1::2] = pts, inner
     scaled[1::2], sech[1::2] = _trace(coeffs, ell, inner)[:2]
     energies = z * np.abs(z)
     resolved = np.abs(scaled) - 2.0 * sech <= 0.0
     # A band point lies in its band.  Below zero, where a band can be narrower
     # than the float spacing and |tr| round above 2 at every float, it is both
-    # band edges: the brackets beside it collapse onto it.
+    # band edges.
     inside = resolved.copy()
     inside[1:-1:2] |= flip & (energies[1:-1:2] < 0.0)
-    stuck = inside & ~resolved
+    # At an exactly closed gap M T = +-I: its Dirichlet and Neumann points
+    # coincide, |tr| rounds to 2 there, and one run of in-band points holds
+    # the band points of the bands on either side.  Where two or more gap
+    # points between two such band points lie within the edge tolerance of
+    # each other, they and the midpoints between them leave the run (a run
+    # open at the top of the grid, though, is the one band of a gapless
+    # spectrum).  A point whose flag is overridden, here or below zero, is
+    # itself an edge: the brackets beside it collapse onto it.
+    at = 2 * np.flatnonzero(flip) + 1
+    run = np.cumsum(~inside)
+    same = (run[at[:-1]] == run[at[1:]]) & ~(inside[-1] & (run[at[1:]] == run[-1]))
+    for p, q in zip(at[:-1][same], at[1:][same]):
+        e_lo, e_hi = energies[p + 1], energies[q - 1]
+        if q - p > 2 and e_hi - e_lo <= 2.0 * _xtol(e_lo, e_hi):
+            inside[p + 1:q] = False
+    stuck = inside != resolved
     i = np.flatnonzero(inside[:-1] != inside[1:])
     lo = np.where(stuck[i + 1], z[i + 1], z[i])
     hi = np.where(stuck[i], z[i], z[i + 1])
@@ -479,11 +528,10 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         raise GridTooCoarse(f"found {len(lo)} bands below k_max, fewer than m_max = {m_max}: "
                             + _grid_note(energies, energies[0], energies[-1]))
     # a gap is closed where its width is within the edge solver's tolerance
-    closed = (lo[1:] - hi[:-1] <= 2.0 * _xtol(hi[:-1], lo[1:])).tolist()
-    lo, hi = lo.tolist(), hi.tolist()
-    bands = [BandInterval(m, e0, e1) for m, (e0, e1) in enumerate(zip(lo, hi), 1)]
-    gaps = [GapInterval(m, e0, e1, closed=shut)
-            for m, (e0, e1, shut) in enumerate(zip(hi, lo[1:], closed), 1)]
+    closed = lo[1:] - hi[:-1] <= 2.0 * _xtol(hi[:-1], lo[1:])
+    m = range(1, m_max + 1)
+    bands = list(map(BandInterval._make, zip(m, lo.tolist(), hi.tolist())))
+    gaps = list(map(GapInterval._make, zip(m, hi[:-1].tolist(), lo[1:].tolist(), closed.tolist())))
     return bands, gaps
 
 

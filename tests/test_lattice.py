@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import gpi1d
-from gpi1d import (CouplingScheme, GreekParams, GridTooCoarse, HalflineParams,
-                   InsufficientBands, LatticeSpec, PointKind, Regime, asymptotic_regime,
-                   band_condition_lhs_bound, band_condition_rhs, band_structure,
+from gpi1d import (BandInterval, CouplingScheme, GapInterval, GreekParams, GridTooCoarse,
+                   HalflineParams, InsufficientBands, LatticeSpec, PointKind, Regime,
+                   asymptotic_regime, band_condition_lhs_bound, band_condition_rhs, band_structure,
                    bloch_determinant, classify_regime, dispersion,
                    gauge_transform, monodromy_trace, point_spectrum, scheme_to_transfer,
                    trace_at_energy)
@@ -167,6 +167,21 @@ def test_signed_wavenumber_trace_is_finite_far_below_zero():
     assert all(np.all(np.isfinite(v)) for v in values)
 
 
+def test_signed_wavenumber_trace_below_zero_alone_is_the_masked_trace(rng):
+    # an all-negative array takes no masks; its values are those of the same
+    # points among positive ones, bit for bit, from q ell ~ 1e-3 to ~1e3
+    for _ in range(30):
+        g = random_greek(rng, allow_beta_zero=True)
+        spec = LatticeSpec(CouplingScheme.from_greek(g), float(rng.uniform(0.5, 2.0)))
+        coeffs, ell = spec._trace_coeffs, spec.ell
+        z = -10.0 ** rng.uniform(-3.0, 2.7, 25)
+        mixed = lattice._trace(coeffs, ell, np.concatenate([z, rng.uniform(0.05, 25.0, 5), [0.0]]))
+        for alone, among in zip(lattice._trace(coeffs, ell, z), mixed):
+            assert np.array_equal(alone, among[:z.size])
+        for alone, among in zip(lattice._trace(coeffs, ell, z[0]), mixed):
+            assert alone == among[0]
+
+
 def test_bloch_determinant_oracle(rng):
     # in a band the determinant has a theta root at the band-condition solution;
     # outside, its minimum over theta scales with the band-condition excess
@@ -192,6 +207,26 @@ def test_bloch_determinant_oracle(rng):
 # ---------------------------------------------------------------------------
 # band structure
 # ---------------------------------------------------------------------------
+
+def test_band_and_gap_records_are_immutable_hashable_tuples():
+    bands, gaps = band_structure(_spec(-1.0, 0.5, 0.3 + 0.4j), 6)
+    again = band_structure(_spec(-1.0, 0.5, 0.3 + 0.4j), 6)
+    assert (bands, gaps) == again
+    assert len({*bands, *again[0]}) == len(bands) and len({*gaps, *again[1]}) == len(gaps)
+    band, gap = bands[1], gaps[1]
+    with pytest.raises(AttributeError):
+        band.e_lo = 0.0
+    with pytest.raises(AttributeError):
+        gap.closed = True
+    assert band.width == band.e_hi - band.e_lo and gap.width == gap.e_hi - gap.e_lo
+    assert (band.m, gap.m) == (2, 2) and gap.closed is False
+    m, e_lo, e_hi = band
+    assert band == (m, e_lo, e_hi) == BandInterval(m, e_lo, e_hi)
+    assert repr(BandInterval(2, 1.0, 3.5)) == "BandInterval(m=2, e_lo=1.0, e_hi=3.5)"
+    assert repr(GapInterval(2, 3.5, 4.0)) == "GapInterval(m=2, e_lo=3.5, e_hi=4.0, closed=False)"
+    assert GapInterval(2, 3.5, 4.0) == (2, 3.5, 4.0, False)
+    assert GapInterval(2, 3.5, 3.5, closed=True).closed is True
+
 
 def test_free_single_band():
     bands, gaps = band_structure(_spec(0.0, 0.0, 0.0), 5)
@@ -573,6 +608,48 @@ def test_band_points_below_zero_take_few_evaluations(monkeypatch):
     assert band_points <= 10
 
 
+# one coupling per high-energy regime, those of the `bands` benchmark workload
+ONE_PER_REGIME = [(0.0, 1.0, 0.0), (-2.0, 0.0, 0.0), (-1.0, 0.5, 0.3 + 0.4j),
+                  (-1.0, 0.0, 0.5 + 0.3j)]
+
+
+@pytest.mark.parametrize("greek", ONE_PER_REGIME,
+                         ids=["delta_prime", "delta", "generic", "intermediate"])
+def test_band_points_above_zero_take_few_evaluations(monkeypatch, greek):
+    # Newton on tr stops at its first step into the band (the root of tr
+    # took 6-9 evaluations)
+    gap_points, band_points, edges = _solver_evaluations(monkeypatch, _spec(*greek), 200)
+    assert band_points <= 4
+
+
+def _band_points(monkeypatch, spec, m_max):
+    # the band points of one band_structure, the roots of its second _newton call
+    found, solve = [], lattice._newton
+
+    def recorded(*args, **kwargs):
+        found.append(solve(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(lattice, "_newton", recorded)
+    bands, _ = band_structure(spec, m_max)
+    monkeypatch.setattr(lattice, "_newton", solve)
+    return found[1], bands
+
+
+def test_band_points_above_zero_lie_strictly_inside_their_bands(monkeypatch):
+    rng = np.random.default_rng(14)
+    specs = [_spec(*greek) for greek in ONE_PER_REGIME]
+    specs += [_fuzzed_lattice(rng, ["delta_prime", "delta", "intermediate", "near_delta",
+                                    "strong_delta"][i % 5]) for i in range(60)]
+    for spec in specs:
+        points, bands = _band_points(monkeypatch, spec, 12)
+        energies = [z * z for z in points.tolist() if z > 0.0 and z * z < bands[-1].e_hi]
+        assert len(energies) >= 10
+        for e in energies:
+            assert sum(b.e_lo < e < b.e_hi for b in bands) == 1, (spec.scheme.greek, spec.ell, e)
+            assert abs(trace_at_energy(spec, e)) < 2.0
+
+
 @pytest.mark.parametrize("alpha, beta", [(-2.0, 0.0), (0.0, 1.0)], ids=["delta", "delta_prime"])
 def test_edges_on_gap_points_take_few_evaluations(monkeypatch, alpha, beta):
     # every Dirichlet point of delta and Neumann point of delta' is a band
@@ -598,14 +675,14 @@ def test_newton_returns_on_narrow_cells(monkeypatch, alpha, beta, gamma, ell, m_
     ((-1.0, 0.0, 0.5 + 0.3j), 1.0), ((-2.3, -0.7, 0.2 - 0.9j), 80.0),
 ], ids=["delta_prime", "delta", "generic", "intermediate", "bound_bands"])
 def test_band_structure_takes_the_trace_once_per_grid_point(monkeypatch, greek, ell):
-    # the gap points and the points between them each go to _trace once;
-    # solver steps and the scalar probes that place the bottom anchor aside
+    # the scalar probes that place the bottom anchor, the gap points and the
+    # points between them each go to _trace once; solver steps aside
     seen, solving = [], []
     trace, solve = lattice._trace, lattice._newton
 
     def recorded(coeffs, ell, z):
-        if not solving and np.ndim(z):
-            seen.extend(np.asarray(z).tolist())
+        if not solving:
+            seen.extend(np.ravel(z).tolist())
         return trace(coeffs, ell, z)
 
     def marked(*args, **kwargs):
@@ -633,12 +710,34 @@ def test_attractive_delta_bands_are_counted_from_the_bottom(alpha):
     assert bands[1].e_lo == pytest.approx(PI ** 2, rel=1e-12)
 
 
-def test_exactly_closed_gap_raises_naming_the_merged_band():
-    # at this ell the gap at E = 1 closes: the two bands beside it touch and
-    # the scan sees one band holding two roots of tr
+def test_exactly_closed_gap_is_reported_with_zero_width():
+    # at this ell the gap at E = 1 closes: tr = -2 there, its Dirichlet and
+    # Neumann points coincide, and the two bands beside it meet there
     spec = _spec(-1.0, 1.0, 0.0, ell=8.497482742767767)
-    with pytest.raises(GridTooCoarse, match=r"band 3 \[0\.4408\d*, 1\.7953\d*\] holds 2 band points"):
-        band_structure(spec, 8)
+    assert trace_at_energy(spec, 1.0) == -2.0
+    bands, gaps = band_structure(spec, 8)
+    assert [b.m for b in bands] == list(range(1, 9))
+    assert bands[2].e_hi == bands[3].e_lo == 1.0
+    assert gaps[2] == GapInterval(3, 1.0, 1.0, closed=True)
+    assert [gp.closed for gp in gaps] == [gp.m == 3 for gp in gaps]
+
+
+def test_a_gap_the_grid_misses_still_raises(monkeypatch):
+    # the grid holds a point in band 3 in place of the gap points of gap 3:
+    # bands 3 and 4 run together through it, and one point is no closed gap
+    spec = _spec(-1.0, 0.5, 0.3 + 0.4j)
+    gap = band_structure(spec, 12)[1][2]
+    grid = lattice._gap_grid
+
+    def missing(spec, k_max):
+        pts = grid(spec, k_max)
+        energies = pts * np.abs(pts)
+        kept = pts[(energies < gap.e_lo) | (energies > gap.e_hi)]
+        return np.sort(np.append(kept, math.sqrt(gap.e_lo - 1.0)))
+
+    monkeypatch.setattr(lattice, "_gap_grid", missing)
+    with pytest.raises(GridTooCoarse, match=r"band 3 \[.*\] holds 2 band points"):
+        band_structure(spec, 12)
 
 
 def test_bands_are_labelled_one_to_m_max():

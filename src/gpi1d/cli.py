@@ -286,9 +286,19 @@ def _emit(summary: dict, header: list, rows: list, fmt: str) -> str:
     if fmt == "json":
         head = json.dumps({"summary": summary, "columns": header}, indent=2,
                           default=_json_default)
-        # the rows go through the C encoder (indent None), one row per line
+        # The rows go through the C encoder (indent None) in one call, one row
+        # per line.  Each boundary between two rows reads "], ["; when the
+        # encoded table holds no other "], [" (a nested list or a string can),
+        # the boundaries are exactly those.
         encode = json.JSONEncoder(default=_json_default).encode
-        body = "[\n    " + ",\n    ".join(map(encode, rows)) + "\n  ]" if rows else "[]"
+        if not rows:
+            body = "[]"
+        else:
+            table = encode(rows)
+            if table.count("], [") == len(rows) - 1:
+                body = "[\n    " + table[1:-1].replace("], [", "],\n    [") + "\n  ]"
+            else:
+                body = "[\n    " + ",\n    ".join(map(encode, rows)) + "\n  ]"
         return f'{head[:-2]},\n  "rows": {body}\n}}\n'
     buf = io.StringIO()
     for key, val in summary.items():

@@ -80,6 +80,16 @@ def _require_finite_complex(*values: complex) -> None:
 # ---------------------------------------------------------------------------
 # Parameter records
 # ---------------------------------------------------------------------------
+#
+# The four chart records accept the common case in one test: real fields whose
+# type is exactly float, a complex field whose type is exactly complex, and a
+# finite sum of all of them.  Any other input goes through _require_finite and
+# _require_finite_complex, which decide what is stored, refused and said.
+#
+# Records built on every scalar call (these four, the scheme, the symmetry
+# flags and spectral's outputs) are frozen dataclasses with an explicit
+# __init__ that stores the fields straight into the instance dict; the
+# generated one calls object.__setattr__ per field, which takes twice as long.
 
 @dataclass(frozen=True)
 class GreekParams:
@@ -89,10 +99,13 @@ class GreekParams:
     beta: float
     gamma: complex
 
-    def __post_init__(self):
-        _require_finite(self.alpha, self.beta)
-        _require_finite_complex(self.gamma)
-        object.__setattr__(self, "gamma", complex(self.gamma))
+    def __init__(self, alpha: float, beta: float, gamma: complex):
+        if not (type(alpha) is float and type(beta) is float and type(gamma) is complex
+                and math.isfinite(alpha + beta + gamma.real + gamma.imag)):
+            _require_finite(alpha, beta)
+            _require_finite_complex(gamma)
+            gamma = complex(gamma)
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma)
 
     @property
     def det(self) -> float:
@@ -112,10 +125,13 @@ class HalflineParams:
     b: float
     c: complex
 
-    def __post_init__(self):
-        _require_finite(self.a, self.b)
-        _require_finite_complex(self.c)
-        object.__setattr__(self, "c", complex(self.c))
+    def __init__(self, a: float, b: float, c: complex):
+        if not (type(a) is float and type(b) is float and type(c) is complex
+                and math.isfinite(a + b + c.real + c.imag)):
+            _require_finite(a, b)
+            _require_finite_complex(c)
+            c = complex(c)
+        self.__dict__.update(a=a, b=b, c=c)
 
     @property
     def scale(self) -> float:
@@ -130,10 +146,13 @@ class InverseParams:
     B: float
     C: complex
 
-    def __post_init__(self):
-        _require_finite(self.A, self.B)
-        _require_finite_complex(self.C)
-        object.__setattr__(self, "C", complex(self.C))
+    def __init__(self, A: float, B: float, C: complex):
+        if not (type(A) is float and type(B) is float and type(C) is complex
+                and math.isfinite(A + B + C.real + C.imag)):
+            _require_finite(A, B)
+            _require_finite_complex(C)
+            C = complex(C)
+        self.__dict__.update(A=A, B=B, C=C)
 
     @property
     def scale(self) -> float:
@@ -150,15 +169,20 @@ class TransferParams:
     tc: float
     td: float
 
-    def __post_init__(self):
-        _require_finite_complex(self.omega)
-        _require_finite(self.ta, self.tb, self.tc, self.td)
-        object.__setattr__(self, "omega", complex(self.omega))
-        if abs(abs(self.omega) - 1.0) > 1e-12:
-            raise ValueError(f"|omega| must be 1, got {abs(self.omega)!r}")
-        det = self.ta * self.td - self.tb * self.tc
-        if abs(det - 1.0) > 1e-12 * max(1.0, abs(self.ta * self.td), abs(self.tb * self.tc)):
+    def __init__(self, omega: complex, ta: float, tb: float, tc: float, td: float):
+        if not (type(omega) is complex and type(ta) is float and type(tb) is float
+                and type(tc) is float and type(td) is float
+                and math.isfinite(omega.real + omega.imag + ta + tb + tc + td)):
+            _require_finite_complex(omega)
+            _require_finite(ta, tb, tc, td)
+            omega = complex(omega)
+        if abs(abs(omega) - 1.0) > 1e-12:
+            raise ValueError(f"|omega| must be 1, got {abs(omega)!r}")
+        tatd, tbtc = ta * td, tb * tc
+        det = tatd - tbtc
+        if abs(det - 1.0) > 1e-12 * max(1.0, abs(tatd), abs(tbtc)):
             raise ValueError(f"ta*td - tb*tc must be 1, got {det!r}")
+        self.__dict__.update(omega=omega, ta=ta, tb=tb, tc=tc, td=td)
 
     @property
     def matrix(self):
@@ -282,9 +306,11 @@ class CouplingScheme:
     greek: GreekParams | None = None
     separated: SeparatedHalflineBC | None = None
 
-    def __post_init__(self):
-        if (self.greek is None) == (self.separated is None):
+    def __init__(self, greek: GreekParams | None = None,
+                 separated: SeparatedHalflineBC | None = None):
+        if (greek is None) == (separated is None):
             raise ValueError("exactly one of greek/separated must be given")
+        self.__dict__.update(greek=greek, separated=separated)
 
     @property
     def is_separated(self) -> bool:
@@ -296,11 +322,10 @@ class CouplingScheme:
 
         Converted on first use and kept on the scheme.
         """
-        if self.greek is None:
+        g = self.greek
+        if g is None or abs(g.beta) <= DEGENERACY_TOL * self._matrix.scale:
             return None
-        if abs(self.greek.beta) <= DEGENERACY_TOL * self.greek.scale:
-            return None
-        return greek_to_halfline(self.greek)
+        return greek_to_halfline(g)
 
     @cached_property
     def _matrix(self) -> "_MatrixConstants | None":
@@ -310,8 +335,8 @@ class CouplingScheme:
     @classmethod
     def from_greek(cls, greek: GreekParams) -> "CouplingScheme":
         if _greek_is_decoupled(greek):
-            return cls(separated=_separated_from_decoupled_greek(greek))
-        return cls(greek=greek)
+            return cls(None, _separated_from_decoupled_greek(greek))
+        return cls(greek)
 
     @classmethod
     def from_halfline(cls, h: HalflineParams) -> "CouplingScheme":
@@ -350,21 +375,25 @@ class _MatrixConstants(NamedTuple):
 
 
 def _matrix_constants(g: GreekParams) -> _MatrixConstants:
-    det = g.det
+    alpha, beta, gamma = g.alpha, g.beta, g.gamma
+    det = alpha * beta + abs(gamma) ** 2
     four_det = 4.0 + det
+    abs_alpha, abs_beta = abs(alpha), abs(beta)
     return _MatrixConstants(
-        g.beta, det, g.scale, 2.0 * g.alpha, four_det, 2.0 * g.beta,
-        abs(g.alpha), abs(four_det), abs(g.beta),
-        four_det - 4.0 * g.gamma.real, four_det + 4.0 * g.gamma.real,
-        4.0 - det + 4j * g.gamma.imag, 4.0 - det - 4j * g.gamma.imag)
+        beta, det, max(abs_alpha, abs_beta, abs(gamma), 1.0), 2.0 * alpha, four_det,
+        2.0 * beta, abs_alpha, abs(four_det), abs_beta,
+        four_det - 4.0 * gamma.real, four_det + 4.0 * gamma.real,
+        4.0 - det + 4j * gamma.imag, 4.0 - det - 4j * gamma.imag)
 
 
 def _greek_is_decoupled(g: GreekParams) -> bool:
-    det = g.det
+    alpha, beta, gamma = g.alpha, g.beta, g.gamma
+    gamma_mod = abs(gamma)
+    det = alpha * beta + gamma_mod ** 2
     if not math.isfinite(det):  # alpha beta overflowed; it must not scale the tolerance
         raise DegenerateParametrization("det", abs(det))
-    tol = DEGENERACY_TOL * max(1.0, abs(det), g.scale)
-    return abs(det - 4.0) <= tol and abs(g.gamma.imag) <= tol
+    tol = DEGENERACY_TOL * max(abs(det), abs(alpha), abs(beta), gamma_mod, 1.0)
+    return abs(det - 4.0) <= tol and abs(gamma.imag) <= tol
 
 
 def _separated_from_decoupled_greek(g: GreekParams) -> SeparatedHalflineBC:
@@ -392,22 +421,25 @@ def greek_to_halfline(g: GreekParams) -> HalflineParams:
     (a, c; conj(c), b) = (1/(4 beta)) * (4+det+4 Re g,  -4+det-4i Im g;
                                          -4+det+4i Im g, 4+det-4 Re g)
     """
-    _check_denominator(g.beta, g.scale, "beta")
-    det = g.det
-    a = (4.0 + det + 4.0 * g.gamma.real) / (4.0 * g.beta)
-    b = (4.0 + det - 4.0 * g.gamma.real) / (4.0 * g.beta)
-    c = (-4.0 + det - 4.0j * g.gamma.imag) / (4.0 * g.beta)
-    return HalflineParams(a, b, c)
+    alpha, beta, gamma = g.alpha, g.beta, g.gamma
+    gamma_mod = abs(gamma)
+    if abs(beta) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
+        raise DegenerateParametrization("beta", abs(beta))
+    det = alpha * beta + gamma_mod ** 2
+    re4, four_beta = 4.0 * gamma.real, 4.0 * beta
+    return HalflineParams((4.0 + det + re4) / four_beta, (4.0 + det - re4) / four_beta,
+                          (-4.0 + det - 4.0j * gamma.imag) / four_beta)
 
 
 def halfline_to_greek(h: HalflineParams) -> GreekParams:
     """Halfline form -> matrix form; requires a + b - 2 Re c != 0."""
-    den = h.a + h.b - 2.0 * h.c.real
-    _check_denominator(den, h.scale, "a+b-2Re(c)")
-    alpha = 4.0 * (h.a * h.b - abs(h.c) ** 2) / den
-    gamma = 4.0 * (0.5 * (h.a - h.b) - 1.0j * h.c.imag) / den
-    beta = 4.0 / den
-    return GreekParams(alpha, beta, gamma)
+    a, b, c = h.a, h.b, h.c
+    c_mod = abs(c)
+    den = a + b - 2.0 * c.real
+    if abs(den) <= DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0):
+        raise DegenerateParametrization("a+b-2Re(c)", abs(den))
+    return GreekParams(4.0 * (a * b - c_mod ** 2) / den, 4.0 / den,
+                       4.0 * (0.5 * (a - b) - 1.0j * c.imag) / den)
 
 
 def halfline_to_inverse(h: HalflineParams) -> InverseParams:
@@ -418,16 +450,22 @@ def halfline_to_inverse(h: HalflineParams) -> InverseParams:
     condition: (1 + kappa A)(1 + kappa B) - kappa^2 |C|^2 = 0 has the same
     roots as (a + kappa)(b + kappa) - |c|^2 = 0.
     """
-    den = h.a * h.b - abs(h.c) ** 2
-    _check_denominator(den, h.scale ** 2, "a*b-|c|^2")
-    return InverseParams(h.b / den, h.a / den, -h.c / den)
+    a, b, c = h.a, h.b, h.c
+    c_mod = abs(c)
+    den = a * b - c_mod ** 2
+    if abs(den) <= DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0) ** 2:
+        raise DegenerateParametrization("a*b-|c|^2", abs(den))
+    return InverseParams(b / den, a / den, -c / den)
 
 
 def inverse_to_halfline(i: InverseParams) -> HalflineParams:
     """Inverse form -> halfline form; requires AB - |C|^2 != 0."""
-    den = i.A * i.B - abs(i.C) ** 2
-    _check_denominator(den, i.scale ** 2, "A*B-|C|^2")
-    return HalflineParams(i.B / den, i.A / den, -i.C / den)
+    A, B, C = i.A, i.B, i.C
+    C_mod = abs(C)
+    den = A * B - C_mod ** 2
+    if abs(den) <= DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0) ** 2:
+        raise DegenerateParametrization("A*B-|C|^2", abs(den))
+    return HalflineParams(B / den, A / den, -C / den)
 
 
 def greek_to_inverse(g: GreekParams) -> InverseParams:
@@ -437,22 +475,25 @@ def greek_to_inverse(g: GreekParams) -> InverseParams:
     (A, C; conj(C), B) = (1/(4 alpha)) * (4+det-4 Re g,  4-det+4i Im g;
                                           4-det-4i Im g, 4+det+4 Re g).
     """
-    _check_denominator(g.alpha, g.scale, "alpha")
-    det = g.det
-    A = (4.0 + det - 4.0 * g.gamma.real) / (4.0 * g.alpha)
-    B = (4.0 + det + 4.0 * g.gamma.real) / (4.0 * g.alpha)
-    C = (4.0 - det + 4.0j * g.gamma.imag) / (4.0 * g.alpha)
-    return InverseParams(A, B, C)
+    alpha, beta, gamma = g.alpha, g.beta, g.gamma
+    gamma_mod = abs(gamma)
+    if abs(alpha) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
+        raise DegenerateParametrization("alpha", abs(alpha))
+    det = alpha * beta + gamma_mod ** 2
+    re4, four_alpha = 4.0 * gamma.real, 4.0 * alpha
+    return InverseParams((4.0 + det - re4) / four_alpha, (4.0 + det + re4) / four_alpha,
+                         (4.0 - det + 4.0j * gamma.imag) / four_alpha)
 
 
 def inverse_to_greek(i: InverseParams) -> GreekParams:
     """Inverse form -> matrix form; requires A + B + 2 Re C != 0."""
-    den = i.A + i.B + 2.0 * i.C.real
-    _check_denominator(den, i.scale, "A+B+2Re(C)")
-    alpha = 4.0 / den
-    beta = 4.0 * (i.A * i.B - abs(i.C) ** 2) / den
-    gamma = (2.0 * (i.B - i.A) + 4.0j * i.C.imag) / den
-    return GreekParams(alpha, beta, gamma)
+    A, B, C = i.A, i.B, i.C
+    C_mod = abs(C)
+    den = A + B + 2.0 * C.real
+    if abs(den) <= DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0):
+        raise DegenerateParametrization("A+B+2Re(C)", abs(den))
+    return GreekParams(4.0 / den, 4.0 * (A * B - C_mod ** 2) / den,
+                       (2.0 * (B - A) + 4.0j * C.imag) / den)
 
 
 def transfer_to_halfline(t: TransferParams) -> HalflineParams:
@@ -460,9 +501,10 @@ def transfer_to_halfline(t: TransferParams) -> HalflineParams:
 
     a = td/tb, b = ta/tb, c = -omega/tb.
     """
-    scale = max(abs(t.ta), abs(t.tb), abs(t.tc), abs(t.td), 1.0)
-    _check_denominator(t.tb, scale, "tb")
-    return HalflineParams(t.td / t.tb, t.ta / t.tb, -t.omega / t.tb)
+    ta, tb, td = t.ta, t.tb, t.td
+    if abs(tb) <= DEGENERACY_TOL * max(abs(ta), abs(tb), abs(t.tc), abs(td), 1.0):
+        raise DegenerateParametrization("tb", abs(tb))
+    return HalflineParams(td / tb, ta / tb, -t.omega / tb)
 
 
 def transfer_to_greek(t: TransferParams) -> GreekParams:
@@ -471,13 +513,12 @@ def transfer_to_greek(t: TransferParams) -> GreekParams:
     alpha = 4 tc / E, beta = 4 tb / E, gamma = (2 (td - ta) + 4i Im omega) / E
     with E = ta + td + 2 Re omega.
     """
-    den = t.ta + t.td + 2.0 * t.omega.real
-    scale = max(abs(t.ta), abs(t.td), 1.0)
-    _check_denominator(den, scale, "ta+td+2Re(omega)")
-    alpha = 4.0 * t.tc / den
-    beta = 4.0 * t.tb / den
-    gamma = (2.0 * (t.td - t.ta) + 4.0j * t.omega.imag) / den
-    return GreekParams(alpha, beta, gamma)
+    omega, ta, td = t.omega, t.ta, t.td
+    den = ta + td + 2.0 * omega.real
+    if abs(den) <= DEGENERACY_TOL * max(abs(ta), abs(td), 1.0):
+        raise DegenerateParametrization("ta+td+2Re(omega)", abs(den))
+    return GreekParams(4.0 * t.tc / den, 4.0 * t.tb / den,
+                       (2.0 * (td - ta) + 4.0j * omega.imag) / den)
 
 
 def halfline_to_transfer(h: HalflineParams) -> TransferParams:
@@ -485,9 +526,11 @@ def halfline_to_transfer(h: HalflineParams) -> TransferParams:
 
     omega = -c/|c|, (ta, tb, tc, td) = (b, 1, ab-|c|^2, a)/|c|.
     """
-    _check_denominator(h.c, h.scale, "c")
-    m = abs(h.c)
-    return TransferParams(-h.c / m, h.b / m, 1.0 / m, (h.a * h.b - m * m) / m, h.a / m)
+    a, b, c = h.a, h.b, h.c
+    m = abs(c)
+    if m <= DEGENERACY_TOL * max(abs(a), abs(b), m, 1.0):
+        raise DegenerateParametrization("c", m)
+    return TransferParams(-c / m, b / m, 1.0 / m, (a * b - m * m) / m, a / m)
 
 
 def greek_to_transfer(g: GreekParams) -> TransferParams:
@@ -500,18 +543,22 @@ def greek_to_transfer(g: GreekParams) -> TransferParams:
     through the halfline form, halfline_to_transfer(greek_to_halfline(g)),
     without dividing by beta.
     """
-    det = g.det
-    wmod = math.hypot(4.0 - det, 4.0 * g.gamma.imag)
-    _check_denominator(wmod, max(1.0, det), "|4-det+4i*Im(gamma)|")
-    s = -1.0 if g.beta < 0 else 1.0
-    omega0 = complex(4.0 - det, 4.0 * g.gamma.imag) / wmod
+    alpha, beta, gamma = g.alpha, g.beta, g.gamma
+    det = alpha * beta + abs(gamma) ** 2
+    im4 = 4.0 * gamma.imag
+    wmod = math.hypot(4.0 - det, im4)
+    if wmod <= DEGENERACY_TOL * max(1.0, det):
+        raise DegenerateParametrization("|4-det+4i*Im(gamma)|", wmod)
+    s = -1.0 if beta < 0 else 1.0
+    omega0 = complex(4.0 - det, im4) / wmod
     e = 16.0 / wmod
     # s multiplies finished values, so beta = 0 results stay bit for bit; a
     # shorter ta = s (4+det-4 Re gamma)/|w| rounds |tr| above 2 on gapless couplings
-    ta = s * ((e - 2.0 * omega0.real - e * g.gamma.real / 2.0) / 2.0)
-    td = s * ((e - 2.0 * omega0.real + e * g.gamma.real / 2.0) / 2.0)
-    omega = complex(s * omega0.real, s * omega0.imag)
-    return TransferParams(omega, ta, s * (e * g.beta / 4.0), s * (g.alpha * e / 4.0), td)
+    re2, half_re = 2.0 * omega0.real, e * gamma.real / 2.0
+    ta = s * ((e - re2 - half_re) / 2.0)
+    td = s * ((e - re2 + half_re) / 2.0)
+    return TransferParams(complex(s * omega0.real, s * omega0.imag), ta,
+                          s * (e * beta / 4.0), s * (alpha * e / 4.0), td)
 
 
 def scheme_to_transfer(scheme: CouplingScheme) -> TransferParams:
@@ -566,6 +613,10 @@ class SymmetryFlags:
     space_reflection: bool
     quasifree: bool
 
+    def __init__(self, time_reversal: bool, space_reflection: bool, quasifree: bool):
+        self.__dict__.update(time_reversal=time_reversal, space_reflection=space_reflection,
+                             quasifree=quasifree)
+
 
 def is_decoupled(scheme: CouplingScheme) -> bool:
     """True iff the scheme separates the two halflines (det = 4 and Im gamma = 0, i.e. c = 0)."""
@@ -589,11 +640,11 @@ def classify_symmetries(scheme: CouplingScheme) -> SymmetryFlags:
                              space_reflection=(sep.right == sep.left),
                              quasifree=False)
     g = scheme.greek
-    tol = DEGENERACY_TOL * g.scale
-    time_reversal = abs(g.gamma.imag) <= tol
-    space_reflection = abs(g.gamma) <= tol
-    quasifree = abs(g.alpha) <= tol and abs(g.beta) <= tol and abs(g.gamma.real) <= tol
-    return SymmetryFlags(time_reversal, space_reflection, quasifree)
+    abs_alpha, abs_beta, gamma = abs(g.alpha), abs(g.beta), g.gamma
+    gamma_mod = abs(gamma)
+    tol = DEGENERACY_TOL * max(abs_alpha, abs_beta, gamma_mod, 1.0)
+    return SymmetryFlags(abs(gamma.imag) <= tol, gamma_mod <= tol,
+                         abs_alpha <= tol and abs_beta <= tol and abs(gamma.real) <= tol)
 
 
 def gauge_transform(h: HalflineParams, phi: float) -> HalflineParams:

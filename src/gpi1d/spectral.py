@@ -35,7 +35,11 @@ What depends only on the coupling is built once per `CouplingScheme`, on
 first use, and kept on it: the matrix-form constants (2 alpha, 4 + det and
 2 beta of Delta, the magnitudes its pole test scales by, and the constant
 parts of the four quadrant coefficients) and the halfline form.  A scalar
-kernel or S-matrix call reads them instead of deriving them again.
+kernel or S-matrix call reads them instead of deriving them again, and
+evaluates its closed form inline on Python scalars (`s_matrix` its halfline
+branch; `green_kernel` its sides, pole test and quadrant coefficient), with the
+same expressions and the same bits as the helpers that the array and oracle
+paths call.
 """
 
 from __future__ import annotations
@@ -182,8 +186,8 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
     use the decoupled kernel.
     """
     k = _check_sheet(k)
-    sx = _side(x, x_side, "x")
-    sxp = _side(xp, xp_side, "x'")
+    sx = 1 if x > 0 else -1 if x < 0 else _side(x, x_side, "x")
+    sxp = 1 if xp > 0 else -1 if xp < 0 else _side(xp, xp_side, "x'")
     free = _free_pair_value(sx, sxp, x, xp, k)
     expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
     m = scheme._matrix
@@ -192,7 +196,18 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
             return 0.0 + 0.0j
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
         return free + _separated_corr(bc, k) * expfac
-    return free + _correction(m, k, sx, sxp) * expfac
+    # _correction(m, k, sx, sxp), with its _quadrant_coef, inline
+    (beta, _, _, two_alpha, four_det, two_beta, abs_alpha, abs_four_det, abs_beta,
+     pp, mm, pm, mp) = m
+    d = two_alpha - 1j * k * four_det - two_beta * k * k
+    abs_k = abs(k)
+    if abs(d) <= _POLE_TOL * max(1.0, abs_alpha, abs_k * abs_four_det, abs_beta * abs_k ** 2):
+        raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
+    if sx == sxp:
+        coef = (pp if sx > 0 else mm) - 4j * k * beta
+    else:
+        coef = pm if sx > 0 else mp
+    return free + 0.5 / d * coef * expfac
 
 
 def green_kernel_dx(scheme: CouplingScheme, x: float, xp: float, k: complex,
@@ -269,12 +284,16 @@ class SpectralPoint:
     mu: complex | None = None
     nu: complex | None = None
 
+    def __init__(self, kappa: float, energy: float, kind: PointKind,
+                 mu: complex | None = None, nu: complex | None = None):
+        # frozen: the fields go straight into the instance dict (see params, "Parameter records")
+        self.__dict__.update(kappa=kappa, energy=energy, kind=kind, mu=mu, nu=nu)
 
-def _denominator_roots(scheme: CouplingScheme) -> list[float]:
+
+def _denominator_roots(g: GreekParams, m: _MatrixConstants) -> list[float]:
     # Delta(i kappa) = 0 reads 2 beta kappa^2 + (4+det) kappa + 2 alpha = 0;
     # stable quadratic, so neither root cancels.  The discriminant is
     # (4 - alpha beta)^2 + 2|gamma|^2 (4 + alpha beta) + |gamma|^4 >= 0.
-    g, m = scheme.greek, scheme._matrix
     b = m.four_det
     q = -(b + math.copysign(math.sqrt(max(b * b - 16.0 * g.alpha * g.beta, 0.0)), b)) / 2.0
     if abs(g.beta) <= DEGENERACY_TOL * m.scale:
@@ -316,28 +335,16 @@ def _zero_root_is_spurious(scheme: CouplingScheme) -> bool:
     return max(devs) <= 1e-10 * scale
 
 
-def _bound_coefficients(scheme: CouplingScheme, kappa: float) -> tuple[complex, complex]:
-    m = scheme._matrix
+def _bound_coefficients(g: GreekParams, m: _MatrixConstants,
+                        kappa: float) -> tuple[complex, complex]:
     # boundary system at the root, (a+kappa) mu + c nu = 0, times 4 beta
-    mu0 = complex(4.0 - m.det, 4.0 * scheme.greek.gamma.imag)
+    mu0 = complex(4.0 - m.det, 4.0 * g.gamma.imag)
     nu0 = complex(m.mm + 4.0 * m.beta * kappa)
     norm = math.sqrt((abs(mu0) ** 2 + abs(nu0) ** 2) / (2.0 * kappa))
     mu0, nu0 = mu0 / norm, nu0 / norm
     anchor = mu0 if abs(mu0) > 1e-300 else nu0
     phase = anchor.conjugate() / abs(anchor)
     return mu0 * phase, nu0 * phase
-
-
-def _classified_point(scheme: CouplingScheme, kappa: float, ztol: float) -> SpectralPoint:
-    if kappa > ztol:
-        mu, nu = _bound_coefficients(scheme, kappa)
-        return SpectralPoint(kappa, -kappa * kappa, PointKind.BOUND, mu, nu)
-    if kappa < -ztol:
-        return SpectralPoint(kappa, -kappa * kappa, PointKind.ANTIBOUND)
-    kind = (PointKind.SPURIOUS_ROOT if _zero_root_is_spurious(scheme)
-            else PointKind.ZERO_RESONANCE)
-    # the window decides the kind only; the root is reported as computed (+ 0.0 turns -0.0 into 0.0)
-    return SpectralPoint(kappa + 0.0, 0.0 - kappa * kappa, kind)
 
 
 def point_spectrum(scheme: CouplingScheme) -> list[SpectralPoint]:
@@ -367,9 +374,20 @@ def point_spectrum(scheme: CouplingScheme) -> list[SpectralPoint]:
         points.sort(key=lambda p: -p.kappa)
         return points
 
-    ztol = DEGENERACY_TOL * scheme._matrix.scale
-    for kappa in _denominator_roots(scheme):
-        points.append(_classified_point(scheme, kappa, ztol))
+    g, m = scheme.greek, scheme._matrix
+    ztol = DEGENERACY_TOL * m.scale
+    for kappa in _denominator_roots(g, m):
+        if kappa > ztol:
+            mu, nu = _bound_coefficients(g, m, kappa)
+            points.append(SpectralPoint(kappa, -kappa * kappa, PointKind.BOUND, mu, nu))
+        elif kappa < -ztol:
+            points.append(SpectralPoint(kappa, -kappa * kappa, PointKind.ANTIBOUND))
+        else:
+            kind = (PointKind.SPURIOUS_ROOT if _zero_root_is_spurious(scheme)
+                    else PointKind.ZERO_RESONANCE)
+            # the window decides the kind only; the root is reported as computed
+            # (+ 0.0 turns -0.0 into 0.0)
+            points.append(SpectralPoint(kappa + 0.0, 0.0 - kappa * kappa, kind))
     return points
 
 
@@ -401,24 +419,27 @@ def binding_regime(h: HalflineParams) -> BindingRegime:
     is the doubly degenerate eigenvalue crossing of two identical Robin
     halflines.
     """
-    tol = DEGENERACY_TOL * h.scale
+    a, b = h.a, h.b
     cmod = abs(h.c)
-    s = h.a + h.b
-    sq = math.sqrt((h.a - h.b) ** 2 + 4.0 * cmod ** 2)
+    tol = DEGENERACY_TOL * max(abs(a), abs(b), cmod, 1.0)
+    s, ab, split = a + b, a * b, abs(a - b)
+    sq = math.sqrt((a - b) ** 2 + 4.0 * cmod ** 2)
     detail = {
         "kappa_hi": (-s + sq) / 2.0,
         "kappa_lo": (-s - sq) / 2.0,
-        "coupling_threshold": math.sqrt(h.a * h.b) if h.a * h.b > 0 else None,
+        "coupling_threshold": math.sqrt(ab) if ab > 0 else None,
     }
-    if abs(h.a - h.b) <= tol and cmod <= tol:
-        return BindingRegime(BindingKind.CROSSING, detail)
-    if h.a * h.b < 0:
-        return BindingRegime(BindingKind.MIXED_SIGN, detail)
-    if h.a > 0 and h.b > 0 and abs(h.a - h.b) > tol and cmod ** 2 > h.a * h.b:
-        return BindingRegime(BindingKind.CONSPIRACY_BINDING, detail)
-    if h.a < 0 and h.b < 0 and abs(h.a - h.b) > tol and cmod ** 2 < h.a * h.b:
-        return BindingRegime(BindingKind.TWO_BOUND, detail)
-    return BindingRegime(BindingKind.OTHER, detail)
+    if split <= tol and cmod <= tol:
+        kind = BindingKind.CROSSING
+    elif ab < 0:
+        kind = BindingKind.MIXED_SIGN
+    elif a > 0 and b > 0 and split > tol and cmod ** 2 > ab:
+        kind = BindingKind.CONSPIRACY_BINDING
+    elif a < 0 and b < 0 and split > tol and cmod ** 2 < ab:
+        kind = BindingKind.TWO_BOUND
+    else:
+        kind = BindingKind.OTHER
+    return BindingRegime(kind, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +453,9 @@ class ScatteringAmplitudes:
     k: float
     r: complex
     t: complex
+
+    def __init__(self, k: float, r: complex, t: complex):
+        self.__dict__.update(k=k, r=r, t=t)
 
     @property
     def unitarity(self) -> float:
@@ -468,8 +492,16 @@ def s_matrix(scheme: CouplingScheme, k: float) -> ScatteringAmplitudes:
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}") from exc
     if not (math.isfinite(k) and k > 0):
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}")
-    r, t = _amplitudes(scheme, k)
-    return ScatteringAmplitudes(k, r, t)
+    h = scheme.halfline
+    if h is None:
+        r, t = _amplitudes(scheme, k)
+        return ScatteringAmplitudes(k, r, t)
+    # the halfline branch of _amplitudes, on a float k
+    a, b, c = h.a, h.b, h.c
+    ik = 1j * k
+    c2 = abs(c) ** 2
+    d = (a - ik) * (b - ik) - c2
+    return ScatteringAmplitudes(k, -((a - ik) * (b + ik) - c2) / d, 2j * k * c / d)
 
 
 def s_matrix_array(scheme: CouplingScheme, k):
@@ -516,11 +548,19 @@ class AsymptoticExpansion:
     r_coeff: complex
     t_coeff: complex
 
+    def __init__(self, regime: str, branch: str, order: int, r_limit: complex,
+                 t_limit: complex, r_coeff: complex, t_coeff: complex):
+        self.__dict__.update(regime=regime, branch=branch, order=order, r_limit=r_limit,
+                             t_limit=t_limit, r_coeff=r_coeff, t_coeff=t_coeff)
+
 
 @dataclass(frozen=True)
 class ScatteringAsymptotics:
     low: AsymptoticExpansion
     high: AsymptoticExpansion
+
+    def __init__(self, low: AsymptoticExpansion, high: AsymptoticExpansion):
+        self.__dict__.update(low=low, high=high)
 
 
 def scattering_asymptotics(scheme: CouplingScheme) -> ScatteringAsymptotics:
@@ -549,36 +589,29 @@ def scattering_asymptotics(scheme: CouplingScheme) -> ScatteringAsymptotics:
         return ScatteringAsymptotics(low, high)
 
     g, m = scheme.greek, scheme._matrix
-    det = m.det
-    gm = abs(g.gamma) ** 2
-    re, im = g.gamma.real, g.gamma.imag
+    alpha, beta, re4 = g.alpha, g.beta, 4.0 * g.gamma.real
     tol = DEGENERACY_TOL * m.scale
+    alpha_zero, beta_zero = abs(alpha) <= tol, abs(beta) <= tol
+    if alpha_zero or beta_zero:
+        # the constants both ends share: r = 4 Re gamma/(4+|gamma|^2), t = w/(4+|gamma|^2)
+        gm = abs(g.gamma) ** 2
+        four_gm = 4.0 + gm
+        w = 4.0 - gm + 4j * g.gamma.imag
+        r0, t0, sq = re4 / four_gm, w / four_gm, four_gm ** 2
 
-    if abs(g.alpha) > tol:
-        low = AsymptoticExpansion(
-            "low", "alpha_nonzero", 1,
-            r_limit=-1.0, t_limit=0.0j,
-            r_coeff=-1j * (4.0 + det + 4.0 * re) / (2.0 * g.alpha),
-            t_coeff=-1j * (4.0 - det + 4j * im) / (2.0 * g.alpha))
+    # m.pm is 4 - det + 4i Im gamma
+    if alpha_zero:
+        low = AsymptoticExpansion("low", "alpha_zero", 1, r0, t0,
+                                  -2j * beta * (four_gm - re4) / sq, 2j * beta * w / sq)
     else:
-        low = AsymptoticExpansion(
-            "low", "alpha_zero", 1,
-            r_limit=4.0 * re / (4.0 + gm),
-            t_limit=(4.0 - gm + 4j * im) / (4.0 + gm),
-            r_coeff=-2j * g.beta * (4.0 + gm - 4.0 * re) / (4.0 + gm) ** 2,
-            t_coeff=2j * g.beta * (4.0 - gm + 4j * im) / (4.0 + gm) ** 2)
-
-    if abs(g.beta) > tol:
-        high = AsymptoticExpansion(
-            "high", "beta_nonzero", -1,
-            r_limit=1.0, t_limit=0.0j,
-            r_coeff=-1j * (4.0 + det - 4.0 * re) / (2.0 * g.beta),
-            t_coeff=1j * (4.0 - det + 4j * im) / (2.0 * g.beta))
+        low = AsymptoticExpansion("low", "alpha_nonzero", 1, -1.0, 0.0j,
+                                  -1j * (m.four_det + re4) / (2.0 * alpha),
+                                  -1j * m.pm / (2.0 * alpha))
+    if beta_zero:
+        high = AsymptoticExpansion("high", "beta_zero", -1, r0, t0,
+                                   -2j * alpha * (four_gm + re4) / sq, -2j * alpha * w / sq)
     else:
-        high = AsymptoticExpansion(
-            "high", "beta_zero", -1,
-            r_limit=4.0 * re / (4.0 + gm),
-            t_limit=(4.0 - gm + 4j * im) / (4.0 + gm),
-            r_coeff=-2j * g.alpha * (4.0 + gm + 4.0 * re) / (4.0 + gm) ** 2,
-            t_coeff=-2j * g.alpha * (4.0 - gm + 4j * im) / (4.0 + gm) ** 2)
+        high = AsymptoticExpansion("high", "beta_nonzero", -1, 1.0, 0.0j,
+                                   -1j * (m.four_det - re4) / (2.0 * beta),
+                                   1j * m.pm / (2.0 * beta))
     return ScatteringAsymptotics(low, high)

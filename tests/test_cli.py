@@ -230,6 +230,20 @@ def test_json_parses_like_the_indented_encoding(run, monkeypatch, task):
         json.loads(out)["rows"]
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.05, -0.99, 0.065], [0.1, -0.98, 0.07]],
+    [["band", 1, 2.0, 3.0, 1.0], ["gap", 1, 3.0, 4.0, 1.0]],
+    [["a], [b", 1.0], ["c", 2.0]],           # a row boundary inside a string
+    [[1.0, 2j, 3 - 1j], [4.0, 5j, 6j]],      # complex values encode as nested lists
+    [[1, [2, [3]]], [[4]]], [[], []], [[7.0]], [],
+])
+def test_json_rows_are_the_per_row_encodings_one_per_line(rows):
+    text = cli._emit({"task": "x"}, ["c"], rows, "json")
+    body = text[text.index('"rows": ') + len('"rows": '):-len("\n}\n")]
+    encoded = [json.dumps(row, default=cli._json_default) for row in rows]
+    assert body == ("[\n    " + ",\n    ".join(encoded) + "\n  ]" if rows else "[]")
+
+
 def test_scatter_table_matches_scalar_calls(run):
     kmin, kmax, steps = 0.05, 20.0, 10_000
     code, out, _ = run("scatter", *_GENERIC, "--kmin", str(kmin), "--kmax", str(kmax),

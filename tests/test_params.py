@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,6 +302,93 @@ def test_carreau_validation():
 def test_records_refuse_complex_or_nonnumeric_real_fields(make):
     with pytest.raises(ValueError, match="parameters must be finite"):
         make()
+
+
+# The four chart records accept exact floats and an exact complex in one test
+# and send everything else through the full check; both paths must keep the
+# same contract.  A record's fields, as (record, valid fields, index of the
+# complex field); a transfer record keeps |omega| = 1 and det = 1 when its
+# real fields take the values 1 (ta, td) or 0 (tb, tc) in any numeric type.
+_CHART_RECORDS = {
+    "greek": (GreekParams, (1.5, -0.5, 0.25 + 0.75j), 2),
+    "halfline": (HalflineParams, (1.5, -0.5, 0.25 + 0.75j), 2),
+    "inverse": (InverseParams, (1.5, -0.5, 0.25 + 0.75j), 2),
+    "transfer": (TransferParams, (1 + 0j, 1.0, 0.0, 0.0, 1.0), 0),
+}
+
+
+def _accepted(name: str, index: int) -> list:
+    _, base, cplx = _CHART_RECORDS[name]
+    if name == "transfer":
+        if index == cplx:  # omega, on the unit circle
+            return [1.0, 1, True, np.float64(1.0), Fraction(1), np.complex128(1.0), -1j]
+        one = int(base[index])  # 1 for ta and td, 0 for tb and tc
+        return [float(one), one, bool(one), np.float64(one), Fraction(one)]
+    if index == cplx:
+        return [2.0, 3, True, np.float64(2.5), Fraction(1, 3), 0.5j, np.complex128(0.5 + 1j)]
+    return [2.0, 3, True, np.float64(2.5), Fraction(1, 3), -0.0]
+
+
+_CHART_FIELDS = [(name, i) for name, (_, base, _) in _CHART_RECORDS.items()
+                 for i in range(len(base))]
+
+
+@pytest.mark.parametrize("name,index", _CHART_FIELDS)
+def test_chart_records_store_every_accepted_field_as_given(name, index):
+    cls, base, cplx = _CHART_RECORDS[name]
+    for value in _accepted(name, index):
+        args = list(base)
+        args[index] = value
+        rec = cls(*args)
+        stored = getattr(rec, dataclasses.fields(cls)[index].name)
+        if index == cplx:  # the complex field is stored as a Python complex
+            assert type(stored) is complex and stored == complex(value), (value, stored)
+        else:  # a real field keeps its value and its type: ints stay ints
+            assert type(stored) is type(value) and stored == value, (value, stored)
+        assert rec == cls(*args) and hash(rec) == hash(cls(*args))
+        for i, field in enumerate(dataclasses.fields(cls)):
+            if i != index:
+                assert getattr(rec, field.name) == base[i]
+
+
+@pytest.mark.parametrize("name,index", _CHART_FIELDS)
+def test_chart_records_refuse_every_bad_field_with_its_message(name, index):
+    cls, base, cplx = _CHART_RECORDS[name]
+    if index == cplx:
+        bad = [math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.0), "1j"]
+        kind = "complex"
+    else:
+        bad = [math.nan, math.inf, -math.inf, 1 + 0j, np.complex128(0.5), "1.0"]
+        kind = "real"
+    for value in bad:
+        args = list(base)
+        args[index] = value
+        with pytest.raises(ValueError) as info:
+            cls(*args)
+        assert str(info.value) == f"parameters must be finite {kind} numbers, got {value!r}"
+
+
+def test_transfer_record_checks_its_invariants_on_exact_floats():
+    with pytest.raises(ValueError, match=r"^\|omega\| must be 1, got 2.0$"):
+        TransferParams(2 + 0j, 1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^ta\*td - tb\*tc must be 1, got 0.0$"):
+        TransferParams(1 + 0j, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_overflowing_conversions_refuse_as_before():
+    # det = alpha beta overflows to inf: the inverse form's fields come out
+    # infinite and its record refuses them; the halfline form is refused on
+    # its beta denominator and the transfer form on its non-finite |w|
+    g = GreekParams(1e300, 1e10, 0j)
+    with pytest.raises(ValueError, match="got inf"):
+        greek_to_inverse(g)
+    with pytest.raises(DegenerateParametrization) as info:
+        greek_to_halfline(g)
+    assert info.value.denominator == "beta" and info.value.magnitude == 1e10
+    with pytest.raises(DegenerateParametrization) as info:
+        greek_to_transfer(g)
+    assert info.value.denominator == "|4-det+4i*Im(gamma)|"
+    assert info.value.magnitude == math.inf and "not finite" in str(info.value)
 
 
 def test_seba_examples():

@@ -35,11 +35,11 @@ What depends only on the coupling is built once per `CouplingScheme`, on
 first use, and kept on it: the matrix-form constants (2 alpha, 4 + det and
 2 beta of Delta, the magnitudes its pole test scales by, and the constant
 parts of the four quadrant coefficients) and the halfline form.  A scalar
-kernel or S-matrix call reads them instead of deriving them again, and
-evaluates its closed form inline on Python scalars (`s_matrix` its halfline
-branch; `green_kernel` its sides, pole test and quadrant coefficient), with the
-same expressions and the same bits as the helpers that the array and oracle
-paths call.
+kernel or S-matrix call reads them instead of deriving them again.  The
+scalar, array and oracle paths share one helper per closed form
+(`_amplitudes`, `_correction`, `_quadrant_coef`), and `_amplitudes` reads the
+halfline fields into locals once, so a scalar call costs few lookups beyond
+its arithmetic.
 """
 
 from __future__ import annotations
@@ -133,13 +133,9 @@ def _halfline_coef(h: HalflineParams, k: complex, sx: int, sxp: int) -> complex:
 
 
 def _quadrant_coef(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> complex:
-    if sx > 0 and sxp > 0:
-        return m.pp - 4j * k * m.beta
-    if sx < 0 and sxp < 0:
-        return m.mm - 4j * k * m.beta
-    if sx > 0 > sxp:
-        return m.pm
-    return m.mp
+    if sx == sxp:
+        return (m.pp if sx > 0 else m.mm) - 4j * k * m.beta
+    return m.pm if sx > 0 else m.mp
 
 
 def _check_sheet(k: complex) -> complex:
@@ -160,8 +156,8 @@ def _halfline_prefactor(h: HalflineParams, k: complex) -> complex:
 def _correction(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> complex:
     # quadrant coefficient / (2 Delta), Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k)
     d = m.two_alpha - 1j * k * m.four_det - m.two_beta * k * k
-    if abs(d) <= _POLE_TOL * max(1.0, m.abs_alpha, abs(k) * m.abs_four_det,
-                                 m.abs_beta * abs(k) ** 2):
+    abs_k = abs(k)
+    if abs(d) <= _POLE_TOL * max(1.0, m.abs_alpha, abs_k * m.abs_four_det, m.abs_beta * abs_k ** 2):
         raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
     return 0.5 / d * _quadrant_coef(m, k, sx, sxp)
 
@@ -186,8 +182,8 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
     use the decoupled kernel.
     """
     k = _check_sheet(k)
-    sx = 1 if x > 0 else -1 if x < 0 else _side(x, x_side, "x")
-    sxp = 1 if xp > 0 else -1 if xp < 0 else _side(xp, xp_side, "x'")
+    sx = _side(x, x_side, "x")
+    sxp = _side(xp, xp_side, "x'")
     free = _free_pair_value(sx, sxp, x, xp, k)
     expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
     m = scheme._matrix
@@ -196,18 +192,7 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
             return 0.0 + 0.0j
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
         return free + _separated_corr(bc, k) * expfac
-    # _correction(m, k, sx, sxp), with its _quadrant_coef, inline
-    (beta, _, _, two_alpha, four_det, two_beta, abs_alpha, abs_four_det, abs_beta,
-     pp, mm, pm, mp) = m
-    d = two_alpha - 1j * k * four_det - two_beta * k * k
-    abs_k = abs(k)
-    if abs(d) <= _POLE_TOL * max(1.0, abs_alpha, abs_k * abs_four_det, abs_beta * abs_k ** 2):
-        raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
-    if sx == sxp:
-        coef = (pp if sx > 0 else mm) - 4j * k * beta
-    else:
-        coef = pm if sx > 0 else mp
-    return free + 0.5 / d * coef * expfac
+    return free + _correction(m, k, sx, sxp) * expfac
 
 
 def green_kernel_dx(scheme: CouplingScheme, x: float, xp: float, k: complex,
@@ -471,8 +456,11 @@ def _amplitudes(scheme: CouplingScheme, k):
         return -(bc.slope + 1j * k) / (bc.slope - 1j * k), 0.0j * k
     h = scheme.halfline
     if h is not None:
-        d = (h.a - 1j * k) * (h.b - 1j * k) - abs(h.c) ** 2
-        return -((h.a - 1j * k) * (h.b + 1j * k) - abs(h.c) ** 2) / d, 2j * k * h.c / d
+        a, b, c = h.a, h.b, h.c
+        ik = 1j * k
+        c2 = abs(c) ** 2
+        d = (a - ik) * (b - ik) - c2
+        return -((a - ik) * (b + ik) - c2) / d, 2j * k * c / d
     g = scheme.greek
     gm = abs(g.gamma) ** 2
     den = 2.0 * g.alpha - 1j * k * (4.0 + gm)
@@ -492,16 +480,8 @@ def s_matrix(scheme: CouplingScheme, k: float) -> ScatteringAmplitudes:
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}") from exc
     if not (math.isfinite(k) and k > 0):
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}")
-    h = scheme.halfline
-    if h is None:
-        r, t = _amplitudes(scheme, k)
-        return ScatteringAmplitudes(k, r, t)
-    # the halfline branch of _amplitudes, on a float k
-    a, b, c = h.a, h.b, h.c
-    ik = 1j * k
-    c2 = abs(c) ** 2
-    d = (a - ik) * (b - ik) - c2
-    return ScatteringAmplitudes(k, -((a - ik) * (b + ik) - c2) / d, 2j * k * c / d)
+    r, t = _amplitudes(scheme, k)
+    return ScatteringAmplitudes(k, r, t)
 
 
 def s_matrix_array(scheme: CouplingScheme, k):

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gpi1d import (CarreauParams, ChernoffHughesParams, CouplingScheme,
+import gpi1d.params as params_module
+import gpi1d.spectral as spectral_module
+from gpi1d import (AsymptoticExpansion, CarreauParams, ChernoffHughesParams, CouplingScheme,
                    DegenerateParametrization, GreekParams, HalflineBoundary,
-                   HalflineParams, InverseParams, SebaParams, TransferParams,
+                   HalflineParams, InverseParams, PointKind, ScatteringAmplitudes,
+                   ScatteringAsymptotics, SebaParams, SpectralPoint, SymmetryFlags,
+                   TransferParams,
                    carreau_to_halfline, chernoff_hughes_to_greek,
                    chernoff_hughes_to_inverse, classify_symmetries,
                    gauge_transform, greek_to_halfline, greek_to_inverse,
@@ -373,6 +378,49 @@ def test_transfer_record_checks_its_invariants_on_exact_floats():
         TransferParams(2 + 0j, 1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"^ta\*td - tb\*tc must be 1, got 0.0$"):
         TransferParams(1 + 0j, 1.0, 1.0, 1.0, 1.0)
+
+
+# The records built on every scalar call write their own __init__, so their
+# field list lives in the annotations, the signature and the instance-dict
+# update; one valid set of arguments for each keeps the three in step.
+def _own_init_examples() -> dict:
+    g = GreekParams(1.0, 2.0, 0.5j)
+    low = AsymptoticExpansion("low", "alpha_zero", 1, 0.5 + 0j, 0.5j, 1j, -1j)
+    high = AsymptoticExpansion("high", "beta_nonzero", -1, 1.0, 0j, -1j, 2j)
+    return {
+        GreekParams: (1.0, 2.0, 0.5j),
+        HalflineParams: (1.0, 2.0, 0.5j),
+        InverseParams: (1.0, 2.0, 0.5j),
+        TransferParams: (1 + 0j, 2.0, 1.0, 1.0, 1.0),
+        CouplingScheme: (g, None),
+        SymmetryFlags: (True, False, True),
+        SpectralPoint: (1.0, -1.0, PointKind.BOUND, 1 + 0j, 0.5j),
+        ScatteringAmplitudes: (2.0, 0.1j, 0.9 + 0j),
+        AsymptoticExpansion: ("low", "alpha_zero", 1, 0.5 + 0j, 0.5j, 1j, -1j),
+        ScatteringAsymptotics: (low, high),
+    }
+
+
+def test_hand_written_record_inits_match_their_fields():
+    examples = _own_init_examples()
+    own = {obj for mod in (params_module, spectral_module) for obj in vars(mod).values()
+           if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+           and obj.__module__ == mod.__name__
+           and obj.__init__.__code__.co_filename != "<string>"}  # not generated
+    assert own == set(examples)
+    for cls, args in examples.items():
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        parameters = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in parameters] == names, cls
+        for p, f in zip(parameters, fields):
+            missing = p.default is inspect.Parameter.empty
+            assert missing == (f.default is dataclasses.MISSING), (cls, f.name)
+            assert missing or p.default == f.default, (cls, f.name)
+        rec = cls(*args)
+        assert vars(rec) == dict(zip(names, args)), cls
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, names[0], args[0])
 
 
 def test_overflowing_conversions_refuse_as_before():

@@ -5,6 +5,11 @@ request) and diagnostics to stderr.  A plain key = value config file can seed
 any option; explicit flags override the file.  Exit codes: 0 success,
 2 invalid configuration, 3 degenerate parametrization.
 
+The argument parser is built once per process, on the first `main` call, and
+reused by every later call.  Its tasks share two option parents: --format and
+--config (every task), and --scheme with the flags of every scheme's fields
+(every task but berry), so each of those options is registered once.
+
 Complex values serialize as two-element [re, im] arrays in JSON and as paired
 *_re / *_im columns in CSV; CSV carries the summary as leading '# key = value'
 comment lines so both formats encode identical values.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -327,44 +333,40 @@ def _json_default(v):
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _add_scheme_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", choices=sorted(_SCHEME_FIELDS), default=None,
-                        help="input parametrization")
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parsing keeps no state in the
+    # parser, and every default is None, so no run sees another's values
+    io_opts = argparse.ArgumentParser(add_help=False)
+    io_opts.add_argument("--format", choices=("json", "csv"), default=None)
+    io_opts.add_argument("--config", default=None, help="key = value file; flags override")
+    scheme_opts = argparse.ArgumentParser(add_help=False)
+    scheme_opts.add_argument("--scheme", choices=sorted(_SCHEME_FIELDS), default=None,
+                             help="input parametrization")
     for fields in _SCHEME_FIELDS.values():
         for name in fields:
-            flag = "--" + name.replace("_", "-")
-            if flag not in parser._option_string_actions:
-                parser.add_argument(flag, default=None)
+            scheme_opts.add_argument("--" + name.replace("_", "-"), default=None)
+    coupled = [io_opts, scheme_opts]
 
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpi1d",
         description="Point couplings on the line: conversions, spectra, scattering, "
                     "Berry phase, Kronig-Penney bands.")
     sub = parser.add_subparsers(dest="task", required=True)
-
-    def common(p: argparse.ArgumentParser, scheme: bool = True) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--config", default=None, help="key = value file; flags override")
-        if scheme:
-            _add_scheme_options(p)
-
-    common(sub.add_parser("convert", help="all representable parametrizations"))
-    common(sub.add_parser("bound-states", help="roots of the spectral denominator"))
-    p = sub.add_parser("scatter", help="reflection/transmission over a k grid")
-    common(p)
+    sub.add_parser("convert", parents=coupled, help="all representable parametrizations")
+    sub.add_parser("bound-states", parents=coupled, help="roots of the spectral denominator")
+    p = sub.add_parser("scatter", parents=coupled,
+                       help="reflection/transmission over a k grid")
     p.add_argument("--kmin", default=None)
     p.add_argument("--kmax", default=None)
     p.add_argument("--steps", default=None)
-    p = sub.add_parser("berry", help="discrete Berry phase of a coupling loop")
-    common(p, scheme=False)
+    p = sub.add_parser("berry", parents=[io_opts],
+                       help="discrete Berry phase of a coupling loop")
     p.add_argument("--a", default=None)
     p.add_argument("--cmod", default=None)
     p.add_argument("--samples", default=None)
     p.add_argument("--branch", choices=("plus", "minus"), default=None)
-    p = sub.add_parser("bands", help="band/gap intervals and regime report")
-    common(p)
+    p = sub.add_parser("bands", parents=coupled, help="band/gap intervals and regime report")
     p.add_argument("--ell", default=None)
     p.add_argument("--mmax", default=None)
     p.add_argument("--fit-range", dest="fit_range", default=None,

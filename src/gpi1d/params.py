@@ -111,8 +111,14 @@ class GreekParams:
 
     @property
     def det(self) -> float:
-        """Determinant alpha*beta + |gamma|^2 of the coupling matrix (derived, never stored)."""
-        return self.alpha * self.beta + abs(self.gamma) ** 2
+        """Determinant alpha*beta + |gamma|^2 of the coupling matrix (derived, never stored).
+
+        inf where |gamma|^2 leaves the float range, as where alpha*beta does.
+        """
+        try:
+            return self.alpha * self.beta + abs(self.gamma) ** 2
+        except OverflowError:
+            return self.alpha * self.beta + math.inf
 
     @property
     def scale(self) -> float:
@@ -378,7 +384,10 @@ class _MatrixConstants(NamedTuple):
 
 def _matrix_constants(g: GreekParams) -> _MatrixConstants:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
-    det = alpha * beta + abs(gamma) ** 2
+    try:
+        det = alpha * beta + abs(gamma) ** 2
+    except OverflowError:
+        raise DegenerateParametrization("det", math.inf) from None
     four_det = 4.0 + det
     abs_alpha, abs_beta = abs(alpha), abs(beta)
     return _MatrixConstants(
@@ -391,7 +400,10 @@ def _matrix_constants(g: GreekParams) -> _MatrixConstants:
 def _greek_is_decoupled(g: GreekParams) -> bool:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     gamma_mod = abs(gamma)
-    det = alpha * beta + gamma_mod ** 2
+    try:
+        det = alpha * beta + gamma_mod ** 2
+    except OverflowError:  # |gamma|^2 overflowed
+        det = math.inf
     if not math.isfinite(det):  # alpha beta overflowed; it must not scale the tolerance
         raise DegenerateParametrization("det", abs(det))
     tol = DEGENERACY_TOL * max(abs(det), abs(alpha), abs(beta), gamma_mod, 1.0)
@@ -427,7 +439,10 @@ def greek_to_halfline(g: GreekParams) -> HalflineParams:
     gamma_mod = abs(gamma)
     if abs(beta) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
         raise DegenerateParametrization("beta", abs(beta))
-    det = alpha * beta + gamma_mod ** 2
+    try:
+        det = alpha * beta + gamma_mod ** 2
+    except OverflowError:
+        raise DegenerateParametrization("det", math.inf) from None
     re4, four_beta = 4.0 * gamma.real, 4.0 * beta
     return HalflineParams((4.0 + det + re4) / four_beta, (4.0 + det - re4) / four_beta,
                           (-4.0 + det - 4.0j * gamma.imag) / four_beta)
@@ -440,7 +455,11 @@ def halfline_to_greek(h: HalflineParams) -> GreekParams:
     den = a + b - 2.0 * c.real
     if abs(den) <= DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0):
         raise DegenerateParametrization("a+b-2Re(c)", abs(den))
-    return GreekParams(4.0 * (a * b - c_mod ** 2) / den, 4.0 / den,
+    try:
+        alpha = 4.0 * (a * b - c_mod ** 2) / den
+    except OverflowError:
+        raise DegenerateParametrization("a*b-|c|^2", math.inf) from None
+    return GreekParams(alpha, 4.0 / den,
                        4.0 * (0.5 * (a - b) - 1.0j * c.imag) / den)
 
 
@@ -454,8 +473,15 @@ def halfline_to_inverse(h: HalflineParams) -> InverseParams:
     """
     a, b, c = h.a, h.b, h.c
     c_mod = abs(c)
-    den = a * b - c_mod ** 2
-    if abs(den) <= DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0) ** 2:
+    try:
+        den = a * b - c_mod ** 2
+    except OverflowError:
+        raise DegenerateParametrization("a*b-|c|^2", math.inf) from None
+    try:
+        tol = DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0) ** 2
+    except OverflowError:
+        raise DegenerateParametrization("max(|a|,|b|,|c|,1)^2", math.inf) from None
+    if abs(den) <= tol:
         raise DegenerateParametrization("a*b-|c|^2", abs(den))
     return InverseParams(b / den, a / den, -c / den)
 
@@ -464,8 +490,15 @@ def inverse_to_halfline(i: InverseParams) -> HalflineParams:
     """Inverse form -> halfline form; requires AB - |C|^2 != 0."""
     A, B, C = i.A, i.B, i.C
     C_mod = abs(C)
-    den = A * B - C_mod ** 2
-    if abs(den) <= DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0) ** 2:
+    try:
+        den = A * B - C_mod ** 2
+    except OverflowError:
+        raise DegenerateParametrization("A*B-|C|^2", math.inf) from None
+    try:
+        tol = DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0) ** 2
+    except OverflowError:
+        raise DegenerateParametrization("max(|A|,|B|,|C|,1)^2", math.inf) from None
+    if abs(den) <= tol:
         raise DegenerateParametrization("A*B-|C|^2", abs(den))
     return HalflineParams(B / den, A / den, -C / den)
 
@@ -481,7 +514,10 @@ def greek_to_inverse(g: GreekParams) -> InverseParams:
     gamma_mod = abs(gamma)
     if abs(alpha) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
         raise DegenerateParametrization("alpha", abs(alpha))
-    det = alpha * beta + gamma_mod ** 2
+    try:
+        det = alpha * beta + gamma_mod ** 2
+    except OverflowError:
+        raise DegenerateParametrization("det", math.inf) from None
     re4, four_alpha = 4.0 * gamma.real, 4.0 * alpha
     return InverseParams((4.0 + det - re4) / four_alpha, (4.0 + det + re4) / four_alpha,
                          (4.0 - det + 4.0j * gamma.imag) / four_alpha)
@@ -494,7 +530,11 @@ def inverse_to_greek(i: InverseParams) -> GreekParams:
     den = A + B + 2.0 * C.real
     if abs(den) <= DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0):
         raise DegenerateParametrization("A+B+2Re(C)", abs(den))
-    return GreekParams(4.0 / den, 4.0 * (A * B - C_mod ** 2) / den,
+    try:
+        beta = 4.0 * (A * B - C_mod ** 2) / den
+    except OverflowError:
+        raise DegenerateParametrization("A*B-|C|^2", math.inf) from None
+    return GreekParams(4.0 / den, beta,
                        (2.0 * (B - A) + 4.0j * C.imag) / den)
 
 
@@ -546,7 +586,10 @@ def greek_to_transfer(g: GreekParams) -> TransferParams:
     without dividing by beta.
     """
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
-    det = alpha * beta + abs(gamma) ** 2
+    try:
+        det = alpha * beta + abs(gamma) ** 2
+    except OverflowError:
+        raise DegenerateParametrization("det", math.inf) from None
     im4 = 4.0 * gamma.imag
     wmod = math.hypot(4.0 - det, im4)
     if wmod <= DEGENERACY_TOL * max(1.0, det):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,11 +170,14 @@ def test_degenerate_parametrization_exits_3(run):
     code, _, err = run("convert", "--scheme", "seba", "--alpha-s", "-1",
                        "--beta-s", "0", "--gamma-s", "-1", "--delta-s", "0")
     assert code == 3
+    # |gamma|^2 = 1e400 leaves the float range: one error line, no traceback
+    code, out, err = run("convert", "--scheme", "greek", "--alpha", "1", "--beta", "1",
+                         "--gamma-re", "0", "--gamma-im", "1e200")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'det'" in err
 
 
 def test_cli_runs_as_module():
-    import subprocess
-    import sys
     proc = subprocess.run(
         [sys.executable, "-m", "gpi1d.cli", "berry", "--a", "-2", "--cmod", "0.3",
          "--samples", "64"],
@@ -266,3 +274,59 @@ def test_csv_rows_write_floats_as_repr():
                      [[math.inf, math.nan, -0.0, 0.1 + 0.2, 7]], "csv")
     assert text.splitlines() == ["# task = x", "# flag = true", "a,b,c,d,e",
                                  "inf,nan,-0.0,0.30000000000000004,7"]
+
+
+def _fresh_run(*argv: str) -> tuple[int, str]:
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "gpi1d.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_shared_parser_carries_nothing_between_runs(run, tmp_path):
+    # one parser serves every main() call of a process: a run must print what
+    # the same argv prints in a fresh interpreter, whatever ran before it
+    assert cli._build_parser() is cli._build_parser()
+    cfg = tmp_path / "bands.cfg"
+    cfg.write_text("scheme = greek\nalpha = -2\nbeta = 0.5\ngamma-re = 0.3\n"
+                   "gamma-im = 0.4\nell = 1\nmmax = 8\nfit-range = 2:6\nformat = csv\n")
+    runs = [("bands", "--config", str(cfg)),
+            ("scatter", *_TASK_ARGV["scatter"]),
+            ("convert", "--scheme", "greek", "--alpha", "0.7", "--beta", "0",
+             "--gamma-re", "1", "--gamma-im", "0")]
+    for argv in runs:
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert (code, out) == _fresh_run(*argv), argv
+    assert run("bands", "--config", str(cfg))[1].startswith("# task = bands\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("nonsense = 42\n")
+    code, _, err = run("scatter", "--config", str(bad))
+    assert code == 2 and "nonsense" in err
+
+
+_SCHEME_FLAGS = {"--" + name.replace("_", "-")
+                 for fields in cli._SCHEME_FIELDS.values() for name in fields}
+_OWN_FLAGS = {
+    "convert": set(),
+    "bound-states": set(),
+    "scatter": {"--kmin", "--kmax", "--steps"},
+    "berry": {"--a", "--cmod", "--samples", "--branch"},
+    "bands": {"--ell", "--mmax", "--fit-range"},
+}
+
+
+@pytest.mark.parametrize("task", sorted(_OWN_FLAGS))
+def test_each_task_accepts_exactly_its_options(task):
+    parser = cli._build_parser()
+    tasks = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(tasks.choices) == set(_OWN_FLAGS)
+    strings = [s for action in tasks.choices[task]._actions for s in action.option_strings]
+    want = {"-h", "--help", "--format", "--config"} | _OWN_FLAGS[task]
+    if task != "berry":
+        want |= {"--scheme"} | _SCHEME_FLAGS
+    # a dropped parent loses its options; one passed twice fails the build on
+    # its conflicting flags
+    assert sorted(strings) == sorted(want)

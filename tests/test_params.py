@@ -439,6 +439,34 @@ def test_overflowing_conversions_refuse_as_before():
     assert info.value.magnitude == math.inf and "not finite" in str(info.value)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: CouplingScheme.from_greek(GreekParams(1.0, 1.0, 1e200j)), "det"),
+    (lambda: CouplingScheme(GreekParams(1.0, 1.0, 1e200j))._matrix, "det"),
+    (lambda: greek_to_transfer(GreekParams(1.0, 1.0, 1e200j)), "det"),
+    (lambda: greek_to_halfline(GreekParams(1e190, 1e190, 1e200j)), "det"),
+    (lambda: greek_to_inverse(GreekParams(1e190, 1e190, 1e200j)), "det"),
+    (lambda: halfline_to_inverse(HalflineParams(1e200, 1.0, 1.0 + 0j)), "max(|a|,|b|,|c|,1)^2"),
+    (lambda: halfline_to_inverse(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
+    (lambda: inverse_to_halfline(InverseParams(1e200, 1.0, 1.0 + 0j)), "max(|A|,|B|,|C|,1)^2"),
+    (lambda: inverse_to_halfline(InverseParams(1.0, 1.0, 1e200 + 0j)), "A*B-|C|^2"),
+    (lambda: halfline_to_greek(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
+    (lambda: CouplingScheme.from_halfline(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
+    (lambda: inverse_to_greek(InverseParams(1.0, 1.0, 1e200 + 0j)), "A*B-|C|^2"),
+])
+def test_squares_past_the_float_range_are_degenerate(call, name):
+    # a magnitude past about 1.34e154 squares out of the float range: the
+    # conversion names the quantity that is not finite, as for alpha beta
+    with pytest.raises(DegenerateParametrization) as info:
+        call()
+    assert info.value.denominator == name and info.value.magnitude == math.inf
+    assert "not finite" in str(info.value)
+
+
+def test_det_is_inf_where_gamma_squared_overflows():
+    assert GreekParams(1.0, 1.0, 1e200j).det == math.inf
+    assert GreekParams(1e200, 1e200, 0j).det == math.inf
+
+
 def test_seba_examples():
     h = seba_to_halfline(SebaParams(-1.0, 0.0, -1.0, 1.0))
     assert close(h.a, -1.0) and close(h.b, -1.0) and close(h.c, 1.0)

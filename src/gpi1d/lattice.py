@@ -18,33 +18,23 @@ Gap points: where an off-diagonal entry of the monodromy vanishes,
     (M T)_21 = tc cos(k ell) - td k sin(k ell) = 0   (Neumann points),
 
 M T is triangular with real diagonal lam, 1/lam, so |tr| = |lam + 1/lam| >= 2
-and the point lies in a closed gap; every gap holds exactly one Dirichlet
-point (Hill's-equation oscillation theory: Magnus & Winkler, Hill's Equation,
-1966; Eastham, The Spectral Theory of Periodic Differential Equations, 1973).
-Two gap points of one open gap cannot share an end, where M T = +-I + N with
-N nilpotent and nonzero, so their midpoint lies strictly inside the gap; at a
-closed gap M T = +-I, and its Dirichlet and Neumann points coincide.  tr runs
-monotonically from one of +-2 to the other across each band, so between two
-gap points of opposite trace sign lies one band, holding one root of tr; any
-point there with |tr| < 2 is a band point of that band.  So bands are
-counted, not matched to anchors: band m is the m-th band from the bottom, and
-gap m, between bands m and m+1, holds the m-th Dirichlet point, (pi m / ell)^2
-when beta = 0 (then tb = 0).
+and the point lies in a closed gap.  Every gap above the lowest holds one
+Dirichlet and one Neumann point, and the lowest, below every band, holds no
+Dirichlet point (Hill's-equation oscillation theory: Magnus & Winkler, Hill's
+Equation, 1966; Eastham, The Spectral Theory of Periodic Differential
+Equations, 1973).  Two gap points of one open gap cannot share an end, where
+M T = +-I + N with N nilpotent and nonzero, so their midpoint lies strictly
+inside the gap; at a closed gap M T = +-I, and its Dirichlet and Neumann
+points coincide.  tr runs monotonically from one of +-2 to the other across
+each band, so neighbouring gaps have opposite trace signs.  The sign of tr at
+a gap point, where |tr| >= 2, survives the rounding that hides a narrow gap
+from |tr| - 2, so the gaps are counted by it: each run of one sign over the
+gap points is one gap, band m lies between gaps m - 1 and m, and gap m holds
+the m-th Dirichlet point, (pi m / ell)^2 when beta = 0 (then tb = 0).
 
-Above zero tr = R cos(theta) with the Pruefer phase theta = k ell - atan(y/s),
-y = c/k - b k and R = hypot(s, y) sgn(s) (Pruefer 1926; Pryce, Numerical
-Solution of Sturm-Liouville Problems, 1993); theta rises by about pi per pi/ell.
-Gap j is where |theta - j pi| <= a = arccos(min(1, 2/R)), so a band edge beside
-gap j is a root of a - |theta - j pi|, a residual of slope about ell in k where
-|tr| - 2 flattens at a narrow gap.  The gap points, the band points and the
-edges all come from one vectorised bracketed Newton solver, _newton: _gap_grid
-solves the gap points, band_structure the band points (Newton on tr, stopped
-above zero at its first step into the band) and then the edges, all on one
-trace evaluator, _trace, of the signed wavenumber z (E = z |z|).
-
-Below zero (q = sqrt(-E), x = q ell, (u, v) = (tb/ta, tc/td)) they vanish
-where tanh x = -u q and q tanh x = -v, the n = 0 gap points continued through
-E = 0: one each at most, with x in [x0 - 1, x0 + 1] for x0 = -ell/u > 1
+Below zero (q = sqrt(-E), x = q ell, (u, v) = (tb/ta, tc/td)) the entries
+vanish where tanh x = -u q and q tanh x = -v, the n = 0 gap points continued
+through E = 0: one each at most, with x in [x0 - 1, x0 + 1] for x0 = -ell/u > 1
 (1/(1 + x) < tanh x / x < 1/x) and in [max(x0 - 1, sqrt(x0/2)), x0 + 1] for
 x0 = -v ell > 0 (x - 1 < x tanh x <= min(x, x^2)).  In tr = (sinh x / q)
 (b q^2 + s q coth x + c), (s, c, b) = (ta + td, tc, tb), the second factor
@@ -53,6 +43,21 @@ keeps the sign of b (of s if b = 0) past q_up, the positive root of
 of tr, the first q_bot = q_up 2^j where tr has that sign and |tr| > 2 lies
 below every band (at q_up itself, a root of tr on wide cells, rounding can
 give tr the other sign).
+
+Above zero tr = R cos(theta) with the Pruefer phase theta = k ell - atan(y/s),
+y = c/k - b k and R = hypot(s, y) sgn(s) (Pruefer 1926; Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993); theta rises by about pi per pi/ell.
+Gap j is where |theta - j pi| <= a = arccos(min(1, 2/R)), so a band edge beside
+gap j is a root of a - |theta - j pi|, a residual of slope about ell in k where
+|tr| - 2 flattens at a narrow gap.  As det M = 1,
+
+    R^2 - 4 = (ta - td)^2 + (tb k + tc/k)^2,
+
+a sum of squares, so tan a = sqrt(R^2 - 4)/2 carries no cancellation.  At or
+below zero an edge beside a gap of trace sign sigma is a root of sigma tr - 2,
+which has no kink.  The gap points and the edges come from one vectorised
+bracketed Newton solver, _newton, on one trace evaluator, _trace, of the
+signed wavenumber z (E = z |z|).
 
 Three high-energy regimes, decided by the coupling:
 beta != 0 (delta'-like): band widths tend to 2|w| / (|beta| ell), gaps grow;
@@ -80,6 +85,7 @@ from .params import (DEGENERACY_TOL, CouplingScheme, TransferParams, is_decouple
 _EDGE_XTOL = 1e-12  # absolute stop tolerance of the root solver (in energy for the edges)
 _EPS = np.finfo(float).eps
 _EDGE_RTOL = 8.0 * _EPS  # relative part of the same tolerance
+_TINY = np.finfo(float).tiny
 _K_MIN = 1e-9  # k_min ell: the anchors -+k_min either side of zero
 
 
@@ -272,8 +278,8 @@ def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
-    # Signed wavenumbers z, E = z |z|, ascending: the bottom anchor -q_bot, the
-    # gap points between it and k_max, and the anchors -+k_min and k_max.
+    # Signed wavenumbers z, E = z |z|, ascending: the bottom anchor -q_bot and
+    # the gap points between it and k_max, z = 0 aside.
     t = spec._transfer
     ell = spec.ell
     k_min = _K_MIN / ell
@@ -321,8 +327,7 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
     tt = _newton(phase, t_lo, t_hi)
     pts = np.concatenate(closed + [(n + tt) * (math.pi / ell)])
     q_bot = spec._bottom[0]
-    return np.sort(np.concatenate([pts[(pts > -q_bot) & (np.abs(pts) > k_min) & (pts < k_max)],
-                                   [-q_bot, -k_min, k_min, k_max]]))
+    return np.sort(np.append(pts[(pts > -q_bot) & (pts != 0.0) & (pts < k_max)], -q_bot))
 
 
 def _xtol(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -382,151 +387,131 @@ def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
     return np.where((x >= a) & (x <= b) & ~settled, x, end)
 
 
-def _grid_note(energies: np.ndarray, e_lo: float, e_hi: float) -> str:
-    n = int(np.count_nonzero((energies >= e_lo) & (energies <= e_hi)))
-    return f"energy window [{e_lo:.6g}, {e_hi:.6g}] sampled at {n} grid points"
+def _grid_note(z: np.ndarray, i: int, j: int) -> str:
+    # the energy window of the ascending grid's points i..j
+    e_lo, e_hi = z[i] * abs(z[i]), z[j] * abs(z[j])
+    return f"energy window [{e_lo:.6g}, {e_hi:.6g}] sampled at {j - i + 1} grid points"
 
 
 def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], list[GapInterval]]:
     """Bands and gaps up to band index m_max.
 
-    Edges are bracketed by sign changes of |tr| - 2 on one grid over the
-    whole energy axis: from _gap_grid the gap points below k_max (module
-    docstring) and the anchors -q_bot^2, -+k_min^2 (k_min = 1e-9/ell) and
-    k_max^2, and, solved here, the midpoint of two neighbours in one gap and
-    a band point between two gaps, about 4 m_max points in all: above zero
-    any point of the band with |tr| < 2, below zero its root of tr.  The gap
-    points, the band points and the edges come from one vectorised bracketed
-    Newton solver, the edges to an energy tolerance of 1e-12 (plus 8 ulp
-    relative); above zero each edge is solved in k on the Pruefer phase of
-    the gap beside it (module docstring).  A gap no wider than twice that
-    tolerance at its lower end is flagged closed.
-    A band narrower than the float spacing (below zero on wide cells) is
-    reported as [E, E] at its root of tr, and an exactly closed gap, where
-    the bands beside it meet, as the closed gap between its gap points,
-    which coincide to the edge tolerance.  Band m is the m-th band from the
-    bottom (m = 1..m_max); gap m, between bands m and m+1, holds the m-th
-    Dirichlet point, (pi m / ell)^2 when beta = 0.  Any other band holding
-    two band points (a gap the grid missed) raises GridTooCoarse naming it,
-    as do fewer than m_max bands below k_max.
-    Gapless spectra (the free and phase-equivalent couplings) come back as a
-    single [e_lo, inf) band 1.  The records are named tuples.
+    The gaps are counted on one grid, from _gap_grid: the bottom anchor
+    -q_bot^2 and the gap points below k_max^2 (module docstring), where the
+    trace is taken once.  Each run of one trace sign is one gap, gap 0
+    starting at the bottom; gaps 1..m_max must each hold two gap points,
+    which coincide at a closed gap, and any other count raises GridTooCoarse
+    naming the gap and its energy window.  Band m lies between gaps m - 1
+    and m: its lower edge is the root of gap m - 1's residual between the
+    midpoint of that gap's points and the first point of gap m, its upper
+    edge the root of gap m's residual between the last point of gap m - 1
+    and the midpoint of gap m's points.  Every edge comes from one call of a
+    vectorised bracketed Newton solver, to an energy tolerance of 1e-12
+    (plus 8 ulp relative): above zero on the Pruefer phase of its gap,
+    at or below zero on sigma tr - 2 (sigma the gap's trace sign, both
+    scaled by sech; module docstring).  A bracket across zero is cut at
+    -+k_min (k_min = 1e-9/ell) on the side where tr(0) = s + c ell puts the
+    edge; one cut at +k_min, where the Pruefer residual tends to 0, is halved
+    the same way by the trace at its midpoint.  A gap no wider than twice the
+    edge tolerance at its lower end is flagged closed.  A band narrower than
+    the float spacing (below zero on wide cells) comes back as [E, E].  Band
+    m is the m-th band from the bottom (m = 1..m_max); gap m, between bands
+    m and m+1, holds the m-th Dirichlet point, (pi m / ell)^2 when beta = 0.
+    M = +-I (the free and phase-equivalent couplings) has no gap: one band
+    [0, inf) comes back.  The records are named tuples.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    t = spec._transfer
+    if t.tb == 0.0 and t.tc == 0.0 and t.ta == t.td:
+        # M = +-I up to the rounding of det M = 1: tr = +-2 cos(k ell)
+        return [BandInterval(1, 0.0, math.inf)], []
     ell = spec.ell
     k_max = (m_max + 1.5) * math.pi / ell
     s, c, b = coeffs = spec._trace_coeffs
-
+    pts = _gap_grid(spec, k_max)
+    # the trace at the bottom anchor, the grid's first point, is known
+    q_bot, scaled, _ = spec._bottom
+    known = int(pts[0] == -q_bot)
+    sign = np.sign(np.concatenate([[scaled][:known], _trace(coeffs, ell, pts[known:])[0]]))
+    # each run of one trace sign is one gap: its first and last grid point
+    first = np.flatnonzero(np.concatenate([[True], sign[1:] != sign[:-1]]))
+    last = np.append(first[1:] - 1, len(pts) - 1)
+    held = (last - first + 1)[1:m_max + 1]
+    wrong = np.flatnonzero(held != 2)
+    if wrong.size:
+        j = wrong[0] + 1
+        raise GridTooCoarse(f"gap {j} holds {held[j - 1]} gap points, not two (a missed gap): "
+                            + _grid_note(pts, last[j - 1], first[j + 1] if j + 1 < len(first)
+                                         else len(pts) - 1))
+    if len(first) <= m_max:
+        raise GridTooCoarse(f"found {len(first) - 1} bands below k_max, fewer than"
+                            f" m_max = {m_max}: " + _grid_note(pts, 0, len(pts) - 1))
+    first, last = first[:m_max + 1], last[:m_max + 1]
+    mid = 0.5 * (pts[first] + pts[last])
+    # The brackets in ascending order, band m's lower edge then its upper
+    # edge.  Each belongs to the gap at one end, of trace sign sigma: a lower
+    # edge to gap m - 1 at lo, an upper edge to gap m at hi.
+    lo, hi, sigma = np.empty((3, 2 * m_max))
+    lo[0::2], hi[0::2], sigma[0::2] = mid[:-1], pts[first[1:]], sign[first[:-1]]
+    lo[1::2], hi[1::2], sigma[1::2] = pts[last[:-1]], mid[1:], sign[first[1:]]
+    at_lo = np.arange(2 * m_max) % 2 == 0
+    # A bracket across zero keeps the side of its edge: above zero where 0
+    # lies in the gap at lo, or outside the gap at hi.
+    k_min = _K_MIN / ell
+    across = (lo < 0.0) & (hi > 0.0)
+    above = across & ((sigma * (s + c * ell) > 2.0) == at_lo)
+    lo = np.where(above, np.minimum(k_min, hi), lo)
+    hi = np.where(across & ~above, np.maximum(-k_min, lo), hi)
+    # The Pruefer residual tends to 0 as k -> 0, where Newton and false
+    # position stall, so a bracket from +k_min keeps the side of its edge at
+    # hi/2 too: above it where hi/2 lies in the gap at lo, or outside the gap at hi.
+    cut = np.flatnonzero(above & (hi > 2.0 * k_min))
+    if cut.size:
+        half = 0.5 * hi[cut]
+        up = (sigma[cut] * _trace(coeffs, ell, half)[0] >= 2.0) == at_lo[cut]
+        lo[cut[up]], hi[cut[~up]] = half[up], half[~up]
+    # The brackets with lo <= 0 come first.  Above zero each edge is solved
+    # in k on the Pruefer phase of index j, that of the bracket's gap end
+    # (theta near j pi); the edges are solved in z, so the energy tolerance
+    # maps to tol/(|z_lo| + |z_hi|).
+    n = np.count_nonzero(lo <= 0.0)
+    gap_end, sigma = np.where(at_lo, lo, hi)[n:], sigma[:n]
     sign_s = math.copysign(1.0, s)
-    ss_4 = (abs(s) - 2.0) * (abs(s) + 2.0)
+    t_diff = t.ta - t.td
+    t_diff2 = t_diff * t_diff
 
     def theta(y, k):  # the Pruefer phase above zero, y = c/k - b k (module docstring)
         return k * ell - np.arctan2(sign_s * y, abs(s))
 
-    def pruefer(k, j_pi):  # a - |theta - j pi|: > 0 in gap j, < 0 in the bands beside it
-        c_k = c / k
-        y, dy = c_k - b * k, c_k / k + b  # dy = -y'
-        yy = y * y
-        r2 = ss_4 + 4.0 + yy
-        # tan a = sqrt(R^2 - 4)/2, with R^2 - 4 free of the cancellation in R - 2
-        root = np.sqrt(np.maximum(ss_4 + yy, 0.0))
-        d = theta(y, k) - j_pi
-        slope_a = np.where(root > 0.0, -2.0 * y * dy / (r2 * root), 0.0)
-        return np.arctan2(root, 2.0) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
-
-    # The grid z: the gap points and anchors (z[0::2]) and after each but the
-    # last (z[1::2]) a band point between two of opposite trace sign, or else
-    # the midpoint of the two, which lies in their gap.  A band point is any
-    # point with |tr| < 2 above zero, where Newton on tr stops at its first
-    # step into the band; below zero it is the root of tr.  tr changes sign
-    # across zero only where tr(0) = s + c ell rounds to 0: the midpoint 0 of
-    # -k_min and k_min is then the band point.
-    pts = _gap_grid(spec, k_max)
-    z, scaled, sech = np.empty((3, 2 * len(pts) - 1))
-    # the trace at the bottom anchor, the grid's first point, is known
-    q_bot, scaled[0], sech[0] = spec._bottom
-    known = int(pts[0] == -q_bot)
-    scaled[2 * known::2], sech[2 * known::2] = _trace(coeffs, ell, pts[known:])[:2]
-    sign = np.sign(scaled[0::2])
-    flip = sign[:-1] != sign[1:]
-    split = flip & ((pts[:-1] > 0.0) | (pts[1:] < 0.0))
-    inner = 0.5 * (pts[:-1] + pts[1:])
-    left, right = pts[:-1][split], pts[1:][split]
-    stop = np.where(left > 0.0, 2.0, 0.0)  # below zero no step ends early
-
-    def band_point(x):  # tr, or 0 (a root) at a step inside where |tr| < stop
-        scaled, _, slope, _ = _trace(coeffs, ell, x)
-        return np.where((np.abs(scaled) < stop) & (x > left) & (x < right), 0.0, scaled), slope
-
-    inner[split] = _newton(band_point, left, right)
-    z[0::2], z[1::2] = pts, inner
-    scaled[1::2], sech[1::2] = _trace(coeffs, ell, inner)[:2]
-    energies = z * np.abs(z)
-    resolved = np.abs(scaled) - 2.0 * sech <= 0.0
-    # A band point lies in its band.  Below zero, where a band can be narrower
-    # than the float spacing and |tr| round above 2 at every float, it is both
-    # band edges.
-    inside = resolved.copy()
-    inside[1:-1:2] |= flip & (energies[1:-1:2] < 0.0)
-    # At an exactly closed gap M T = +-I: its Dirichlet and Neumann points
-    # coincide, |tr| rounds to 2 there, and one run of in-band points holds
-    # the band points of the bands on either side.  Where two or more gap
-    # points between two such band points lie within the edge tolerance of
-    # each other, they and the midpoints between them leave the run (a run
-    # open at the top of the grid, though, is the one band of a gapless
-    # spectrum).  A point whose flag is overridden, here or below zero, is
-    # itself an edge: the brackets beside it collapse onto it.
-    at = 2 * np.flatnonzero(flip) + 1
-    run = np.cumsum(~inside)
-    same = (run[at[:-1]] == run[at[1:]]) & ~(inside[-1] & (run[at[1:]] == run[-1]))
-    for p, q in zip(at[:-1][same], at[1:][same]):
-        e_lo, e_hi = energies[p + 1], energies[q - 1]
-        if q - p > 2 and e_hi - e_lo <= 2.0 * _xtol(e_lo, e_hi):
-            inside[p + 1:q] = False
-    stuck = inside != resolved
-    i = np.flatnonzero(inside[:-1] != inside[1:])
-    lo = np.where(stuck[i + 1], z[i + 1], z[i])
-    hi = np.where(stuck[i], z[i], z[i + 1])
-    # Above zero each edge is solved in k on the Pruefer phase of index j, that
-    # of the bracket's gap end (theta near j pi).  The brackets are ascending,
-    # and the n with an end at zero or below go first.  The edges are solved
-    # in z, so the energy tolerance maps to tol/(|z_lo| + |z_hi|).
-    n = np.count_nonzero(lo <= 0.0)
-    gap_end = z[np.where(inside[i], i + 1, i)[n:]]
     j_pi = math.pi * np.round(theta(c / gap_end - b * gap_end, gap_end) / math.pi)
 
-    def edge(x):  # > 0 in a gap: |tr| - 2 times sech, then pruefer
-        f, slope = pruefer(x[n:], j_pi)
+    def pruefer(k):  # a - |theta - j pi|: > 0 in gap j, < 0 in the bands beside it
+        c_k, b_k = c / k, b * k
+        c_kk = c_k / k
+        y, dy = c_k - b_k, c_kk + b  # dy = -y'
+        r2 = s * s + y * y
+        # tan a = sqrt(R^2 - 4)/2, R^2 - 4 = (ta - td)^2 + (tb k + tc/k)^2 as
+        # det M = 1, with (tb, tc) = (b, c); where root = 0, p = 0 too
+        p = b_k + c_k
+        root = np.sqrt(t_diff2 + p * p)
+        d = theta(y, k) - j_pi
+        slope_a = 2.0 * p / np.maximum(root, _TINY) * (b - c_kk) / r2
+        return np.arctan2(root, 2.0) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
+
+    def edge(x):  # > 0 in the bracket's gap: sigma tr sech - 2 sech, then pruefer
+        f, slope = pruefer(x[n:])
         if n == 0:
             return f, slope
         scaled, sech, scaled_slope, sech_slope = _trace(coeffs, ell, x[:n])
-        return (np.concatenate([np.abs(scaled) - 2.0 * sech, f]),
-                np.concatenate([np.sign(scaled) * scaled_slope - 2.0 * sech_slope, slope]))
+        return (np.concatenate([sigma * scaled - 2.0 * sech, f]),
+                np.concatenate([sigma * scaled_slope - 2.0 * sech_slope, slope]))
 
     edges = _newton(edge, lo, hi, tol=lambda z0, z1: _xtol(z0 * z0, z1 * z1) / np.abs(z0 + z1))
     edges *= np.abs(edges)
     # an edge within the refinement tolerance of zero is the threshold itself
     edges = np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
-    # edges alternate band start, band end; an odd count leaves a band open at
-    # k_max, and a fully gapless spectrum (free and phase-equivalent couplings)
-    # shows up as one such band
-    if len(edges) == 1:
-        return [BandInterval(1, float(edges[0]), math.inf)], []
-    lo, hi = edges[0:len(edges) - 1:2][:m_max], edges[1::2][:m_max]
-    # band m is the m-th from the bottom, so each must hold exactly one band
-    # point, a root of tr between two gap points of opposite trace sign
-    points = energies[1:-1:2][flip]
-    held = np.searchsorted(points, hi, side="right") - np.searchsorted(points, lo)
-    merged = np.flatnonzero(held != 1)
-    if merged.size:
-        j = merged[0]
-        raise GridTooCoarse(f"band {j + 1} [{lo[j]:.6g}, {hi[j]:.6g}] holds {held[j]} band points,"
-                            " not one (a closed or missed gap): "
-                            + _grid_note(energies, lo[j], hi[j]))
-    if len(lo) < m_max:
-        raise GridTooCoarse(f"found {len(lo)} bands below k_max, fewer than m_max = {m_max}: "
-                            + _grid_note(energies, energies[0], energies[-1]))
+    lo, hi = edges[0::2], edges[1::2]
     # a gap is closed where its width is within the edge solver's tolerance
     closed = lo[1:] - hi[:-1] <= 2.0 * _xtol(hi[:-1], lo[1:])
     m = range(1, m_max + 1)

@@ -632,20 +632,35 @@ def chernoff_hughes_to_greek(p: ChernoffHughesParams) -> GreekParams:
 
     Requires e^z != -1.
     """
-    ez = cmath.exp(p.z)
-    _check_denominator(1.0 + ez, max(1.0, abs(ez)), "1+exp(z)")
-    ezb = cmath.exp(p.z.conjugate())
-    alpha = 4.0 * p.r * (math.exp(2.0 * p.z.real) - 1.0) / abs(1.0 + ez) ** 2
-    gamma = 2.0 * (ezb - 1.0) / (ezb + 1.0)
+    try:
+        ez = cmath.exp(p.z)
+        _check_denominator(1.0 + ez, max(1.0, abs(ez)), "1+exp(z)")
+        ezb = cmath.exp(p.z.conjugate())
+        alpha = 4.0 * p.r * (math.exp(2.0 * p.z.real) - 1.0) / abs(1.0 + ez) ** 2
+        gamma = 2.0 * (ezb - 1.0) / (ezb + 1.0)
+    except OverflowError:
+        alpha = math.inf
+    if not math.isfinite(alpha):  # Re z past ~354: both forms divided by e^{2 Re z}
+        emzb = cmath.exp(-p.z.conjugate())
+        alpha = 4.0 * p.r * (1.0 - math.exp(-2.0 * p.z.real)) / abs(1.0 + emzb) ** 2
+        gamma = 2.0 * (1.0 - emzb) / (1.0 + emzb)
     return GreekParams(alpha, 0.0, gamma)
 
 
 def chernoff_hughes_to_inverse(p: ChernoffHughesParams) -> InverseParams:
     """A = 1/d, B = e^{2 Re z}/d, C = e^{conj(z)}/d with d = r (e^{2 Re z} - 1) != 0."""
-    den = p.r * (math.exp(2.0 * p.z.real) - 1.0)
+    try:
+        grow = math.exp(2.0 * p.z.real)
+    except OverflowError:
+        grow = math.inf
+    den = p.r * (grow - 1.0)
+    if math.isfinite(den):
+        num = (1.0, grow, cmath.exp(p.z.conjugate()))
+    else:  # Re z past ~354: A, B, C and d divided by e^{2 Re z}
+        num = (math.exp(-2.0 * p.z.real), 1.0, cmath.exp(-p.z))
+        den = p.r * (1.0 - num[0])
     _check_denominator(den, max(1.0, abs(p.r)), "r*(exp(2Re(z))-1)")
-    return InverseParams(1.0 / den, math.exp(2.0 * p.z.real) / den,
-                         cmath.exp(p.z.conjugate()) / den)
+    return InverseParams(num[0] / den, num[1] / den, num[2] / den)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidSheet, InvalidWavenumber, PoleEvaluation
+from .errors import DegenerateParametrization, InvalidSheet, InvalidWavenumber, PoleEvaluation
 from .params import (DEGENERACY_TOL, DIRICHLET, CouplingScheme, GreekParams,
                      HalflineBoundary, HalflineParams, _matrix_constants,
                      _MatrixConstants)
@@ -280,7 +280,10 @@ def _denominator_roots(g: GreekParams, m: _MatrixConstants) -> list[float]:
     # stable quadratic, so neither root cancels.  The discriminant is
     # (4 - alpha beta)^2 + 2|gamma|^2 (4 + alpha beta) + |gamma|^4 >= 0.
     b = m.four_det
-    q = -(b + math.copysign(math.sqrt(max(b * b - 16.0 * g.alpha * g.beta, 0.0)), b)) / 2.0
+    root = math.sqrt(max(b * b - 16.0 * g.alpha * g.beta, 0.0))
+    if root == math.inf:  # b * b leaves the float range: take |b| out of the root
+        root = abs(b) * math.sqrt(max(1.0 - 16.0 * (g.alpha / b) * (g.beta / b), 0.0))
+    q = -(b + math.copysign(root, b)) / 2.0
     if abs(g.beta) <= DEGENERACY_TOL * m.scale:
         return [m.two_alpha / q]  # the second root escapes to -infinity
     return sorted([m.two_alpha / q, q / m.two_beta], reverse=True)
@@ -325,7 +328,12 @@ def _bound_coefficients(g: GreekParams, m: _MatrixConstants,
     # boundary system at the root, (a+kappa) mu + c nu = 0, times 4 beta
     mu0 = complex(4.0 - m.det, 4.0 * g.gamma.imag)
     nu0 = complex(m.mm + 4.0 * m.beta * kappa)
-    norm = math.sqrt((abs(mu0) ** 2 + abs(nu0) ** 2) / (2.0 * kappa))
+    try:
+        norm = math.sqrt((abs(mu0) ** 2 + abs(nu0) ** 2) / (2.0 * kappa))
+    except OverflowError:  # a square leaves the float range; hypot does not
+        norm = math.hypot(abs(mu0), abs(nu0)) / math.sqrt(2.0 * kappa)
+        if not math.isfinite(norm):
+            raise DegenerateParametrization("|(mu, nu)|", norm) from None
     mu0, nu0 = mu0 / norm, nu0 / norm
     anchor = mu0 if abs(mu0) > 1e-300 else nu0
     phase = anchor.conjugate() / abs(anchor)
@@ -577,19 +585,23 @@ def scattering_asymptotics(scheme: CouplingScheme) -> ScatteringAsymptotics:
         gm = abs(g.gamma) ** 2
         four_gm = 4.0 + gm
         w = 4.0 - gm + 4j * g.gamma.imag
-        r0, t0, sq = re4 / four_gm, w / four_gm, four_gm ** 2
+        r0, t0 = re4 / four_gm, w / four_gm
+        try:
+            minus, plus, w_num, den = four_gm - re4, four_gm + re4, w, four_gm ** 2
+        except OverflowError:  # (4+|gamma|^2)^2 leaves the float range: divide twice
+            minus, plus, w_num, den = 1.0 - r0, 1.0 + r0, t0, four_gm
 
     # m.pm is 4 - det + 4i Im gamma
     if alpha_zero:
         low = AsymptoticExpansion("low", "alpha_zero", 1, r0, t0,
-                                  -2j * beta * (four_gm - re4) / sq, 2j * beta * w / sq)
+                                  -2j * beta * minus / den, 2j * beta * w_num / den)
     else:
         low = AsymptoticExpansion("low", "alpha_nonzero", 1, -1.0, 0.0j,
                                   -1j * (m.four_det + re4) / (2.0 * alpha),
                                   -1j * m.pm / (2.0 * alpha))
     if beta_zero:
         high = AsymptoticExpansion("high", "beta_zero", -1, r0, t0,
-                                   -2j * alpha * (four_gm + re4) / sq, -2j * alpha * w / sq)
+                                   -2j * alpha * plus / den, -2j * alpha * w_num / den)
     else:
         high = AsymptoticExpansion("high", "beta_nonzero", -1, 1.0, 0.0j,
                                    -1j * (m.four_det - re4) / (2.0 * beta),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 import os
 import subprocess
@@ -238,6 +239,14 @@ def test_free_single_band():
 def test_phase_equivalent_coupling_is_gapless():
     bands, gaps = band_structure(_spec(0.0, 0.0, 0.9j), 5)
     assert gaps == [] and len(bands) == 1
+
+
+def test_phase_equivalent_coupling_rounded_past_the_identity_is_gapless():
+    # ta = td = 1 + 2^-52: M = I up to the rounding of det M = 1, where
+    # |tr| = 2 ta |cos(k ell)| would read tiny gaps at every (pi m / ell)^2
+    spec = _spec(0.0, 0.0, -1.6208877449286674j)
+    assert spec._transfer.ta == spec._transfer.td > 1.0
+    assert band_structure(spec, 5) == ([BandInterval(1, 0.0, math.inf)], [])
 
 
 def test_delta_gap_anchors():
@@ -600,62 +609,31 @@ def _solver_evaluations(monkeypatch, spec, m_max) -> list[int]:
     return counts
 
 
-def test_band_points_below_zero_take_few_evaluations(monkeypatch):
-    # the scaled trace varies like c ell near q = 0 and like c/q further out,
-    # where false position alone took 25 evaluations for the band points
-    spec = _spec(-22.95, -0.2334, -0.891 - 0.667j, ell=47.63)
-    gap_points, band_points, edges = _solver_evaluations(monkeypatch, spec, 6)
-    assert band_points <= 10
-
-
 # one coupling per high-energy regime, those of the `bands` benchmark workload
 ONE_PER_REGIME = [(0.0, 1.0, 0.0), (-2.0, 0.0, 0.0), (-1.0, 0.5, 0.3 + 0.4j),
                   (-1.0, 0.0, 0.5 + 0.3j)]
 
 
-@pytest.mark.parametrize("greek", ONE_PER_REGIME,
-                         ids=["delta_prime", "delta", "generic", "intermediate"])
-def test_band_points_above_zero_take_few_evaluations(monkeypatch, greek):
-    # Newton on tr stops at its first step into the band (the root of tr
-    # took 6-9 evaluations)
-    gap_points, band_points, edges = _solver_evaluations(monkeypatch, _spec(*greek), 200)
-    assert band_points <= 4
+@pytest.mark.parametrize("greek, ell, m_max, most", [
+    ((-22.95, -0.2334, -0.891 - 0.667j), 47.63, 6, 15),
+    (ONE_PER_REGIME[0], 1.0, 200, 9), (ONE_PER_REGIME[1], 1.0, 200, 11),
+    (ONE_PER_REGIME[2], 1.0, 200, 9), (ONE_PER_REGIME[3], 1.0, 200, 9),
+], ids=["bound_bands", "delta_prime", "delta", "generic", "intermediate"])
+def test_edges_take_few_evaluations(monkeypatch, greek, ell, m_max, most):
+    # below zero the scaled trace varies like c ell near q = 0 and like c/q
+    # further out; above zero the Pruefer residual is nearly linear in k.  The
+    # bounds are what a band-point solve and an edge solve took together.
+    gap_points, edges = _solver_evaluations(monkeypatch, _spec(*greek, ell=ell), m_max)
+    assert edges <= most
 
 
-def _band_points(monkeypatch, spec, m_max):
-    # the band points of one band_structure, the roots of its second _newton call
-    found, solve = [], lattice._newton
-
-    def recorded(*args, **kwargs):
-        found.append(solve(*args, **kwargs))
-        return found[-1]
-
-    monkeypatch.setattr(lattice, "_newton", recorded)
-    bands, _ = band_structure(spec, m_max)
-    monkeypatch.setattr(lattice, "_newton", solve)
-    return found[1], bands
-
-
-def test_band_points_above_zero_lie_strictly_inside_their_bands(monkeypatch):
-    rng = np.random.default_rng(14)
-    specs = [_spec(*greek) for greek in ONE_PER_REGIME]
-    specs += [_fuzzed_lattice(rng, ["delta_prime", "delta", "intermediate", "near_delta",
-                                    "strong_delta"][i % 5]) for i in range(60)]
-    for spec in specs:
-        points, bands = _band_points(monkeypatch, spec, 12)
-        energies = [z * z for z in points.tolist() if z > 0.0 and z * z < bands[-1].e_hi]
-        assert len(energies) >= 10
-        for e in energies:
-            assert sum(b.e_lo < e < b.e_hi for b in bands) == 1, (spec.scheme.greek, spec.ell, e)
-            assert abs(trace_at_energy(spec, e)) < 2.0
-
-
-@pytest.mark.parametrize("alpha, beta", [(-2.0, 0.0), (0.0, 1.0)], ids=["delta", "delta_prime"])
-def test_edges_on_gap_points_take_few_evaluations(monkeypatch, alpha, beta):
+@pytest.mark.parametrize("alpha, beta, most", [(-2.0, 0.0, 11), (0.0, 1.0, 9)],
+                         ids=["delta", "delta_prime"])
+def test_edges_on_gap_points_take_few_evaluations(monkeypatch, alpha, beta, most):
     # every Dirichlet point of delta and Neumann point of delta' is a band
     # edge whose residual is rounding noise of either sign
-    counts = _solver_evaluations(monkeypatch, _spec(alpha, beta, 0.0), 60)
-    assert len(counts) == 3 and max(counts) <= 8
+    gap_points, edges = _solver_evaluations(monkeypatch, _spec(alpha, beta, 0.0), 60)
+    assert gap_points <= 8 and edges <= most
 
 
 @pytest.mark.parametrize("alpha, beta, gamma, ell, m_max", [
@@ -667,7 +645,7 @@ def test_newton_returns_on_narrow_cells(monkeypatch, alpha, beta, gamma, ell, m_
     # below the float spacing of its ends; a step clamped that far inside an
     # end rounds back onto it and the solver never returns
     counts = _solver_evaluations(monkeypatch, _spec(alpha, beta, gamma, ell=ell), m_max)
-    assert len(counts) == 3 and max(counts) <= 20
+    assert len(counts) == 2 and max(counts) <= 20
 
 
 @pytest.mark.parametrize("greek, ell", [
@@ -676,7 +654,7 @@ def test_newton_returns_on_narrow_cells(monkeypatch, alpha, beta, gamma, ell, m_
 ], ids=["delta_prime", "delta", "generic", "intermediate", "bound_bands"])
 def test_band_structure_takes_the_trace_once_per_grid_point(monkeypatch, greek, ell):
     # the scalar probes that place the bottom anchor, the gap points and the
-    # points between them each go to _trace once; solver steps aside
+    # halves of brackets cut at +k_min each go to _trace once; solver steps aside
     seen, solving = [], []
     trace, solve = lattice._trace, lattice._newton
 
@@ -695,7 +673,7 @@ def test_band_structure_takes_the_trace_once_per_grid_point(monkeypatch, greek, 
     monkeypatch.setattr(lattice, "_trace", recorded)
     monkeypatch.setattr(lattice, "_newton", marked)
     band_structure(_spec(*greek, ell=ell), 60)
-    assert len(seen) > 240
+    assert len(seen) > 120
     assert len(set(seen)) == len(seen)
 
 
@@ -722,9 +700,150 @@ def test_exactly_closed_gap_is_reported_with_zero_width():
     assert [gp.closed for gp in gaps] == [gp.m == 3 for gp in gaps]
 
 
+def _decimal_pi() -> decimal.Decimal:
+    # the decimal module documentation's recipe, at the context precision
+    decimal.getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_series(x: decimal.Decimal, i: int) -> decimal.Decimal:
+    # the documentation's Taylor recipes: cos x for i = 0, sin x for i = 1
+    lasts, s, num, fact, sign = 0, x ** i, x ** i, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign = -sign
+        s += num / fact * sign
+    return s
+
+
+def _exact_excess(greek: GreekParams, ell: float, energy: float) -> decimal.Decimal:
+    """|tr| - 2 = 2 |RHS| / |w| - 2 at a float energy to 60 digits, from the
+    band condition (the lattice module docstring), k = i q below zero."""
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 70
+        alpha, beta, cell = dec(greek.alpha), dec(greek.beta), dec(ell)
+        re, im = dec(greek.gamma.real), dec(greek.gamma.imag)
+        det = alpha * beta + re * re + im * im
+        e = dec(energy)
+        if e > 0:  # cos(k ell) and sin(k ell) / k, the phase reduced to [-pi, pi]
+            k = e.sqrt()
+            two_pi = 2 * _decimal_pi()
+            x = k * cell
+            x -= two_pi * (x / two_pi).to_integral_value()
+            even, odd = _decimal_series(x, 0), _decimal_series(x, 1) / k
+        elif e < 0:  # cosh(q ell) and sinh(q ell) / q
+            q = (-e).sqrt()
+            grow = (q * cell).exp()
+            even, odd = (grow + 1 / grow) / 2, (grow - 1 / grow) / (2 * q)
+        else:
+            even, odd = dec(1), cell
+        rhs = (4 + det) * even + 2 * (alpha - beta * e) * odd
+        return 2 * abs(rhs) / ((4 - det) ** 2 + 16 * im * im).sqrt() - 2
+
+
+def _edge_tol(energy: float) -> float:
+    return 1e-12 + 8.0 * sys.float_info.epsilon * abs(energy)
+
+
+def _assert_edges_are_exact(greek: GreekParams, ell: float, bands) -> None:
+    # each edge lies within the solver's tolerance of a 60-digit root of
+    # |tr| - 2, or, where |tr| varies too slowly for the float trace to place
+    # it that closely, on |tr| = 2 to within the trace's rounding
+    for band in bands:
+        for e in (band.e_lo, band.e_hi):
+            if math.isinf(e):
+                continue
+            tol = _edge_tol(e)
+            sign_change = _exact_excess(greek, ell, e - tol) * _exact_excess(greek, ell, e + tol)
+            assert sign_change <= 0 or abs(_exact_excess(greek, ell, e)) <= 4.0 * sys.float_info.epsilon, \
+                (greek, ell, band, e)
+
+
+def _assert_gaps_are_open(greek: GreekParams, ell: float, gaps) -> None:
+    for gap in gaps:
+        assert not gap.closed and gap.width > 0.0, gap
+        assert _exact_excess(greek, ell, 0.5 * (gap.e_lo + gap.e_hi)) > 0, gap
+
+
+@pytest.mark.parametrize("shift", [-1e-9, 1e-9, 1e-7], ids=["minus_1e-9", "plus_1e-9", "plus_1e-7"])
+def test_gaps_beside_the_closed_one_are_open(shift):
+    # gap 3 is 4.5e-11 wide at ell -+ 1e-9, where |tr| rounds to 2 across it
+    greek, ell = GreekParams(-1.0, 1.0, 0j), 8.497482742767767 + shift
+    bands, gaps = band_structure(LatticeSpec(CouplingScheme.from_greek(greek), ell), 8)
+    assert [b.m for b in bands] == list(range(1, 9))
+    assert abs(gaps[2].e_lo - 1.0) < 1e-6
+    _assert_gaps_are_open(greek, ell, gaps)
+    _assert_edges_are_exact(greek, ell, bands)
+
+
+def test_weak_delta_like_gaps_of_a_narrow_cell_are_counted():
+    # |alpha| ell ~ 1e-6: each gap is 1e-9 of its energy wide, but |tr| - 2
+    # there is about 1e-14 or less
+    greek, ell = GreekParams(-4.13e-4, 0.0, -0.1897j), 2.01e-3
+    bands, gaps = band_structure(LatticeSpec(CouplingScheme.from_greek(greek), ell), 12)
+    assert [b.m for b in bands] == list(range(1, 13))
+    _assert_gaps_are_open(greek, ell, gaps)
+    _assert_edges_are_exact(greek, ell, bands)
+
+
+def test_edges_of_a_large_coupling_on_a_narrow_cell_are_exact():
+    # |gamma| ~ 380 on ell ~ 7e-3: the lower edge of band 2 came out 4.6e-4
+    # off when the edge brackets came from a scan of |tr| - 2
+    greek = GreekParams(0.07842082135248962, 0.0, -0.0015639455944000287 + 380.05965984764686j)
+    ell = 0.007179823744884764
+    bands, gaps = band_structure(LatticeSpec(CouplingScheme.from_greek(greek), ell), 60)
+    e = bands[1].e_lo
+    tol = _edge_tol(e)
+    assert _exact_excess(greek, ell, e - tol) * _exact_excess(greek, ell, e + tol) <= 0
+    _assert_gaps_are_open(greek, ell, gaps)
+    _assert_edges_are_exact(greek, ell, bands)
+
+
+def test_gap_narrower_than_the_float_trace_resolves_is_found():
+    # |gamma| ~ 2.3e5: every gap is about 1e-11 m wide, while |tr| - 2 in it
+    # is below the float spacing of 2
+    greek = GreekParams(0.0012374979784255257, 0.0, -0.02580879164020771 - 227052.5784903415j)
+    ell = 1.4935940315782685
+    bands, gaps = band_structure(LatticeSpec(CouplingScheme.from_greek(greek), ell), 6)
+    assert [b.m for b in bands] == list(range(1, 7))
+    assert gaps[0].e_lo == pytest.approx(4.4241985226, abs=1e-9)
+    assert 0.5e-11 < gaps[0].width < 2e-11
+    _assert_gaps_are_open(greek, ell, gaps)
+    _assert_edges_are_exact(greek, ell, bands)
+
+
+def test_a_grid_without_both_points_of_one_gap_raises(monkeypatch):
+    # without gap 3's two gap points the runs of gaps 2 and 4 merge; counting
+    # bands on either side of it would shift every label above it
+    spec = _spec(-1.0, 0.5, 0.3 + 0.4j)
+    gap = band_structure(spec, 12)[1][2]
+    grid = lattice._gap_grid
+
+    def missing(spec, k_max):
+        pts = grid(spec, k_max)
+        energies = pts * np.abs(pts)
+        return pts[(energies < gap.e_lo) | (energies > gap.e_hi)]
+
+    monkeypatch.setattr(lattice, "_gap_grid", missing)
+    with pytest.raises(GridTooCoarse, match=r"gap 2 holds 4 gap points"):
+        band_structure(spec, 12)
+
+
 def test_a_gap_the_grid_misses_still_raises(monkeypatch):
     # the grid holds a point in band 3 in place of the gap points of gap 3:
-    # bands 3 and 4 run together through it, and one point is no closed gap
+    # it makes a gap of one point, and one point is no closed gap
     spec = _spec(-1.0, 0.5, 0.3 + 0.4j)
     gap = band_structure(spec, 12)[1][2]
     grid = lattice._gap_grid
@@ -736,7 +855,7 @@ def test_a_gap_the_grid_misses_still_raises(monkeypatch):
         return np.sort(np.append(kept, math.sqrt(gap.e_lo - 1.0)))
 
     monkeypatch.setattr(lattice, "_gap_grid", missing)
-    with pytest.raises(GridTooCoarse, match=r"band 3 \[.*\] holds 2 band points"):
+    with pytest.raises(GridTooCoarse, match=r"gap 3 holds 1 gap points"):
         band_structure(spec, 12)
 
 

@@ -543,6 +543,34 @@ def test_chernoff_hughes_rejects_exp_z_minus_one():
         chernoff_hughes_to_greek(ChernoffHughesParams(1.0, 1j * math.pi))
 
 
+@pytest.mark.parametrize("z", [400.0 + 0j, 800.0 + 1j])
+def test_chernoff_hughes_past_the_exponential_range(z):
+    # e^{2 Re z} overflows; divided by it, alpha = 4r, gamma = 2 and
+    # (A, B, C) = (0, 1/r, 0) to rounding
+    p = ChernoffHughesParams(1.0, z)
+    g = chernoff_hughes_to_greek(p)
+    assert close(g.alpha, 4.0, 1e-15) and g.beta == 0.0 and close(g.gamma, 2.0, 1e-15)
+    inv = chernoff_hughes_to_inverse(p)
+    assert abs(inv.A) <= 1e-300 and close(inv.B, 1.0, 1e-15) and abs(inv.C) <= 1e-170
+
+
+def test_chernoff_hughes_is_continuous_where_e_to_the_2x_overflows():
+    # e^{2x} leaves the float range at x ~ 354.9; on both sides alpha = 4r,
+    # gamma = 2, A e^{2x} = B = 1/r and C e^z = 1/r to rounding
+    r = 1.5
+    with pytest.raises(OverflowError):
+        math.exp(2.0 * 355.0)
+    for j in range(80):
+        z = complex(354.5 + 0.01 * j, 0.3)
+        p = ChernoffHughesParams(r, z)
+        g = chernoff_hughes_to_greek(p)
+        assert close(g.alpha, 4.0 * r, 1e-15) and close(g.gamma, 2.0, 1e-15), z
+        inv = chernoff_hughes_to_inverse(p)
+        assert close(math.log(inv.A) + 2.0 * z.real, -math.log(r)), z
+        assert close(inv.B, 1.0 / r, 1e-15), z
+        assert close(cmath.log(inv.C) + z, -math.log(r)), z
+
+
 # ---------------------------------------------------------------------------
 # decoupling, symmetries, gauge
 # ---------------------------------------------------------------------------

@@ -483,3 +483,26 @@ def test_kernel_raises_at_a_bound_state():
             for x, xp in ((0.5, 0.7), (-0.5, -0.7), (0.5, -0.7), (-0.5, 0.7)):
                 with pytest.raises(PoleEvaluation):
                     green_kernel(scheme, x, xp, 1j * p.kappa)
+
+
+def test_asymptotics_and_bound_states_past_the_range_of_squares():
+    # (4 + |gamma|^2)^2, (4 + det)^2 and |4 - det|^2 leave the float range,
+    # but the expansions and the bound state do not
+    alpha, gamma = 3.2075846633429543e+23, -1.2123854869096575e+78 + 6.321262325789779e-61j
+    asym = scattering_asymptotics(CouplingScheme.from_greek(
+        GreekParams(alpha, 5.414192566293566e-23, gamma)))
+    for end in (asym.low, asym.high):
+        assert all(cmath.isfinite(v) for v in (end.r_limit, end.t_limit, end.r_coeff, end.t_coeff))
+    # r = r0 - 2i alpha (4 + |gamma|^2 + 4 Re gamma) / (4 + |gamma|^2)^2 / k + ...
+    assert asym.high.r_coeff == pytest.approx(-2j * alpha / abs(gamma) ** 2, rel=1e-14)
+
+    greek = GreekParams(-5.665947502505928e+76, -2.45401545968452e+77,
+                        -1.2781139565475978e-63 + 5.783306489429932e-25j)
+    bound = [p for p in point_spectrum(CouplingScheme.from_greek(greek))
+             if p.kind is PointKind.BOUND]
+    assert len(bound) == 1
+    point = bound[0]
+    # 2 beta kappa^2 + (4 + det) kappa + 2 alpha = 0, det ~ alpha beta: kappa ~ -det / (2 beta)
+    det = greek.alpha * greek.beta
+    assert point.kappa == pytest.approx(-det / (2.0 * greek.beta), rel=1e-14)
+    assert abs(point.mu) ** 2 + abs(point.nu) ** 2 == pytest.approx(2.0 * point.kappa, rel=1e-14)

@@ -56,6 +56,28 @@ def _check_denominator(value: complex, scale: float, name: str) -> None:
         raise DegenerateParametrization(name, abs(value))
 
 
+def _greek_det(alpha: float, beta: float, gamma_mod: float) -> float:
+    """det = alpha beta + |gamma|^2; DegenerateParametrization("det") where it is not finite."""
+    try:
+        det = alpha * beta + gamma_mod ** 2
+    except OverflowError:  # |gamma|^2 left the float range
+        det = math.inf
+    if not math.isfinite(det):  # or alpha beta did
+        raise DegenerateParametrization("det", math.inf)
+    return det
+
+
+def _minor(x: float, y: float, z_mod: float, name: str) -> float:
+    """x y - z_mod^2 (a b - |c|^2 or A B - |C|^2), refused as `name` where it is not finite."""
+    try:
+        value = x * y - z_mod ** 2
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DegenerateParametrization(name, math.inf)
+    return value
+
+
 def _require_finite(*values: float) -> None:
     # real fields: a complex (numpy's complex scalars included) or a string is refused
     for v in values:
@@ -86,12 +108,11 @@ def _require_finite_complex(*values: complex) -> None:
 # finite sum of all of them.  Any other input goes through _require_finite and
 # _require_finite_complex, which decide what is stored, refused and said.
 #
-# Records built on every scalar call (these four, the scheme, the symmetry
-# flags and spectral's outputs) are frozen dataclasses with an explicit
-# __init__ that stores the fields straight into the instance dict; the
-# generated one calls object.__setattr__ per field, which takes twice as long
-# (the six records that do not validate save about 5% of the per-coupling
-# chain).  tests/test_params.py holds each such __init__ to its fields.
+# These four and the scheme validate in a hand-written __init__ that stores
+# the fields straight into the instance dict: a frozen dataclass's generated
+# one calls object.__setattr__ per field, which takes twice as long.  The
+# records that only carry results (the symmetry flags, spectral's outputs)
+# are named tuples.
 
 @dataclass(frozen=True)
 class GreekParams:
@@ -384,10 +405,7 @@ class _MatrixConstants(NamedTuple):
 
 def _matrix_constants(g: GreekParams) -> _MatrixConstants:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
-    try:
-        det = alpha * beta + abs(gamma) ** 2
-    except OverflowError:
-        raise DegenerateParametrization("det", math.inf) from None
+    det = _greek_det(alpha, beta, abs(gamma))
     four_det = 4.0 + det
     abs_alpha, abs_beta = abs(alpha), abs(beta)
     return _MatrixConstants(
@@ -400,12 +418,7 @@ def _matrix_constants(g: GreekParams) -> _MatrixConstants:
 def _greek_is_decoupled(g: GreekParams) -> bool:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     gamma_mod = abs(gamma)
-    try:
-        det = alpha * beta + gamma_mod ** 2
-    except OverflowError:  # |gamma|^2 overflowed
-        det = math.inf
-    if not math.isfinite(det):  # alpha beta overflowed; it must not scale the tolerance
-        raise DegenerateParametrization("det", abs(det))
+    det = _greek_det(alpha, beta, gamma_mod)  # an infinite det must not scale the tolerance
     tol = DEGENERACY_TOL * max(abs(det), abs(alpha), abs(beta), gamma_mod, 1.0)
     return abs(det - 4.0) <= tol and abs(gamma.imag) <= tol
 
@@ -439,10 +452,7 @@ def greek_to_halfline(g: GreekParams) -> HalflineParams:
     gamma_mod = abs(gamma)
     if abs(beta) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
         raise DegenerateParametrization("beta", abs(beta))
-    try:
-        det = alpha * beta + gamma_mod ** 2
-    except OverflowError:
-        raise DegenerateParametrization("det", math.inf) from None
+    det = _greek_det(alpha, beta, gamma_mod)
     re4, four_beta = 4.0 * gamma.real, 4.0 * beta
     return HalflineParams((4.0 + det + re4) / four_beta, (4.0 + det - re4) / four_beta,
                           (-4.0 + det - 4.0j * gamma.imag) / four_beta)
@@ -455,10 +465,7 @@ def halfline_to_greek(h: HalflineParams) -> GreekParams:
     den = a + b - 2.0 * c.real
     if abs(den) <= DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0):
         raise DegenerateParametrization("a+b-2Re(c)", abs(den))
-    try:
-        alpha = 4.0 * (a * b - c_mod ** 2) / den
-    except OverflowError:
-        raise DegenerateParametrization("a*b-|c|^2", math.inf) from None
+    alpha = 4.0 * _minor(a, b, c_mod, "a*b-|c|^2") / den
     return GreekParams(alpha, 4.0 / den,
                        4.0 * (0.5 * (a - b) - 1.0j * c.imag) / den)
 
@@ -473,10 +480,7 @@ def halfline_to_inverse(h: HalflineParams) -> InverseParams:
     """
     a, b, c = h.a, h.b, h.c
     c_mod = abs(c)
-    try:
-        den = a * b - c_mod ** 2
-    except OverflowError:
-        raise DegenerateParametrization("a*b-|c|^2", math.inf) from None
+    den = _minor(a, b, c_mod, "a*b-|c|^2")
     try:
         tol = DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0) ** 2
     except OverflowError:
@@ -490,10 +494,7 @@ def inverse_to_halfline(i: InverseParams) -> HalflineParams:
     """Inverse form -> halfline form; requires AB - |C|^2 != 0."""
     A, B, C = i.A, i.B, i.C
     C_mod = abs(C)
-    try:
-        den = A * B - C_mod ** 2
-    except OverflowError:
-        raise DegenerateParametrization("A*B-|C|^2", math.inf) from None
+    den = _minor(A, B, C_mod, "A*B-|C|^2")
     try:
         tol = DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0) ** 2
     except OverflowError:
@@ -514,10 +515,7 @@ def greek_to_inverse(g: GreekParams) -> InverseParams:
     gamma_mod = abs(gamma)
     if abs(alpha) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
         raise DegenerateParametrization("alpha", abs(alpha))
-    try:
-        det = alpha * beta + gamma_mod ** 2
-    except OverflowError:
-        raise DegenerateParametrization("det", math.inf) from None
+    det = _greek_det(alpha, beta, gamma_mod)
     re4, four_alpha = 4.0 * gamma.real, 4.0 * alpha
     return InverseParams((4.0 + det - re4) / four_alpha, (4.0 + det + re4) / four_alpha,
                          (4.0 - det + 4.0j * gamma.imag) / four_alpha)
@@ -530,10 +528,7 @@ def inverse_to_greek(i: InverseParams) -> GreekParams:
     den = A + B + 2.0 * C.real
     if abs(den) <= DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0):
         raise DegenerateParametrization("A+B+2Re(C)", abs(den))
-    try:
-        beta = 4.0 * (A * B - C_mod ** 2) / den
-    except OverflowError:
-        raise DegenerateParametrization("A*B-|C|^2", math.inf) from None
+    beta = 4.0 * _minor(A, B, C_mod, "A*B-|C|^2") / den
     return GreekParams(4.0 / den, beta,
                        (2.0 * (B - A) + 4.0j * C.imag) / den)
 
@@ -572,7 +567,10 @@ def halfline_to_transfer(h: HalflineParams) -> TransferParams:
     m = abs(c)
     if m <= DEGENERACY_TOL * max(abs(a), abs(b), m, 1.0):
         raise DegenerateParametrization("c", m)
-    return TransferParams(-c / m, b / m, 1.0 / m, (a * b - m * m) / m, a / m)
+    minor = a * b - m * m  # not _minor: m ** 2 and m * m can differ in the last bit
+    if not math.isfinite(minor):
+        raise DegenerateParametrization("a*b-|c|^2", math.inf)
+    return TransferParams(-c / m, b / m, 1.0 / m, minor / m, a / m)
 
 
 def greek_to_transfer(g: GreekParams) -> TransferParams:
@@ -586,10 +584,7 @@ def greek_to_transfer(g: GreekParams) -> TransferParams:
     without dividing by beta.
     """
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
-    try:
-        det = alpha * beta + abs(gamma) ** 2
-    except OverflowError:
-        raise DegenerateParametrization("det", math.inf) from None
+    det = _greek_det(alpha, beta, abs(gamma))
     im4 = 4.0 * gamma.imag
     wmod = math.hypot(4.0 - det, im4)
     if wmod <= DEGENERACY_TOL * max(1.0, det):
@@ -667,15 +662,10 @@ def chernoff_hughes_to_inverse(p: ChernoffHughesParams) -> InverseParams:
 # Classification and gauge action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetryFlags:
+class SymmetryFlags(NamedTuple):
     time_reversal: bool
     space_reflection: bool
     quasifree: bool
-
-    def __init__(self, time_reversal: bool, space_reflection: bool, quasifree: bool):
-        self.__dict__.update(time_reversal=time_reversal, space_reflection=space_reflection,
-                             quasifree=quasifree)
 
 
 def is_decoupled(scheme: CouplingScheme) -> bool:

@@ -48,13 +48,12 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DegenerateParametrization, InvalidSheet, InvalidWavenumber, PoleEvaluation
 from .params import (DEGENERACY_TOL, DIRICHLET, CouplingScheme, GreekParams,
                      HalflineBoundary, HalflineParams, _matrix_constants,
                      _MatrixConstants)
-
-_POLE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,7 @@ def _check_sheet(k: complex) -> complex:
 def _halfline_prefactor(h: HalflineParams, k: complex) -> complex:
     d = denominator_D(h, k)
     scale = max(1.0, (abs(h.a) + abs(k)) * (abs(h.b) + abs(k)), abs(h.c) ** 2)
-    if abs(d) <= _POLE_TOL * scale:
+    if abs(d) <= DEGENERACY_TOL * scale:
         raise PoleEvaluation(f"D(k) = {d!r} vanishes at k = {k!r}")
     return 1.0 / d
 
@@ -157,7 +156,8 @@ def _correction(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> complex:
     # quadrant coefficient / (2 Delta), Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k)
     d = m.two_alpha - 1j * k * m.four_det - m.two_beta * k * k
     abs_k = abs(k)
-    if abs(d) <= _POLE_TOL * max(1.0, m.abs_alpha, abs_k * m.abs_four_det, m.abs_beta * abs_k ** 2):
+    if abs(d) <= DEGENERACY_TOL * max(1.0, m.abs_alpha, abs_k * m.abs_four_det,
+                                      m.abs_beta * abs_k ** 2):
         raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
     return 0.5 / d * _quadrant_coef(m, k, sx, sxp)
 
@@ -167,7 +167,7 @@ def _separated_corr(bc: HalflineBoundary, k: complex) -> complex:
     if bc.kind == DIRICHLET:
         return 0.0 + 0.0j
     d = bc.slope - 1j * k
-    if abs(d) <= _POLE_TOL * max(1.0, abs(bc.slope), abs(k)):
+    if abs(d) <= DEGENERACY_TOL * max(1.0, abs(bc.slope), abs(k)):
         raise PoleEvaluation(f"side denominator vanishes at k = {k!r}")
     return 1.0 / d
 
@@ -253,8 +253,7 @@ class PointKind(str, enum.Enum):
     SPURIOUS_ROOT = "spurious_root"
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     """A root kappa of the spectral denominator, with classification.
 
     energy = -kappa^2 is filled for every kind; the eigenfunction coefficients
@@ -268,11 +267,6 @@ class SpectralPoint:
     kind: PointKind
     mu: complex | None = None
     nu: complex | None = None
-
-    def __init__(self, kappa: float, energy: float, kind: PointKind,
-                 mu: complex | None = None, nu: complex | None = None):
-        # frozen: the fields go straight into the instance dict (see params, "Parameter records")
-        self.__dict__.update(kappa=kappa, energy=energy, kind=kind, mu=mu, nu=nu)
 
 
 def _denominator_roots(g: GreekParams, m: _MatrixConstants) -> list[float]:
@@ -305,22 +299,6 @@ def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -
     # Delta'(i kappa) = -i (4 + det + 4 beta kappa)
     dprime = -1j * (m.four_det + 4.0 * m.beta * kappa0)
     return _quadrant_coef(m, 1j * kappa0, sx, sxp) * expfac / (2.0 * dprime)
-
-
-def _zero_root_is_spurious(scheme: CouplingScheme) -> bool:
-    # The free kernel (i/2k) e^{ik|x-x'|} carries residue i/2 at k = 0; a
-    # kappa = 0 root is spurious when the full kernel's residue matches it
-    # identically, i.e. the interacting part has vanishing residue.  At
-    # kappa = 0 the exponential is 1, so the residue depends only on the
-    # quadrant of (x, x').
-    devs = []
-    scale = 0.5
-    for sx in (1.0, -1.0):
-        for sxp in (1.0, -1.0):
-            res = kernel_residue(scheme, 0.0, sx, sxp)
-            devs.append(abs(res - 0.5j))
-            scale = max(scale, abs(res))
-    return max(devs) <= 1e-10 * scale
 
 
 def _bound_coefficients(g: GreekParams, m: _MatrixConstants,
@@ -376,7 +354,10 @@ def point_spectrum(scheme: CouplingScheme) -> list[SpectralPoint]:
         elif kappa < -ztol:
             points.append(SpectralPoint(kappa, -kappa * kappa, PointKind.ANTIBOUND))
         else:
-            kind = (PointKind.SPURIOUS_ROOT if _zero_root_is_spurious(scheme)
+            # spurious where the kernel's residue at k = 0 is the free i/2 in
+            # every quadrant: Delta'(0) = -i (4 + det), so pp, mm, pm and mp
+            # must all equal 4 + det, i.e. gamma = 0 and det = 0
+            kind = (PointKind.SPURIOUS_ROOT if abs(g.gamma) <= ztol and abs(m.det) <= ztol
                     else PointKind.ZERO_RESONANCE)
             # the window decides the kind only; the root is reported as computed
             # (+ 0.0 turns -0.0 into 0.0)
@@ -439,16 +420,12 @@ def binding_regime(h: HalflineParams) -> BindingRegime:
 # Scattering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
+class ScatteringAmplitudes(NamedTuple):
     """On-shell reflection and transmission at real wavenumber k > 0."""
 
     k: float
     r: complex
     t: complex
-
-    def __init__(self, k: float, r: complex, t: complex):
-        self.__dict__.update(k=k, r=r, t=t)
 
     @property
     def unitarity(self) -> float:
@@ -518,8 +495,7 @@ def s_matrix_array(scheme: CouplingScheme, k):
     return _amplitudes(scheme, k)
 
 
-@dataclass(frozen=True)
-class AsymptoticExpansion:
+class AsymptoticExpansion(NamedTuple):
     """Leading behaviour of (r, t) at one end of the energy axis.
 
     For `order` = +1 the amplitudes behave as limit + coeff * k + O(k^2)
@@ -536,19 +512,10 @@ class AsymptoticExpansion:
     r_coeff: complex
     t_coeff: complex
 
-    def __init__(self, regime: str, branch: str, order: int, r_limit: complex,
-                 t_limit: complex, r_coeff: complex, t_coeff: complex):
-        self.__dict__.update(regime=regime, branch=branch, order=order, r_limit=r_limit,
-                             t_limit=t_limit, r_coeff=r_coeff, t_coeff=t_coeff)
 
-
-@dataclass(frozen=True)
-class ScatteringAsymptotics:
+class ScatteringAsymptotics(NamedTuple):
     low: AsymptoticExpansion
     high: AsymptoticExpansion
-
-    def __init__(self, low: AsymptoticExpansion, high: AsymptoticExpansion):
-        self.__dict__.update(low=low, high=high)
 
 
 def scattering_asymptotics(scheme: CouplingScheme) -> ScatteringAsymptotics:

@@ -380,24 +380,16 @@ def test_transfer_record_checks_its_invariants_on_exact_floats():
         TransferParams(1 + 0j, 1.0, 1.0, 1.0, 1.0)
 
 
-# The records built on every scalar call write their own __init__, so their
-# field list lives in the annotations, the signature and the instance-dict
-# update; one valid set of arguments for each keeps the three in step.
+# The records that validate write their own __init__, so their field list
+# lives in the annotations, the signature and the instance-dict update; one
+# valid set of arguments for each keeps the three in step.
 def _own_init_examples() -> dict:
-    g = GreekParams(1.0, 2.0, 0.5j)
-    low = AsymptoticExpansion("low", "alpha_zero", 1, 0.5 + 0j, 0.5j, 1j, -1j)
-    high = AsymptoticExpansion("high", "beta_nonzero", -1, 1.0, 0j, -1j, 2j)
     return {
         GreekParams: (1.0, 2.0, 0.5j),
         HalflineParams: (1.0, 2.0, 0.5j),
         InverseParams: (1.0, 2.0, 0.5j),
         TransferParams: (1 + 0j, 2.0, 1.0, 1.0, 1.0),
-        CouplingScheme: (g, None),
-        SymmetryFlags: (True, False, True),
-        SpectralPoint: (1.0, -1.0, PointKind.BOUND, 1 + 0j, 0.5j),
-        ScatteringAmplitudes: (2.0, 0.1j, 0.9 + 0j),
-        AsymptoticExpansion: ("low", "alpha_zero", 1, 0.5 + 0j, 0.5j, 1j, -1j),
-        ScatteringAsymptotics: (low, high),
+        CouplingScheme: (GreekParams(1.0, 2.0, 0.5j), None),
     }
 
 
@@ -423,20 +415,45 @@ def test_hand_written_record_inits_match_their_fields():
             setattr(rec, names[0], args[0])
 
 
+def test_result_records_are_immutable_hashable_tuples():
+    low = AsymptoticExpansion("low", "alpha_zero", 1, 0.5 + 0j, 0.5j, 1j, -1j)
+    high = AsymptoticExpansion("high", "beta_nonzero", -1, 1.0, 0j, -1j, 2j)
+    examples = {
+        SymmetryFlags: (("time_reversal", "space_reflection", "quasifree"), (True, False, True)),
+        SpectralPoint: (("kappa", "energy", "kind", "mu", "nu"),
+                        (1.0, -1.0, PointKind.BOUND, 1 + 0j, 0.5j)),
+        ScatteringAmplitudes: (("k", "r", "t"), (2.0, 0.6j, 0.8 + 0j)),
+        AsymptoticExpansion: (("regime", "branch", "order", "r_limit", "t_limit", "r_coeff",
+                               "t_coeff"), tuple(low)),
+        ScatteringAsymptotics: (("low", "high"), (low, high)),
+    }
+    for cls, (names, args) in examples.items():
+        assert issubclass(cls, tuple) and cls._fields == names, cls
+        rec = cls(*args)
+        assert tuple(rec) == args and rec == cls(**dict(zip(names, args))), cls
+        assert hash(rec) == hash(cls(*args)) and len({rec, cls(*args)}) == 1, cls
+        with pytest.raises(AttributeError):
+            setattr(rec, names[0], args[0])
+        *_, last = rec
+        assert last is args[-1] and getattr(rec, names[-1]) is args[-1], cls
+    assert SpectralPoint._field_defaults == {"mu": None, "nu": None}
+    assert SpectralPoint(-0.5, -0.25, PointKind.ANTIBOUND)[3:] == (None, None)
+    assert all(not cls._field_defaults for cls in examples if cls is not SpectralPoint)
+    assert ScatteringAmplitudes(2.0, 0.6j, 0.8 + 0j).unitarity == 1.0
+
+
 def test_overflowing_conversions_refuse_as_before():
-    # det = alpha beta overflows to inf: the inverse form's fields come out
-    # infinite and its record refuses them; the halfline form is refused on
-    # its beta denominator and the transfer form on its non-finite |w|
+    # det = alpha beta overflows to inf: the inverse and transfer forms name
+    # det; the halfline form is refused first on its beta denominator
     g = GreekParams(1e300, 1e10, 0j)
-    with pytest.raises(ValueError, match="got inf"):
-        greek_to_inverse(g)
+    for convert in (greek_to_inverse, greek_to_transfer):
+        with pytest.raises(DegenerateParametrization) as info:
+            convert(g)
+        assert info.value.denominator == "det" and info.value.magnitude == math.inf
+        assert "not finite" in str(info.value)
     with pytest.raises(DegenerateParametrization) as info:
         greek_to_halfline(g)
     assert info.value.denominator == "beta" and info.value.magnitude == 1e10
-    with pytest.raises(DegenerateParametrization) as info:
-        greek_to_transfer(g)
-    assert info.value.denominator == "|4-det+4i*Im(gamma)|"
-    assert info.value.magnitude == math.inf and "not finite" in str(info.value)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -452,10 +469,17 @@ def test_overflowing_conversions_refuse_as_before():
     (lambda: halfline_to_greek(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
     (lambda: CouplingScheme.from_halfline(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
     (lambda: inverse_to_greek(InverseParams(1.0, 1.0, 1e200 + 0j)), "A*B-|C|^2"),
+    # a product of two finite fields overflows: alpha beta, a b or A B
+    (lambda: greek_to_halfline(GreekParams(1e200, 1e200, 0.5 + 0j)), "det"),
+    (lambda: greek_to_inverse(GreekParams(1e200, 1e200, 0.5 + 0j)), "det"),
+    (lambda: halfline_to_greek(HalflineParams(1e200, 1e200, 0.5 + 0j)), "a*b-|c|^2"),
+    (lambda: inverse_to_greek(InverseParams(1e200, 1e200, 0.5 + 0j)), "A*B-|C|^2"),
+    (lambda: halfline_to_transfer(HalflineParams(1e200, 1e200, 1e190 + 0j)), "a*b-|c|^2"),
 ])
 def test_squares_past_the_float_range_are_degenerate(call, name):
-    # a magnitude past about 1.34e154 squares out of the float range: the
-    # conversion names the quantity that is not finite, as for alpha beta
+    # a magnitude past about 1.34e154 squares out of the float range, or a
+    # product of two fields leaves it: the conversion names the quantity
+    # that is not finite
     with pytest.raises(DegenerateParametrization) as info:
         call()
     assert info.value.denominator == name and info.value.magnitude == math.inf

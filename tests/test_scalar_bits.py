@@ -70,8 +70,9 @@ def _bits(value) -> str:
         return value.hex()
     if isinstance(value, list):
         return "[" + " ".join(map(_bits, value)) + "]"
-    if hasattr(value, "__dataclass_fields__"):
-        return "(" + " ".join(_bits(getattr(value, f)) for f in value.__dataclass_fields__) + ")"
+    fields = getattr(value, "__dataclass_fields__", None) or getattr(value, "_fields", None)
+    if fields:
+        return "(" + " ".join(_bits(getattr(value, f)) for f in fields) + ")"
     raise TypeError(f"no bit pattern for {value!r}")
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from gpi1d import (BindingKind, CouplingScheme, GreekParams, HalflineBoundary,
                    HalflineParams, InvalidWavenumber, PointKind, PoleEvaluation,
-                   binding_regime, denominator_D, denominator_F,
+                   binding_regime, classify_symmetries, denominator_D, denominator_F,
                    gauge_transform, greek_to_halfline, green_kernel,
                    green_kernel_dx, green_kernel_greek, kernel_residue, params,
                    point_spectrum, s_matrix, s_matrix_array,
@@ -88,6 +88,21 @@ def test_genuine_zero_energy_resonance():
     kinds = {p.kind for p in pts}
     assert PointKind.ZERO_RESONANCE in kinds
     assert PointKind.SPURIOUS_ROOT not in kinds
+
+
+@pytest.mark.parametrize("greek, kinds", [
+    # |gamma| ~ 1e-11 lies outside the root's window 1e-12 * scale, though the
+    # kernel's residue at k = 0 is within 1e-10 of the free i/2
+    ((0.0, 1.82, -5.7e-12 + 9.3e-12j), [PointKind.ZERO_RESONANCE, PointKind.ANTIBOUND]),
+    # |gamma| ~ 1.3e-9 and |det| ~ 2e-8 lie inside the window 1.1e-7, though
+    # the residue strays from i/2 by more than 1e-10
+    ((1.9e-13, -1.1e5, 8.3e-10 - 9.4e-10j), [PointKind.BOUND, PointKind.SPURIOUS_ROOT]),
+], ids=["gamma-past-window", "gamma-and-det-in-window"])
+def test_zero_root_is_spurious_where_gamma_and_det_vanish_in_its_window(greek, kinds):
+    scheme = CouplingScheme.from_greek(GreekParams(*greek))
+    assert [p.kind for p in point_spectrum(scheme)] == kinds
+    # the same window decides whether gamma is zero for the symmetry flags
+    assert classify_symmetries(scheme).space_reflection == (PointKind.SPURIOUS_ROOT in kinds)
 
 
 def test_two_bound_states_against_quadratic_oracle():

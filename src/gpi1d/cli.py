@@ -232,11 +232,14 @@ def _task_scatter(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
 def _task_berry(args) -> tuple[dict, list, list]:
     import numpy as np
 
-    loop = berry_mod.ParameterLoop(
-        a=_as_float("a", args.a),
-        c_mod=_as_float("cmod", args.cmod),
-        samples=_as_int("samples", args.samples),
-        branch=args.branch or "plus")
+    try:  # ConfigError from a field passes through
+        loop = berry_mod.ParameterLoop(
+            a=_as_float("a", args.a),
+            c_mod=_as_float("cmod", args.cmod),
+            samples=_as_int("samples", args.samples),
+            branch=args.branch or "plus")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = berry_mod.berry_phase_discrete(loop)
     summary = {"task": "berry", "phase": result.phase, "samples": loop.samples,
                "branch": loop.branch, "kappa": loop.kappa}
@@ -252,7 +255,12 @@ def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
 
     ell = _as_float("ell", args.ell)
     m_max = _as_int("mmax", args.mmax)
-    spec = lattice_mod.LatticeSpec(scheme, ell)
+    if m_max < 1:
+        raise ConfigError("need mmax >= 1")
+    try:
+        spec = lattice_mod.LatticeSpec(scheme, ell)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     bands, gaps = lattice_mod.band_structure(spec, m_max)
     rows: list[list] = []
     for b in bands:

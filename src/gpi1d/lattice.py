@@ -430,10 +430,9 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     k_max = (m_max + 1.5) * math.pi / ell
     s, c, b = coeffs = spec._trace_coeffs
     pts = _gap_grid(spec, k_max)
-    # the trace at the bottom anchor, the grid's first point, is known
-    q_bot, scaled, _ = spec._bottom
-    known = int(pts[0] == -q_bot)
-    sign = np.sign(np.concatenate([[scaled][:known], _trace(coeffs, ell, pts[known:])[0]]))
+    # the grid's first point is the bottom anchor -q_bot, whose trace is known
+    scaled = spec._bottom[1]
+    sign = np.sign(np.concatenate([[scaled], _trace(coeffs, ell, pts[1:])[0]]))
     # each run of one trace sign is one gap: its first and last grid point
     first = np.flatnonzero(np.concatenate([[True], sign[1:] != sign[:-1]]))
     last = np.append(first[1:] - 1, len(pts) - 1)

@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DegenerateParametrization
@@ -111,8 +110,9 @@ def _require_finite_complex(*values: complex) -> None:
 # These four and the scheme validate in a hand-written __init__ that stores
 # the fields straight into the instance dict: a frozen dataclass's generated
 # one calls object.__setattr__ per field, which takes twice as long.  The
-# records that only carry results (the symmetry flags, spectral's outputs)
-# are named tuples.
+# scheme stores its matrix-form constants and halfline form in the same
+# update, built once at construction.  The records that only carry results
+# (the symmetry flags, spectral's outputs) are named tuples.
 
 @dataclass(frozen=True)
 class GreekParams:
@@ -329,7 +329,10 @@ class CouplingScheme:
 
     Construct through :meth:`from_greek` / :meth:`from_halfline` /
     :meth:`from_separated`; the constructors canonicalize decoupled matrix
-    parameters into the explicit separated representation.
+    parameters into the explicit separated representation.  A coupled scheme
+    also carries `_matrix`, its matrix-form constants, and `halfline`, its
+    halfline form or None where beta = 0 (both None on a separated scheme);
+    they are not fields, so equality, hashing and repr read only the two fields.
     """
 
     greek: GreekParams | None = None
@@ -339,27 +342,17 @@ class CouplingScheme:
                  separated: SeparatedHalflineBC | None = None):
         if (greek is None) == (separated is None):
             raise ValueError("exactly one of greek/separated must be given")
-        self.__dict__.update(greek=greek, separated=separated)
+        matrix = halfline = None
+        if greek is not None:
+            matrix = _matrix_constants(greek)
+            if abs(greek.beta) > DEGENERACY_TOL * matrix.scale:
+                halfline = greek_to_halfline(greek)
+        self.__dict__.update(greek=greek, separated=separated, _matrix=matrix,
+                             halfline=halfline)
 
     @property
     def is_separated(self) -> bool:
         return self.separated is not None
-
-    @cached_property
-    def halfline(self) -> HalflineParams | None:
-        """The halfline form, or None when it does not exist (separated or beta = 0).
-
-        Converted on first use and kept on the scheme.
-        """
-        g = self.greek
-        if g is None or abs(g.beta) <= DEGENERACY_TOL * self._matrix.scale:
-            return None
-        return greek_to_halfline(g)
-
-    @cached_property
-    def _matrix(self) -> "_MatrixConstants | None":
-        # the matrix-form constants of a coupled scheme, built on first use
-        return None if self.greek is None else _matrix_constants(self.greek)
 
     @classmethod
     def from_greek(cls, greek: GreekParams) -> "CouplingScheme":
@@ -465,9 +458,20 @@ def halfline_to_greek(h: HalflineParams) -> GreekParams:
     den = a + b - 2.0 * c.real
     if abs(den) <= DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0):
         raise DegenerateParametrization("a+b-2Re(c)", abs(den))
-    alpha = 4.0 * _minor(a, b, c_mod, "a*b-|c|^2") / den
+    # den / 4 is exact (|den| > 1e-12), and 4 ab may overflow where alpha does not
+    alpha = _minor(a, b, c_mod, "a*b-|c|^2") / (0.25 * den)
     return GreekParams(alpha, 4.0 / den,
                        4.0 * (0.5 * (a - b) - 1.0j * c.imag) / den)
+
+
+def _involution(x: float, y: float, z: complex, name: str) -> tuple[float, float, complex]:
+    """(y, x, -z) / (x y - |z|^2), refused as `name` where the minor vanishes against scale^2."""
+    z_mod = abs(z)
+    den = _minor(x, y, z_mod, name)
+    scale = max(abs(x), abs(y), z_mod, 1.0)
+    if abs(den) / scale <= DEGENERACY_TOL * scale:  # scale^2 itself may overflow
+        raise DegenerateParametrization(name, abs(den))
+    return y / den, x / den, -z / den
 
 
 def halfline_to_inverse(h: HalflineParams) -> InverseParams:
@@ -478,30 +482,12 @@ def halfline_to_inverse(h: HalflineParams) -> InverseParams:
     condition: (1 + kappa A)(1 + kappa B) - kappa^2 |C|^2 = 0 has the same
     roots as (a + kappa)(b + kappa) - |c|^2 = 0.
     """
-    a, b, c = h.a, h.b, h.c
-    c_mod = abs(c)
-    den = _minor(a, b, c_mod, "a*b-|c|^2")
-    try:
-        tol = DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0) ** 2
-    except OverflowError:
-        raise DegenerateParametrization("max(|a|,|b|,|c|,1)^2", math.inf) from None
-    if abs(den) <= tol:
-        raise DegenerateParametrization("a*b-|c|^2", abs(den))
-    return InverseParams(b / den, a / den, -c / den)
+    return InverseParams(*_involution(h.a, h.b, h.c, "a*b-|c|^2"))
 
 
 def inverse_to_halfline(i: InverseParams) -> HalflineParams:
     """Inverse form -> halfline form; requires AB - |C|^2 != 0."""
-    A, B, C = i.A, i.B, i.C
-    C_mod = abs(C)
-    den = _minor(A, B, C_mod, "A*B-|C|^2")
-    try:
-        tol = DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0) ** 2
-    except OverflowError:
-        raise DegenerateParametrization("max(|A|,|B|,|C|,1)^2", math.inf) from None
-    if abs(den) <= tol:
-        raise DegenerateParametrization("A*B-|C|^2", abs(den))
-    return HalflineParams(B / den, A / den, -C / den)
+    return HalflineParams(*_involution(i.A, i.B, i.C, "A*B-|C|^2"))
 
 
 def greek_to_inverse(g: GreekParams) -> InverseParams:
@@ -528,7 +514,8 @@ def inverse_to_greek(i: InverseParams) -> GreekParams:
     den = A + B + 2.0 * C.real
     if abs(den) <= DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0):
         raise DegenerateParametrization("A+B+2Re(C)", abs(den))
-    beta = 4.0 * _minor(A, B, C_mod, "A*B-|C|^2") / den
+    # den / 4 is exact (|den| > 1e-12), and 4 AB may overflow where beta does not
+    beta = _minor(A, B, C_mod, "A*B-|C|^2") / (0.25 * den)
     return GreekParams(4.0 / den, beta,
                        (2.0 * (B - A) + 4.0j * C.imag) / den)
 
@@ -597,8 +584,11 @@ def greek_to_transfer(g: GreekParams) -> TransferParams:
     re2, half_re = 2.0 * omega0.real, e * gamma.real / 2.0
     ta = s * ((e - re2 - half_re) / 2.0)
     td = s * ((e - re2 + half_re) / 2.0)
-    return TransferParams(complex(s * omega0.real, s * omega0.imag), ta,
-                          s * (e * beta / 4.0), s * (alpha * e / 4.0), td)
+    try:
+        return TransferParams(complex(s * omega0.real, s * omega0.imag), ta,
+                              s * (e * beta / 4.0), s * (alpha * e / 4.0), td)
+    except ValueError:  # ta td - tb tc rounded away from 1: ta, td cancel in E -+ E Re gamma / 2
+        raise DegenerateParametrization("|4-det+4i*Im(gamma)|", wmod) from None
 
 
 def scheme_to_transfer(scheme: CouplingScheme) -> TransferParams:

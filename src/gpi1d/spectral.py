@@ -31,8 +31,8 @@ unitary: |r|^2 + |t|^2 = 1.  `s_matrix` evaluates them at one k;
 `s_matrix_array` evaluates the same formula over a whole array of k with
 numpy, for tables.
 
-What depends only on the coupling is built once per `CouplingScheme`, on
-first use, and kept on it: the matrix-form constants (2 alpha, 4 + det and
+What depends only on the coupling is built once, when its `CouplingScheme`
+is constructed, and kept on it: the matrix-form constants (2 alpha, 4 + det and
 2 beta of Delta, the magnitudes its pole test scales by, and the constant
 parts of the four quadrant coefficients) and the halfline form.  A scalar
 kernel or S-matrix call reads them instead of deriving them again.  The

@@ -330,3 +330,31 @@ def test_each_task_accepts_exactly_its_options(task):
     # a dropped parent loses its options; one passed twice fails the build on
     # its conflicting flags
     assert sorted(strings) == sorted(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bands", *_GENERIC, "--ell=-1", "--mmax", "12"),
+    ("bands", *_GENERIC, "--ell", "1", "--mmax", "0"),
+    ("bands", "--scheme", "greek", "--alpha=-3", "--beta=-1", "--gamma-re", "1",
+     "--gamma-im", "0", "--ell", "1", "--mmax", "12"),  # decoupled: no lattice
+    ("berry", "--a", "-2", "--cmod", "0.6", "--samples", "2"),
+    ("berry", "--a", "-2", "--cmod=-0.5", "--samples", "50"),
+])
+def test_invalid_lattice_and_loop_options_exit_2(run, argv):
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NO_TRANSFER = ("--scheme", "greek", "--alpha", "3.715587397906834", "--beta", "0",
+                "--gamma-re", "1.990990659703986", "--gamma-im", "0.02903491371520401")
+
+
+def test_coupling_without_a_transfer_record_is_named(run):
+    # its transfer record would miss ta td - tb tc = 1 by 1.08e-12
+    code, out, err = run("convert", *_NO_TRANSFER)
+    assert code == 0 and "note: transfer form not available" in err
+    assert {row[0] for row in json.loads(out)["rows"]} == {"greek", "inverse"}
+    code, out, err = run("bands", *_NO_TRANSFER, "--ell", "0.0056007541257996245",
+                         "--mmax", "12")
+    assert code == 3 and out == "" and "|4-det+4i*Im(gamma)|" in err

@@ -395,6 +395,10 @@ def _own_init_examples() -> dict:
 
 def test_hand_written_record_inits_match_their_fields():
     examples = _own_init_examples()
+    # the scheme also stores the two forms its spectral paths read
+    g = examples[CouplingScheme][0]
+    derived = {CouplingScheme: {"_matrix": params_module._matrix_constants(g),
+                                "halfline": greek_to_halfline(g)}}
     own = {obj for mod in (params_module, spectral_module) for obj in vars(mod).values()
            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
            and obj.__module__ == mod.__name__
@@ -410,7 +414,7 @@ def test_hand_written_record_inits_match_their_fields():
             assert missing == (f.default is dataclasses.MISSING), (cls, f.name)
             assert missing or p.default == f.default, (cls, f.name)
         rec = cls(*args)
-        assert vars(rec) == dict(zip(names, args)), cls
+        assert vars(rec) == {**dict(zip(names, args)), **derived.get(cls, {})}, cls
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rec, names[0], args[0])
 
@@ -462,9 +466,7 @@ def test_overflowing_conversions_refuse_as_before():
     (lambda: greek_to_transfer(GreekParams(1.0, 1.0, 1e200j)), "det"),
     (lambda: greek_to_halfline(GreekParams(1e190, 1e190, 1e200j)), "det"),
     (lambda: greek_to_inverse(GreekParams(1e190, 1e190, 1e200j)), "det"),
-    (lambda: halfline_to_inverse(HalflineParams(1e200, 1.0, 1.0 + 0j)), "max(|a|,|b|,|c|,1)^2"),
     (lambda: halfline_to_inverse(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
-    (lambda: inverse_to_halfline(InverseParams(1e200, 1.0, 1.0 + 0j)), "max(|A|,|B|,|C|,1)^2"),
     (lambda: inverse_to_halfline(InverseParams(1.0, 1.0, 1e200 + 0j)), "A*B-|C|^2"),
     (lambda: halfline_to_greek(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
     (lambda: CouplingScheme.from_halfline(HalflineParams(1.0, 1.0, 1e200 + 0j)), "a*b-|c|^2"),
@@ -484,6 +486,64 @@ def test_squares_past_the_float_range_are_degenerate(call, name):
         call()
     assert info.value.denominator == name and info.value.magnitude == math.inf
     assert "not finite" in str(info.value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: halfline_to_inverse(HalflineParams(1e200, 1.0, 1.0 + 0j)), "a*b-|c|^2"),
+    (lambda: inverse_to_halfline(InverseParams(1e200, 1.0, 1.0 + 0j)), "A*B-|C|^2"),
+])
+def test_minor_small_against_an_overflowing_squared_scale_is_degenerate(call, name):
+    # scale^2 = 1e400 leaves the float range, the minor 1e200 does not: the
+    # minor is 1e-200 of scale^2, so the involution refuses it by its name
+    with pytest.raises(DegenerateParametrization) as info:
+        call()
+    assert info.value.denominator == name and info.value.magnitude == 1e200
+    assert "vanishes" in str(info.value)
+
+
+def test_involution_keeps_records_whose_squared_scale_alone_overflows():
+    # scale^2 = 4e308 overflows, the minor ab = 2e304 and the results do not
+    for convert, record in ((halfline_to_inverse, HalflineParams),
+                            (inverse_to_halfline, InverseParams)):
+        out = tuple(vars(convert(record(2e154, 1e150, 0j))).values())
+        assert out == (5e-155, 1e-150, -0j), convert
+
+
+def test_halfline_and_inverse_to_greek_reach_representable_large_results():
+    # 4 (ab - |c|^2) = 4e308 overflows, (ab - |c|^2) / (den / 4) = 2e154 does not
+    assert halfline_to_greek(HalflineParams(1e154, 1e154, 1.0 + 0j)) == GreekParams(2e154, 2e-154, 0j)
+    assert inverse_to_greek(InverseParams(1e154, 1e154, 1.0 + 0j)) == GreekParams(2e-154, 2e154, 0j)
+
+
+def test_greek_to_transfer_refuses_a_record_that_misses_det_one():
+    # near the decoupled point (beta = 0, |gamma| ~ 2) ta and td cancel, and
+    # ta td - tb tc rounds 1.08e-12 away from 1: refused by name, not built
+    with pytest.raises(DegenerateParametrization) as info:
+        greek_to_transfer(GreekParams(3.715587397906834, 0.0,
+                                      1.990990659703986 + 0.02903491371520401j))
+    assert info.value.denominator == "|4-det+4i*Im(gamma)|"
+    assert 0.12 < info.value.magnitude < 0.13
+
+
+@pytest.mark.parametrize("greek", [
+    GreekParams(-1.0, 0.5, 0.3 + 0.4j),     # coupled, beta != 0
+    GreekParams(-1.5, 0.0, 0.3 + 0.4j),     # coupled, beta = 0
+    GreekParams(-1.5, 1e-13, 0.3 + 0.4j),   # |beta| below the tolerance: no halfline form
+    GreekParams(-3.0, -1.0, 1.0 + 0j),      # decoupled: separated
+])
+def test_scheme_forms_are_the_conversions_bit_for_bit(greek):
+    scheme = CouplingScheme.from_greek(greek)
+    if scheme.is_separated:
+        assert scheme._matrix is None and scheme.halfline is None
+        return
+    # repr tells every float apart, signed zeros included
+    assert repr(scheme._matrix) == repr(params_module._matrix_constants(greek))
+    if abs(greek.beta) <= params_module.DEGENERACY_TOL * greek.scale:
+        assert scheme.halfline is None
+    else:
+        assert repr(scheme.halfline) == repr(greek_to_halfline(greek))
+    assert scheme == CouplingScheme(greek) and hash(scheme) == hash(CouplingScheme(greek))
+    assert repr(scheme) == f"CouplingScheme(greek={greek!r}, separated=None)"
 
 
 def test_det_is_inf_where_gamma_squared_overflows():

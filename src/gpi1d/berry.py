@@ -16,7 +16,10 @@ gauge invariant and uses only the closed-form overlaps
 as numpy arrays: the N overlaps come from the `eigenstate_at` formulas in one
 broadcast, the Wilson-loop phase is the argument of the product of their unit
 phases, and the Riemann sum is numpy's pairwise sum.  `wilson_loop_phase`
-reduces an explicit list of states the same way.
+reduces an explicit list of states the same way.  The overlaps stay an
+array inside `PhaseResult`; the tuple of Python complex that
+`per_step_overlaps` returns is built on its first read, so a caller that
+reads only the phase never boxes the N overlaps.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateOverlap, NoBoundState
 
@@ -69,12 +73,43 @@ class Eigenstate:
     kappa: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PhaseResult:
-    """Wilson-loop phase in (-pi, pi] (pi is the canonical representative) and the step overlaps."""
+    """Wilson-loop phase in (-pi, pi] (pi is the canonical representative) and the step overlaps.
+
+    The overlaps are held as a read-only complex array, `_overlaps`;
+    `per_step_overlaps` is the same values as a tuple of Python complex, built
+    on first read and kept.  Equality, hashing and repr read the phase and
+    that tuple.
+    """
 
     phase: float
-    per_step_overlaps: tuple[complex, ...]
+
+    def __init__(self, phase: float, per_step_overlaps):
+        import numpy as np
+
+        # a view, so that marking it read-only leaves a caller's own array writeable
+        w = np.asarray(per_step_overlaps, dtype=complex).view()
+        w.flags.writeable = False
+        self.__dict__.update(phase=phase, _overlaps=w)
+
+    @cached_property
+    def per_step_overlaps(self) -> tuple[complex, ...]:
+        return tuple(self._overlaps.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.phase, self.per_step_overlaps) == (other.phase, other.per_step_overlaps)
+
+    def __hash__(self):
+        return hash((self.phase, self.per_step_overlaps))
+
+    def __repr__(self):
+        return f"PhaseResult(phase={self.phase!r}, per_step_overlaps={self.per_step_overlaps!r})"
+
+    def __reduce__(self):  # copies and unpickled results hold a read-only array too
+        return PhaseResult, (self.phase, self._overlaps)
 
 
 def eigenstate_at(loop: ParameterLoop, xi: float) -> Eigenstate:
@@ -121,17 +156,27 @@ def _phase_of_overlaps(w) -> PhaseResult:
         j = int(small[0])
         raise DegenerateOverlap(f"step {j} overlap {complex(w[j])!r} is numerically zero")
     phase = _wrap_phase(-cmath.phase(complex(np.prod(w / mod))))
-    return PhaseResult(phase, tuple(w.tolist()))
+    return PhaseResult(phase, w)
 
 
 def _loop_overlaps(loop: ParameterLoop, n: int):
     # w_j = <f(xi_j), f(xi_{j+1})> on xi_j = 2 pi j / n, closed, as one complex
-    # array: the eigenstate_at formulas with nu_j = -e^{-i xi_j} sqrt(kappa)
+    # array: the eigenstate_at formulas with nu_j = -e^{-i xi_j} sqrt(kappa).
+    # Written in place, with the operations and operand order of
+    # (conj(mu) mu + conj(nu_j) nu_{j+1}) / (2 kappa), so each overlap is the
+    # same double as that expression's.
     import numpy as np
 
     st = eigenstate_at(loop, 0.0)
-    nu = -np.exp(-1j * (2.0 * math.pi * np.arange(n) / n)) * st.mu.real
-    return (st.mu.conjugate() * st.mu + nu.conj() * np.roll(nu, -1)) / (2.0 * st.kappa)
+    nu = np.exp(-1j * (2.0 * math.pi * np.arange(n) / n))
+    np.negative(nu, out=nu)
+    nu *= st.mu.real
+    w = nu.conj()
+    w[:-1] *= nu[1:]
+    w[-1] *= nu[0]
+    w += st.mu.conjugate() * st.mu
+    w /= 2.0 * st.kappa
+    return w
 
 
 def wilson_loop_phase(states: list[Eigenstate]) -> PhaseResult:

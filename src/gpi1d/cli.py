@@ -244,7 +244,7 @@ def _task_berry(args) -> tuple[dict, list, list]:
     summary = {"task": "berry", "phase": result.phase, "samples": loop.samples,
                "branch": loop.branch, "kappa": loop.kappa}
     n = loop.samples
-    w = np.array(result.per_step_overlaps)
+    w = result._overlaps
     rows = [[j, *row] for j, row in enumerate(
         np.column_stack([2.0 * math.pi * np.arange(n) / n, w.real, w.imag]).tolist())]
     return summary, ["step", "xi", "overlap_re", "overlap_im"], rows

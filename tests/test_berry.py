@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gpi1d import (DegenerateOverlap, Eigenstate, NoBoundState, ParameterLoop,
-                   berry_connection_analytic, berry_phase_discrete,
+                   berry, berry_connection_analytic, berry_phase_discrete,
                    connection_riemann_sum, eigenstate_at, overlap,
                    wilson_loop_phase)
 
@@ -118,6 +120,34 @@ def test_array_loop_matches_the_wilson_loop_of_its_states(n, branch):
     assert len(res.per_step_overlaps) == n
     assert all(type(w) is complex for w in res.per_step_overlaps)
     assert max(abs(w - v) for w, v in zip(res.per_step_overlaps, ref.per_step_overlaps)) <= 1e-15
+    # the in-place kernel against the out-of-place expression it replaces, bit for bit
+    st = eigenstate_at(loop, 0.0)
+    nu = -np.exp(-1j * (2.0 * PI * np.arange(n) / n)) * st.mu.real
+    w = (st.mu.conjugate() * st.mu + nu.conj() * np.roll(nu, -1)) / (2.0 * st.kappa)
+    assert np.array_equal(res._overlaps.view(np.uint64), w.view(np.uint64))
+    assert res.per_step_overlaps == tuple(w.tolist())
+    assert repr(res.phase) == repr(berry._phase_of_overlaps(w).phase)
+    assert repr(connection_riemann_sum(loop, n)) == repr(float(-np.sum(w.imag)))
+
+
+def test_phase_result_builds_its_overlap_tuple_once_from_a_read_only_array():
+    loop = ParameterLoop(-2.0, 0.6, 64, "minus")
+    res = berry_phase_discrete(loop)
+    assert not res._overlaps.flags.writeable
+    with pytest.raises(ValueError):
+        res._overlaps[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        res.phase = 0.0
+    steps = res.per_step_overlaps
+    assert type(steps) is tuple and all(type(w) is complex for w in steps)
+    assert res.per_step_overlaps is steps
+    again = berry_phase_discrete(loop)
+    assert again == res and hash(again) == hash(res)
+    copied = pickle.loads(pickle.dumps(res))
+    assert copied == res and not copied._overlaps.flags.writeable
+    assert again != berry_phase_discrete(ParameterLoop(-2.0, 0.6, 65, "minus"))
+    states = [eigenstate_at(loop, 2 * PI * j / loop.samples) for j in range(loop.samples)]
+    assert _phase_dist(wilson_loop_phase(states).phase, res.phase) <= 1e-14
 
 
 def test_array_loop_keeps_the_bound_state_check():

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from gpi1d import CouplingScheme, GreekParams, cli, s_matrix
+from gpi1d import (CouplingScheme, GreekParams, ParameterLoop, berry_phase_discrete, cli,
+                   s_matrix)
 from gpi1d.cli import main
 
 
@@ -89,6 +90,10 @@ def test_berry_task(run):
     payload = json.loads(out)
     assert abs(payload["summary"]["phase"] - math.pi) < 1e-5
     assert len(payload["rows"]) == 1000
+    steps = [row[0] for row in payload["rows"]]
+    assert steps == list(range(1000)) and all(type(j) is int for j in steps)
+    overlaps = berry_phase_discrete(ParameterLoop(-2.0, 1.0, 1000)).per_step_overlaps
+    assert tuple(complex(row[2], row[3]) for row in payload["rows"]) == overlaps
 
 
 def test_bands_task(run):

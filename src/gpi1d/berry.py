@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegenerateOverlap, NoBoundState
+from .params import DEGENERACY_TOL
 
 BRANCH_PLUS = "plus"
 BRANCH_MINUS = "minus"
@@ -128,7 +129,7 @@ def overlap(state1: Eigenstate, state2: Eigenstate) -> complex:
     For two loop states this is (1 + e^{i (xi1 - xi2)}) / 2 in closed form.
     Both states must sit on the same kappa branch.
     """
-    if not math.isclose(state1.kappa, state2.kappa, rel_tol=1e-12, abs_tol=0.0):
+    if not math.isclose(state1.kappa, state2.kappa, rel_tol=DEGENERACY_TOL, abs_tol=0.0):
         raise ValueError("overlap requires states on the same kappa branch")
     return (state1.mu.conjugate() * state2.mu
             + state1.nu.conjugate() * state2.nu) / (2.0 * state1.kappa)
@@ -151,7 +152,7 @@ def _phase_of_overlaps(w) -> PhaseResult:
     import numpy as np
 
     mod = np.abs(w)
-    small = np.flatnonzero(mod < 1e-12)
+    small = np.flatnonzero(mod < DEGENERACY_TOL)
     if small.size:
         j = int(small[0])
         raise DegenerateOverlap(f"step {j} overlap {complex(w[j])!r} is numerically zero")

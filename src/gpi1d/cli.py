@@ -245,8 +245,8 @@ def _task_berry(args) -> tuple[dict, list, list]:
                "branch": loop.branch, "kappa": loop.kappa}
     n = loop.samples
     w = result._overlaps
-    rows = [[j, *row] for j, row in enumerate(
-        np.column_stack([2.0 * math.pi * np.arange(n) / n, w.real, w.imag]).tolist())]
+    xi = 2.0 * math.pi * np.arange(n) / n
+    rows = list(map(list, zip(range(n), xi.tolist(), w.real.tolist(), w.imag.tolist())))
     return summary, ["step", "xi", "overlap_re", "overlap_im"], rows
 
 
@@ -269,16 +269,17 @@ def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
         rows.append(["gap", gp.m, gp.e_lo, gp.e_hi, gp.width])
     summary: dict = {"task": "bands", "ell": ell, "m_max": m_max,
                      "n_bands": len(bands), "n_gaps": len(gaps)}
-    fit = args.fit_range
-    if fit is None and len(bands) >= 6:
-        hi = bands[-1].m - 1
-        fit = f"{max(bands[0].m, hi - 20)}:{hi}"
+    fit, m_range = args.fit_range, None
     if fit is not None:
         try:
             lo_s, hi_s = str(fit).replace(",", ":").split(":")
             m_range = (int(lo_s), int(hi_s))
         except ValueError as exc:
             raise ConfigError(f"--fit-range must be 'lo:hi', got {fit!r}") from exc
+    elif len(bands) >= 6:
+        hi = bands[-1].m - 1
+        m_range = (max(bands[0].m, hi - 20), hi)
+    if m_range is not None:
         report = lattice_mod.asymptotic_regime(spec, m_range)
         summary.update({
             "regime": report.regime.value,

@@ -79,8 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse, InsufficientBands
-from .params import (DEGENERACY_TOL, CouplingScheme, TransferParams, is_decoupled,
-                     scheme_to_transfer)
+from .params import CouplingScheme, TransferParams, is_decoupled, scheme_to_transfer
 
 _EDGE_XTOL = 1e-12  # absolute stop tolerance of the root solver (in energy for the edges)
 _EPS = np.finfo(float).eps
@@ -539,8 +538,7 @@ def dispersion(spec: LatticeSpec, band: BandInterval,
 # ---------------------------------------------------------------------------
 
 def classify_regime(spec: LatticeSpec) -> Regime:
-    g = spec.scheme.greek
-    tol = DEGENERACY_TOL * g.scale
+    g, tol = spec.scheme.greek, spec.scheme._matrix.ztol
     if abs(g.beta) > tol:
         return Regime.DELTA_PRIME_LIKE
     if abs(g.gamma.real) > tol:

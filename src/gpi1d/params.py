@@ -46,11 +46,14 @@ from typing import NamedTuple
 
 from .errors import DegenerateParametrization
 
-#: Relative tolerance deciding "denominator is zero" and symmetry/decoupling flags.
+#: Relative tolerance deciding "denominator is zero", the symmetry/decoupling
+#: flags, the record constraints (|omega| = 1, det M = 1, Seba's two) and the
+#: Berry overlaps (same kappa branch, numerically zero step overlap).
 DEGENERACY_TOL = 1e-12
 
 
 def _check_denominator(value: complex, scale: float, name: str) -> None:
+    # scale: the record's largest magnitude; the rule floors it at 1 for every caller
     if abs(value) <= DEGENERACY_TOL * max(1.0, scale):
         raise DegenerateParametrization(name, abs(value))
 
@@ -205,11 +208,11 @@ class TransferParams:
             _require_finite_complex(omega)
             _require_finite(ta, tb, tc, td)
             omega = complex(omega)
-        if abs(abs(omega) - 1.0) > 1e-12:
+        if abs(abs(omega) - 1.0) > DEGENERACY_TOL:
             raise ValueError(f"|omega| must be 1, got {abs(omega)!r}")
         tatd, tbtc = ta * td, tb * tc
         det = tatd - tbtc
-        if abs(det - 1.0) > 1e-12 * max(1.0, abs(tatd), abs(tbtc)):
+        if abs(det - 1.0) > DEGENERACY_TOL * max(1.0, abs(tatd), abs(tbtc)):
             raise ValueError(f"ta*td - tb*tc must be 1, got {det!r}")
         self.__dict__.update(omega=omega, ta=ta, tb=tb, tc=tc, td=td)
 
@@ -249,10 +252,10 @@ class SebaParams:
 
     def __post_init__(self):
         _require_finite(self.alpha_s, self.beta_s, self.gamma_s, self.delta_s)
-        if abs(self.alpha_s + self.gamma_s + 2.0) > 1e-12 * max(1.0, abs(self.alpha_s), abs(self.gamma_s)):
+        if abs(self.alpha_s + self.gamma_s + 2.0) > DEGENERACY_TOL * max(1.0, abs(self.alpha_s), abs(self.gamma_s)):
             raise ValueError("alpha_s + gamma_s must equal -2")
         det = self.alpha_s * self.gamma_s - self.beta_s * self.delta_s
-        if abs(det - 1.0) > 1e-12 * max(1.0, abs(self.alpha_s * self.gamma_s), abs(self.beta_s * self.delta_s)):
+        if abs(det - 1.0) > DEGENERACY_TOL * max(1.0, abs(self.alpha_s * self.gamma_s), abs(self.beta_s * self.delta_s)):
             raise ValueError("alpha_s*gamma_s - beta_s*delta_s must equal 1")
 
 
@@ -345,7 +348,7 @@ class CouplingScheme:
         matrix = halfline = None
         if greek is not None:
             matrix = _matrix_constants(greek)
-            if abs(greek.beta) > DEGENERACY_TOL * matrix.scale:
+            if abs(greek.beta) > matrix.ztol:
                 halfline = greek_to_halfline(greek)
         self.__dict__.update(greek=greek, separated=separated, _matrix=matrix,
                              halfline=halfline)
@@ -378,12 +381,14 @@ class _MatrixConstants(NamedTuple):
     Delta(k) = two_alpha - ik four_det - two_beta k^2 with four_det = 4 + det;
     its pole test scales by abs_alpha, abs_four_det and abs_beta.  The four
     quadrant coefficients of the kernel are pp - 4ik beta [x,x'>0],
-    mm - 4ik beta [x,x'<0], pm [x>0>x'] and mp [x<0<x'].
+    mm - 4ik beta [x,x'<0], pm [x>0>x'] and mp [x<0<x'].  ztol, DEGENERACY_TOL
+    * max(|alpha|, |beta|, |gamma|, 1), is the coupling's one zero tolerance:
+    every reader of a coupled scheme compares beta, a root or gamma against it.
     """
 
     beta: float
     det: float
-    scale: float
+    ztol: float
     two_alpha: float
     four_det: float
     two_beta: float
@@ -402,8 +407,8 @@ def _matrix_constants(g: GreekParams) -> _MatrixConstants:
     four_det = 4.0 + det
     abs_alpha, abs_beta = abs(alpha), abs(beta)
     return _MatrixConstants(
-        beta, det, max(abs_alpha, abs_beta, abs(gamma), 1.0), 2.0 * alpha, four_det,
-        2.0 * beta, abs_alpha, abs(four_det), abs_beta,
+        beta, det, DEGENERACY_TOL * max(abs_alpha, abs_beta, abs(gamma), 1.0),
+        2.0 * alpha, four_det, 2.0 * beta, abs_alpha, abs(four_det), abs_beta,
         four_det - 4.0 * gamma.real, four_det + 4.0 * gamma.real,
         4.0 - det + 4j * gamma.imag, 4.0 - det - 4j * gamma.imag)
 
@@ -443,8 +448,7 @@ def greek_to_halfline(g: GreekParams) -> HalflineParams:
     """
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     gamma_mod = abs(gamma)
-    if abs(beta) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
-        raise DegenerateParametrization("beta", abs(beta))
+    _check_denominator(beta, max(abs(alpha), abs(beta), gamma_mod), "beta")
     det = _greek_det(alpha, beta, gamma_mod)
     re4, four_beta = 4.0 * gamma.real, 4.0 * beta
     return HalflineParams((4.0 + det + re4) / four_beta, (4.0 + det - re4) / four_beta,
@@ -456,8 +460,7 @@ def halfline_to_greek(h: HalflineParams) -> GreekParams:
     a, b, c = h.a, h.b, h.c
     c_mod = abs(c)
     den = a + b - 2.0 * c.real
-    if abs(den) <= DEGENERACY_TOL * max(abs(a), abs(b), c_mod, 1.0):
-        raise DegenerateParametrization("a+b-2Re(c)", abs(den))
+    _check_denominator(den, max(abs(a), abs(b), c_mod), "a+b-2Re(c)")
     # den / 4 is exact (|den| > 1e-12), and 4 ab may overflow where alpha does not
     alpha = _minor(a, b, c_mod, "a*b-|c|^2") / (0.25 * den)
     return GreekParams(alpha, 4.0 / den,
@@ -499,8 +502,7 @@ def greek_to_inverse(g: GreekParams) -> InverseParams:
     """
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     gamma_mod = abs(gamma)
-    if abs(alpha) <= DEGENERACY_TOL * max(abs(alpha), abs(beta), gamma_mod, 1.0):
-        raise DegenerateParametrization("alpha", abs(alpha))
+    _check_denominator(alpha, max(abs(alpha), abs(beta), gamma_mod), "alpha")
     det = _greek_det(alpha, beta, gamma_mod)
     re4, four_alpha = 4.0 * gamma.real, 4.0 * alpha
     return InverseParams((4.0 + det - re4) / four_alpha, (4.0 + det + re4) / four_alpha,
@@ -512,8 +514,7 @@ def inverse_to_greek(i: InverseParams) -> GreekParams:
     A, B, C = i.A, i.B, i.C
     C_mod = abs(C)
     den = A + B + 2.0 * C.real
-    if abs(den) <= DEGENERACY_TOL * max(abs(A), abs(B), C_mod, 1.0):
-        raise DegenerateParametrization("A+B+2Re(C)", abs(den))
+    _check_denominator(den, max(abs(A), abs(B), C_mod), "A+B+2Re(C)")
     # den / 4 is exact (|den| > 1e-12), and 4 AB may overflow where beta does not
     beta = _minor(A, B, C_mod, "A*B-|C|^2") / (0.25 * den)
     return GreekParams(4.0 / den, beta,
@@ -526,8 +527,7 @@ def transfer_to_halfline(t: TransferParams) -> HalflineParams:
     a = td/tb, b = ta/tb, c = -omega/tb.
     """
     ta, tb, td = t.ta, t.tb, t.td
-    if abs(tb) <= DEGENERACY_TOL * max(abs(ta), abs(tb), abs(t.tc), abs(td), 1.0):
-        raise DegenerateParametrization("tb", abs(tb))
+    _check_denominator(tb, max(abs(ta), abs(tb), abs(t.tc), abs(td)), "tb")
     return HalflineParams(td / tb, ta / tb, -t.omega / tb)
 
 
@@ -539,8 +539,7 @@ def transfer_to_greek(t: TransferParams) -> GreekParams:
     """
     omega, ta, td = t.omega, t.ta, t.td
     den = ta + td + 2.0 * omega.real
-    if abs(den) <= DEGENERACY_TOL * max(abs(ta), abs(td), 1.0):
-        raise DegenerateParametrization("ta+td+2Re(omega)", abs(den))
+    _check_denominator(den, max(abs(ta), abs(td)), "ta+td+2Re(omega)")
     return GreekParams(4.0 * t.tc / den, 4.0 * t.tb / den,
                        (2.0 * (td - ta) + 4.0j * omega.imag) / den)
 
@@ -552,8 +551,7 @@ def halfline_to_transfer(h: HalflineParams) -> TransferParams:
     """
     a, b, c = h.a, h.b, h.c
     m = abs(c)
-    if m <= DEGENERACY_TOL * max(abs(a), abs(b), m, 1.0):
-        raise DegenerateParametrization("c", m)
+    _check_denominator(m, max(abs(a), abs(b), m), "c")
     minor = a * b - m * m  # not _minor: m ** 2 and m * m can differ in the last bit
     if not math.isfinite(minor):
         raise DegenerateParametrization("a*b-|c|^2", math.inf)
@@ -574,8 +572,7 @@ def greek_to_transfer(g: GreekParams) -> TransferParams:
     det = _greek_det(alpha, beta, abs(gamma))
     im4 = 4.0 * gamma.imag
     wmod = math.hypot(4.0 - det, im4)
-    if wmod <= DEGENERACY_TOL * max(1.0, det):
-        raise DegenerateParametrization("|4-det+4i*Im(gamma)|", wmod)
+    _check_denominator(wmod, det, "|4-det+4i*Im(gamma)|")
     s = -1.0 if beta < 0 else 1.0
     omega0 = complex(4.0 - det, im4) / wmod
     e = 16.0 / wmod
@@ -606,7 +603,7 @@ def carreau_to_halfline(p: CarreauParams) -> HalflineParams:
 
 def seba_to_halfline(s: SebaParams) -> HalflineParams:
     """a = -(gamma_s + 2)/delta_s, b = gamma_s/delta_s, c = 1/delta_s; requires delta_s != 0."""
-    scale = max(abs(s.alpha_s), abs(s.beta_s), abs(s.gamma_s), abs(s.delta_s), 1.0)
+    scale = max(abs(s.alpha_s), abs(s.beta_s), abs(s.gamma_s), abs(s.delta_s))
     _check_denominator(s.delta_s, scale, "delta_s")
     return HalflineParams(-(s.gamma_s + 2.0) / s.delta_s, s.gamma_s / s.delta_s,
                           complex(1.0 / s.delta_s))
@@ -619,7 +616,7 @@ def chernoff_hughes_to_greek(p: ChernoffHughesParams) -> GreekParams:
     """
     try:
         ez = cmath.exp(p.z)
-        _check_denominator(1.0 + ez, max(1.0, abs(ez)), "1+exp(z)")
+        _check_denominator(1.0 + ez, abs(ez), "1+exp(z)")
         ezb = cmath.exp(p.z.conjugate())
         alpha = 4.0 * p.r * (math.exp(2.0 * p.z.real) - 1.0) / abs(1.0 + ez) ** 2
         gamma = 2.0 * (ezb - 1.0) / (ezb + 1.0)
@@ -644,7 +641,7 @@ def chernoff_hughes_to_inverse(p: ChernoffHughesParams) -> InverseParams:
     else:  # Re z past ~354: A, B, C and d divided by e^{2 Re z}
         num = (math.exp(-2.0 * p.z.real), 1.0, cmath.exp(-p.z))
         den = p.r * (1.0 - num[0])
-    _check_denominator(den, max(1.0, abs(p.r)), "r*(exp(2Re(z))-1)")
+    _check_denominator(den, abs(p.r), "r*(exp(2Re(z))-1)")
     return InverseParams(num[0] / den, num[1] / den, num[2] / den)
 
 
@@ -679,12 +676,10 @@ def classify_symmetries(scheme: CouplingScheme) -> SymmetryFlags:
         return SymmetryFlags(time_reversal=True,
                              space_reflection=(sep.right == sep.left),
                              quasifree=False)
-    g = scheme.greek
-    abs_alpha, abs_beta, gamma = abs(g.alpha), abs(g.beta), g.gamma
-    gamma_mod = abs(gamma)
-    tol = DEGENERACY_TOL * max(abs_alpha, abs_beta, gamma_mod, 1.0)
-    return SymmetryFlags(abs(gamma.imag) <= tol, gamma_mod <= tol,
-                         abs_alpha <= tol and abs_beta <= tol and abs(gamma.real) <= tol)
+    g, tol = scheme.greek, scheme._matrix.ztol
+    gamma = g.gamma
+    return SymmetryFlags(abs(gamma.imag) <= tol, abs(gamma) <= tol,
+                         abs(g.alpha) <= tol and abs(g.beta) <= tol and abs(gamma.real) <= tol)
 
 
 def gauge_transform(h: HalflineParams, phi: float) -> HalflineParams:

@@ -278,7 +278,7 @@ def _denominator_roots(g: GreekParams, m: _MatrixConstants) -> list[float]:
     if root == math.inf:  # b * b leaves the float range: take |b| out of the root
         root = abs(b) * math.sqrt(max(1.0 - 16.0 * (g.alpha / b) * (g.beta / b), 0.0))
     q = -(b + math.copysign(root, b)) / 2.0
-    if abs(g.beta) <= DEGENERACY_TOL * m.scale:
+    if abs(g.beta) <= m.ztol:
         return [m.two_alpha / q]  # the second root escapes to -infinity
     return sorted([m.two_alpha / q, q / m.two_beta], reverse=True)
 
@@ -346,7 +346,7 @@ def point_spectrum(scheme: CouplingScheme) -> list[SpectralPoint]:
         return points
 
     g, m = scheme.greek, scheme._matrix
-    ztol = DEGENERACY_TOL * m.scale
+    ztol = m.ztol
     for kappa in _denominator_roots(g, m):
         if kappa > ztol:
             mu, nu = _bound_coefficients(g, m, kappa)
@@ -395,7 +395,7 @@ def binding_regime(h: HalflineParams) -> BindingRegime:
     """
     a, b = h.a, h.b
     cmod = abs(h.c)
-    tol = DEGENERACY_TOL * max(abs(a), abs(b), cmod, 1.0)
+    tol = DEGENERACY_TOL * h.scale
     s, ab, split = a + b, a * b, abs(a - b)
     sq = math.sqrt((a - b) ** 2 + 4.0 * cmod ** 2)
     detail = {
@@ -545,8 +545,7 @@ def scattering_asymptotics(scheme: CouplingScheme) -> ScatteringAsymptotics:
 
     g, m = scheme.greek, scheme._matrix
     alpha, beta, re4 = g.alpha, g.beta, 4.0 * g.gamma.real
-    tol = DEGENERACY_TOL * m.scale
-    alpha_zero, beta_zero = abs(alpha) <= tol, abs(beta) <= tol
+    alpha_zero, beta_zero = abs(alpha) <= m.ztol, abs(beta) <= m.ztol
     if alpha_zero or beta_zero:
         # the constants both ends share: r = 4 Re gamma/(4+|gamma|^2), t = w/(4+|gamma|^2)
         gm = abs(g.gamma) ** 2

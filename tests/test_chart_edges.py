@@ -1,4 +1,5 @@
-"""Chart edges: beta -> 0 (through DEGENERACY_TOL), alpha -> 0 and det -> 4.
+"""Chart edges: beta -> 0 (through DEGENERACY_TOL), alpha -> 0 and det -> 4,
+and each refusing conversion on either side of its DEGENERACY_TOL edge.
 
 The oracles here are independent of the library's floating-point route:
 roots come from 60-digit `decimal` arithmetic, kernel coefficients from exact
@@ -15,9 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from gpi1d import (CouplingScheme, GreekParams, TransferParams, green_kernel,
-                   green_kernel_dx, greek_to_transfer, point_spectrum,
-                   transfer_to_greek)
+from gpi1d import (ChernoffHughesParams, CouplingScheme, DegenerateParametrization,
+                   GreekParams, HalflineParams, InverseParams, SebaParams,
+                   TransferParams, chernoff_hughes_to_greek,
+                   chernoff_hughes_to_inverse, green_kernel, green_kernel_dx,
+                   greek_to_halfline, greek_to_inverse, greek_to_transfer,
+                   halfline_to_greek, halfline_to_inverse, halfline_to_transfer,
+                   inverse_to_greek, inverse_to_halfline, point_spectrum,
+                   seba_to_halfline, transfer_to_greek, transfer_to_halfline)
 from gpi1d.params import DEGENERACY_TOL
 
 _BETA_BASES = ((-2.681821950849469, complex(0.26487946756737557, -0.978265951835119)),
@@ -204,3 +210,78 @@ def test_root_inside_the_zero_window_is_reported_as_computed():
                 key=lambda p: abs(p.kappa))
     assert point.kappa == 0.0 and math.copysign(1.0, point.kappa) == 1.0
     assert math.copysign(1.0, point.energy) == 1.0
+
+
+# Each refusing conversion at its own edge: build(v) returns a record whose
+# refused quantity is v (or, where noted, the float nearest it that the
+# record's arithmetic can land on) and that quantity's computed value.  The
+# scale is the one each conversion measures v against: S = 8, a power of two,
+# so products and quotients by it are exact.
+_S = 8.0
+
+
+def _on_grid(v: float, s: float) -> float:
+    # the float nearest v for which s + v and s - v are exact
+    return (s + v) - s
+
+
+def _build_transfer_den(v):
+    v = _on_grid(v, _S)  # ta + td = S + (v - S) = v exactly
+    ta, td = _S, v - _S
+    return TransferParams(1j, ta, 1.0, ta * td - 1.0, td), v
+
+
+def _build_transfer_w(v):
+    v = _on_grid(v, 4.0)  # |w| = 4 - det = 4 - (4 - v) = v exactly, det = alpha
+    return GreekParams(4.0 - v, 1.0, 0j), v
+
+
+def _build_chernoff_hughes_inverse(v):
+    z = complex(0.5 * math.log(2.0), 0.3)
+    grow = math.exp(2.0 * z.real)  # 2, up to the platform's exp
+    r = v / (grow - 1.0)
+    return ChernoffHughesParams(r, z), r * (grow - 1.0)
+
+
+def _build_chernoff_hughes_greek(v):
+    # e^z = -(1 - v): exp rounds 1 + e^z to within 1e-4 of v, not onto it
+    z = complex(math.log1p(-v), math.pi)
+    return ChernoffHughesParams(0.7, z), abs(1.0 + cmath.exp(z))
+
+
+_EDGES = {
+    # conversion: (refused quantity, scale, build)
+    greek_to_halfline: ("beta", _S, lambda v: (GreekParams(_S, v, 0.3 + 0.4j), v)),
+    greek_to_inverse: ("alpha", _S, lambda v: (GreekParams(v, _S, 0.3 + 0.4j), v)),
+    halfline_to_greek: ("a+b-2Re(c)", _S, lambda v: (HalflineParams(v, 0.0, _S * 1j), v)),
+    inverse_to_greek: ("A+B+2Re(C)", _S, lambda v: (InverseParams(v, 0.0, _S * 1j), v)),
+    transfer_to_halfline: ("tb", _S,
+                           lambda v: (TransferParams(1 + 0j, _S, v, 0.0, 1.0 / _S), v)),
+    transfer_to_greek: ("ta+td+2Re(omega)", _S, _build_transfer_den),
+    halfline_to_transfer: ("c", _S, lambda v: (HalflineParams(_S, 0.0, complex(v)), v)),
+    greek_to_transfer: ("|4-det+4i*Im(gamma)|", 4.0, _build_transfer_w),
+    # the involution compares |ab - |c|^2| / scale, so the minor itself is S v
+    halfline_to_inverse: ("a*b-|c|^2", _S, lambda v: (HalflineParams(_S, v, 0j), _S * v)),
+    inverse_to_halfline: ("A*B-|C|^2", _S, lambda v: (InverseParams(_S, v, 0j), _S * v)),
+    seba_to_halfline: ("delta_s", 1.0, lambda v: (SebaParams(-1.0, 0.0, -1.0, v), v)),
+    chernoff_hughes_to_inverse: ("r*(exp(2Re(z))-1)", 1.0, _build_chernoff_hughes_inverse),
+    chernoff_hughes_to_greek: ("1+exp(z)", 1.0, _build_chernoff_hughes_greek),
+}
+
+
+@pytest.mark.parametrize("convert", list(_EDGES), ids=lambda f: f.__name__)
+def test_each_conversion_refuses_just_inside_its_edge_and_converts_just_outside(convert):
+    name, scale, build = _EDGES[convert]
+    minor = name in ("a*b-|c|^2", "A*B-|C|^2")
+    for factor in (0.999, 1.001):
+        target = factor * DEGENERACY_TOL * scale
+        record, value = build(target)
+        assert abs(value) / (scale if minor else 1.0) == pytest.approx(target, rel=1e-4), record
+        if factor > 1.0:
+            convert(record)
+            continue
+        with pytest.raises(DegenerateParametrization) as info:
+            convert(record)
+        assert info.value.denominator == name and info.value.magnitude == abs(value)
+        assert str(info.value) == (f"degenerate parametrization: denominator {name!r} "
+                                   f"vanishes (|value| = {abs(value):.3e})")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import cmath
 import dataclasses
 import inspect
 import math
+import pathlib
+import tokenize
 from fractions import Fraction
 
 import numpy as np
@@ -716,3 +719,17 @@ def test_gauge_transform():
     h0 = HalflineParams(1.0, 2.0, 0.3 - 0.4j)
     assert gauge_transform(h0, 0.0) == h0
     assert abs(abs(gauge_transform(h0, 2.1).c) - abs(h0.c)) < 1e-15
+
+
+def test_each_tolerance_literal_is_one_named_constant():
+    # 1e-12 is written once per meaning: DEGENERACY_TOL (zero tests, record
+    # constraints, Berry overlaps) and lattice's root-solver stop _EDGE_XTOL;
+    # every other site reads one of the names.  Comments and docstrings are
+    # not NUMBER tokens, so they may still say 1e-12.
+    sites = []
+    for path in sorted(pathlib.Path(params_module.__file__).parent.glob("*.py")):
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NUMBER and ast.literal_eval(tok.string) == 1e-12:
+                    sites.append((path.name, tok.line.split("=")[0].strip()))
+    assert sorted(sites) == [("lattice.py", "_EDGE_XTOL"), ("params.py", "DEGENERACY_TOL")]

@@ -33,11 +33,19 @@ numpy, for tables.
 
 What depends only on the coupling is built once, when its `CouplingScheme`
 is constructed, and kept on it: the matrix-form constants (2 alpha, 4 + det and
-2 beta of Delta, the magnitudes its pole test scales by, and the constant
+2 beta of Delta, the magnitudes that scale its pole rule, and the constant
 parts of the four quadrant coefficients) and the halfline form.  A scalar
-kernel or S-matrix call reads them instead of deriving them again.  The
-scalar, array and oracle paths share one helper per closed form
-(`_amplitudes`, `_correction`, `_quadrant_coef`), and `_amplitudes` reads the
+kernel or S-matrix call reads them instead of deriving them again.
+
+Every kernel starts from one prologue, `_kernel_point`: the sheet check, the
+sides of x and x', and exp(ik(|x|+|x'|)).  To its free part it adds one
+coefficient times that exponential: `_coupling_coef` for coupled and separated
+schemes alike (`green_kernel`, `green_kernel_dx` with the factor ik sx, and
+`green_kernel_greek`), the halfline expression in `green_kernel_halfline`.
+One pole rule, `_reciprocal`, refuses Delta(k), D(k) and a separated side's
+s - ik where |d| <= DEGENERACY_TOL * scale; `kernel_residue` asks the same rule,
+so a separated residue is nonzero exactly where the kernel refuses the pole.
+The scalar and array S-matrix paths share `_amplitudes`, which reads the
 halfline fields into locals once, so a scalar call costs few lookups beyond
 its arithmetic.
 """
@@ -52,7 +60,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateParametrization, InvalidSheet, InvalidWavenumber, PoleEvaluation
 from .params import (DEGENERACY_TOL, DIRICHLET, CouplingScheme, GreekParams,
-                     HalflineBoundary, HalflineParams, _matrix_constants,
+                     HalflineParams, SeparatedHalflineBC, _matrix_constants,
                      _MatrixConstants)
 
 
@@ -137,39 +145,38 @@ def _quadrant_coef(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> comple
     return m.pm if sx > 0 else m.mp
 
 
-def _check_sheet(k: complex) -> complex:
+def _kernel_point(x: float, xp: float, k: complex, x_side: int, xp_side: int) -> tuple:
+    # k checked onto the physical sheet, the sides of x and x', and exp(ik(|x|+|x'|))
     k = complex(k)
     if not (k.imag > 0 and math.isfinite(k.real) and math.isfinite(k.imag)):
         raise InvalidSheet(f"green kernel requires Im k > 0, got k = {k!r}")
-    return k
+    sx = _side(x, x_side, "x")
+    sxp = _side(xp, xp_side, "x'")
+    return k, sx, sxp, cmath.exp(1j * k * (sx * x + sxp * xp))
 
 
-def _halfline_prefactor(h: HalflineParams, k: complex) -> complex:
-    d = denominator_D(h, k)
-    scale = max(1.0, (abs(h.a) + abs(k)) * (abs(h.b) + abs(k)), abs(h.c) ** 2)
+def _reciprocal(d: complex, scale: float, name: str, k: complex, num: float = 1.0) -> complex:
+    # num / d; the kernel's one pole rule refuses |d| <= DEGENERACY_TOL * scale
     if abs(d) <= DEGENERACY_TOL * scale:
-        raise PoleEvaluation(f"D(k) = {d!r} vanishes at k = {k!r}")
-    return 1.0 / d
+        raise PoleEvaluation(f"{name} = {d!r} vanishes at k = {k!r}")
+    return num / d
 
 
-def _correction(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> complex:
-    # quadrant coefficient / (2 Delta), Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k)
-    d = m.two_alpha - 1j * k * m.four_det - m.two_beta * k * k
-    abs_k = abs(k)
-    if abs(d) <= DEGENERACY_TOL * max(1.0, m.abs_alpha, abs_k * m.abs_four_det,
-                                      m.abs_beta * abs_k ** 2):
-        raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
-    return 0.5 / d * _quadrant_coef(m, k, sx, sxp)
-
-
-def _separated_corr(bc: HalflineBoundary, k: complex) -> complex:
-    # coefficient of exp(ik(|x|+|x'|)) on one decoupled side
-    if bc.kind == DIRICHLET:
-        return 0.0 + 0.0j
-    d = bc.slope - 1j * k
-    if abs(d) <= DEGENERACY_TOL * max(1.0, abs(bc.slope), abs(k)):
-        raise PoleEvaluation(f"side denominator vanishes at k = {k!r}")
-    return 1.0 / d
+def _coupling_coef(m: _MatrixConstants | None, separated: SeparatedHalflineBC | None,
+                   k: complex, sx: int, sxp: int) -> complex:
+    # coefficient of exp(ik(|x|+|x'|)).  Matrix form: quadrant coefficient / (2 Delta),
+    # Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k).  Separated: 1/(s - ik)
+    # on a Robin or Neumann side of slope s, nothing on a Dirichlet side or across.
+    if m is not None:
+        d = m.two_alpha - 1j * k * m.four_det - m.two_beta * k * k
+        abs_k = abs(k)
+        scale = max(1.0, m.abs_alpha, abs_k * m.abs_four_det, m.abs_beta * abs_k ** 2)
+        # 0.5 / Delta: 0.5 * (1 / Delta) rounds apart where 1 / Delta has a subnormal part
+        return _reciprocal(d, scale, "Delta(k)", k, 0.5) * _quadrant_coef(m, k, sx, sxp)
+    bc = separated.right if sx > 0 else separated.left
+    if sx != sxp or bc.kind == DIRICHLET:
+        return 0.0j
+    return _reciprocal(bc.slope - 1j * k, max(1.0, abs(bc.slope), abs(k)), "side denominator", k)
 
 
 def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
@@ -181,58 +188,36 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
     beta = 0 (the same expression as `green_kernel_greek`); separated schemes
     use the decoupled kernel.
     """
-    k = _check_sheet(k)
-    sx = _side(x, x_side, "x")
-    sxp = _side(xp, xp_side, "x'")
-    free = _free_pair_value(sx, sxp, x, xp, k)
-    expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
-    m = scheme._matrix
-    if m is None:
-        if sx != sxp:
-            return 0.0 + 0.0j
-        bc = scheme.separated.right if sx > 0 else scheme.separated.left
-        return free + _separated_corr(bc, k) * expfac
-    return free + _correction(m, k, sx, sxp) * expfac
+    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
+    return (_free_pair_value(sx, sxp, x, xp, k)
+            + _coupling_coef(scheme._matrix, scheme.separated, k, sx, sxp) * expfac)
 
 
 def green_kernel_dx(scheme: CouplingScheme, x: float, xp: float, k: complex,
                     x_side: int = 0, xp_side: int = 0, diag_side: int = 0) -> complex:
     """Analytic d/dx of the resolvent kernel; `diag_side` picks the branch at x = x'."""
-    k = _check_sheet(k)
-    sx = _side(x, x_side, "x")
-    sxp = _side(xp, xp_side, "x'")
-    free_dx = _free_pair_dx(sx, sxp, x, xp, k, diag_side)
-    expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
-    dfac = 1j * k * sx
-    m = scheme._matrix
-    if m is None:
-        if sx != sxp:
-            return 0.0 + 0.0j
-        bc = scheme.separated.right if sx > 0 else scheme.separated.left
-        return free_dx + _separated_corr(bc, k) * dfac * expfac
-    return free_dx + _correction(m, k, sx, sxp) * dfac * expfac
+    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
+    return (_free_pair_dx(sx, sxp, x, xp, k, diag_side)
+            + _coupling_coef(scheme._matrix, scheme.separated, k, sx, sxp)
+            * (1j * k * sx) * expfac)
 
 
 def green_kernel_halfline(h: HalflineParams, x: float, xp: float, k: complex,
                           x_side: int = 0, xp_side: int = 0) -> complex:
     """Kernel evaluated strictly through the halfline-form expression."""
-    k = _check_sheet(k)
-    sx = _side(x, x_side, "x")
-    sxp = _side(xp, xp_side, "x'")
-    expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
+    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
+    scale = max(1.0, (abs(h.a) + abs(k)) * (abs(h.b) + abs(k)), abs(h.c) ** 2)
     return (_free_pair_value(sx, sxp, x, xp, k)
-            + _halfline_prefactor(h, k) * _halfline_coef(h, k, sx, sxp) * expfac)
+            + _reciprocal(denominator_D(h, k), scale, "D(k)", k)
+            * _halfline_coef(h, k, sx, sxp) * expfac)
 
 
 def green_kernel_greek(g: GreekParams, x: float, xp: float, k: complex,
                        x_side: int = 0, xp_side: int = 0) -> complex:
     """Kernel evaluated strictly through the matrix-form expression."""
-    k = _check_sheet(k)
-    sx = _side(x, x_side, "x")
-    sxp = _side(xp, xp_side, "x'")
-    expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
+    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
     return (_free_pair_value(sx, sxp, x, xp, k)
-            + _correction(_matrix_constants(g), k, sx, sxp) * expfac)
+            + _coupling_coef(_matrix_constants(g), None, k, sx, sxp) * expfac)
 
 
 def kernel_derivative_jump(scheme: CouplingScheme, xp: float, k: complex) -> complex:
@@ -284,21 +269,32 @@ def _denominator_roots(g: GreekParams, m: _MatrixConstants) -> list[float]:
 
 
 def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -> complex:
-    """Residue in k of the resolvent kernel at the simple pole k = i*kappa0."""
+    """Residue in k of the resolvent kernel at the simple pole k = i*kappa0.
+
+    A separated scheme's residue is nonzero exactly where `green_kernel` refuses
+    the pole; DegenerateParametrization where the residue leaves the float range.
+    """
     sx = _side(x, 0, "x")
     sxp = _side(xp, 0, "x'")
-    expfac = math.exp(-kappa0 * (sx * x + sxp * xp))
     m = scheme._matrix
     if m is None:
-        if sx != sxp:
-            return 0.0 + 0.0j
-        bc = scheme.separated.right if sx > 0 else scheme.separated.left
-        if bc.kind == DIRICHLET or abs(-bc.slope - kappa0) > 1e-9 * max(1, abs(kappa0)):
-            return 0.0 + 0.0j
-        return 1j * expfac  # d/dk (slope - ik) = -i
-    # Delta'(i kappa) = -i (4 + det + 4 beta kappa)
-    dprime = -1j * (m.four_det + 4.0 * m.beta * kappa0)
-    return _quadrant_coef(m, 1j * kappa0, sx, sxp) * expfac / (2.0 * dprime)
+        try:  # the kernel's own coefficient at k = i kappa0 refuses exactly its poles
+            _coupling_coef(None, scheme.separated, 1j * kappa0, sx, sxp)
+            return 0.0j
+        except PoleEvaluation:
+            pass
+    try:
+        expfac = math.exp(-kappa0 * (sx * x + sxp * xp))
+    except OverflowError:  # an antibound pole far from the origin
+        expfac = math.inf
+    if m is None:
+        res = 1j * expfac  # d/dk (slope - ik) = -i
+    else:  # Delta'(i kappa) = -i (4 + det + 4 beta kappa)
+        dprime = -1j * (m.four_det + 4.0 * m.beta * kappa0)
+        res = _quadrant_coef(m, 1j * kappa0, sx, sxp) * expfac / (2.0 * dprime)
+    if not cmath.isfinite(res):
+        raise DegenerateParametrization("kernel residue", math.inf)
+    return res
 
 
 def _bound_coefficients(g: GreekParams, m: _MatrixConstants,
@@ -472,10 +468,11 @@ def s_matrix(scheme: CouplingScheme, k: float) -> ScatteringAmplitudes:
 def s_matrix_array(scheme: CouplingScheme, k):
     """(r, t) as complex arrays over an array of wavenumbers k > 0.
 
-    The same amplitudes as `s_matrix`, broadcast over k; the scheme is put in
-    halfline form once, on its first S-matrix call.  Raises InvalidWavenumber naming the first k
-    that is complex (the first with a nonzero imaginary part, if any), or else
-    the first that is not finite and positive.
+    The same amplitudes as `s_matrix`, broadcast over k, from the halfline form
+    the scheme built at construction (the matrix form where beta = 0).  Raises
+    InvalidWavenumber naming the first k that is complex (the first with a
+    nonzero imaginary part, if any), or else the first that is not finite and
+    positive.
     """
     import numpy as np
 

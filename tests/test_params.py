@@ -725,11 +725,18 @@ def test_each_tolerance_literal_is_one_named_constant():
     # 1e-12 is written once per meaning: DEGENERACY_TOL (zero tests, record
     # constraints, Berry overlaps) and lattice's root-solver stop _EDGE_XTOL;
     # every other site reads one of the names.  Comments and docstrings are
-    # not NUMBER tokens, so they may still say 1e-12.
-    sites = []
+    # not NUMBER tokens, so they may still say 1e-12.  spectral's pole rule and
+    # its residue window are DEGENERACY_TOL too, so spectral writes no 1e-9.
+    sites, windows = [], []
     for path in sorted(pathlib.Path(params_module.__file__).parent.glob("*.py")):
         with tokenize.open(path) as fh:
             for tok in tokenize.generate_tokens(fh.readline):
-                if tok.type == tokenize.NUMBER and ast.literal_eval(tok.string) == 1e-12:
+                if tok.type != tokenize.NUMBER:
+                    continue
+                value = ast.literal_eval(tok.string)
+                if value == 1e-12:
                     sites.append((path.name, tok.line.split("=")[0].strip()))
+                elif value == 1e-9 and path.name == "spectral.py":
+                    windows.append(tok.line.strip())
     assert sorted(sites) == [("lattice.py", "_EDGE_XTOL"), ("params.py", "DEGENERACY_TOL")]
+    assert windows == []

@@ -9,12 +9,12 @@ import re
 import numpy as np
 import pytest
 
-from gpi1d import (BindingKind, CouplingScheme, GreekParams, HalflineBoundary,
-                   HalflineParams, InvalidWavenumber, PointKind, PoleEvaluation,
-                   binding_regime, classify_symmetries, denominator_D, denominator_F,
-                   gauge_transform, greek_to_halfline, green_kernel,
-                   green_kernel_dx, green_kernel_greek, kernel_residue, params,
-                   point_spectrum, s_matrix, s_matrix_array,
+from gpi1d import (BindingKind, CouplingScheme, DegenerateParametrization,
+                   GreekParams, HalflineBoundary, HalflineParams, InvalidWavenumber,
+                   PointKind, PoleEvaluation, binding_regime, classify_symmetries,
+                   denominator_D, denominator_F, gauge_transform, greek_to_halfline,
+                   green_kernel, green_kernel_dx, green_kernel_greek, kernel_residue,
+                   params, point_spectrum, s_matrix, s_matrix_array,
                    scattering_asymptotics, spectral)
 from conftest import random_greek, random_halfline, random_scheme
 
@@ -472,6 +472,70 @@ def test_kernel_constants_are_those_of_the_matrix_form(rng):
                 want = (_reference_coef(g, 1j * kappa, sx, sxp)
                         * math.exp(-kappa * (sx * x + sxp * xp)) / (2.0 * dprime))
                 assert kernel_residue(scheme, kappa, x, xp) == want
+
+
+def test_separated_kernel_is_the_side_formula_bit_for_bit():
+    # free part + 1/(s - ik) e^{ik(|x|+|x'|)} on a Robin or Neumann side of slope s,
+    # the free part alone on a Dirichlet side, exactly 0j across; d/dx multiplies
+    # the second term by ik sx
+    sides = (HalflineBoundary.robin(-1.3), HalflineBoundary.robin(0.7),
+             HalflineBoundary.neumann(), HalflineBoundary.dirichlet())
+    points = ((0.8, 1.1, 0.4 + 0.9j), (1.2, 0.3, -1.1 + 0.2j), (-0.5, -1.7, -1.2 + 0.3j),
+              (-0.6, -0.6, 2.0 + 0.5j), (0.8, -1.1, 0.4 + 0.9j), (-0.5, 1.7, 2.0 + 0.5j))
+    for right in sides:
+        for left in sides:
+            scheme = CouplingScheme.from_separated(right, left)
+            for x, xp, k in points:
+                value = green_kernel(scheme, x, xp, k)
+                dx = green_kernel_dx(scheme, x, xp, k, diag_side=1)
+                sx, sxp = (1 if x > 0 else -1), (1 if xp > 0 else -1)
+                if sx != sxp:
+                    assert repr(value) == repr(dx) == "0j"
+                    continue
+                bc = right if sx > 0 else left
+                want = spectral._free_pair_value(sx, sxp, x, xp, k)
+                want_dx = spectral._free_pair_dx(sx, sxp, x, xp, k, 1)
+                if bc.kind != params.DIRICHLET:
+                    expfac = cmath.exp(1j * k * (abs(x) + abs(xp)))
+                    want = want + 1.0 / (bc.slope - 1j * k) * expfac
+                    want_dx = want_dx + 1.0 / (bc.slope - 1j * k) * (1j * k * sx) * expfac
+                assert (value, dx) == (want, want_dx)
+
+
+def test_separated_residue_is_nonzero_exactly_where_the_kernel_refuses_the_pole():
+    # Robin slope -1.3 on the right: a bound state at kappa = 1.3; 1e-10 off it
+    # the kernel is finite and the residue is 0
+    scheme = CouplingScheme.from_separated(HalflineBoundary.robin(-1.3),
+                                           HalflineBoundary.dirichlet())
+    refused = []
+    for kappa0 in (1.3, 1.3 * (1.0 + 1e-10), 1.3 * (1.0 - 1e-10)):
+        residue = kernel_residue(scheme, kappa0, 0.8, 1.1)
+        try:
+            green_kernel(scheme, 0.8, 1.1, 1j * kappa0)
+        except PoleEvaluation:
+            refused.append(kappa0)
+            assert residue == 1j * math.exp(-kappa0 * (0.8 + 1.1))
+        else:
+            assert residue == 0j, kappa0
+    assert refused == [1.3]
+    message = "side denominator = 0j vanishes at k = 1.3j"
+    with pytest.raises(PoleEvaluation, match=re.escape(message)):
+        green_kernel(scheme, 0.8, 1.1, 1.3j)
+    assert kernel_residue(scheme, 1.3, -0.8, -1.1) == kernel_residue(scheme, 1.3, 0.8, -1.1) == 0j
+
+
+def test_kernel_residue_refuses_an_out_of_range_magnitude():
+    # e^{-kappa0 (|x|+|x'|)} = e^800 at an antibound pole 400 from the origin
+    separated = CouplingScheme.from_separated(HalflineBoundary.robin(1.0),
+                                              HalflineBoundary.dirichlet())
+    for scheme in (CouplingScheme.from_greek(GreekParams(2.0, 0.0, 0j)), separated):
+        with pytest.raises(DegenerateParametrization,
+                           match="'kernel residue' is not finite") as info:
+            kernel_residue(scheme, -1.0, 400.0, 400.0)
+        assert info.value.magnitude == math.inf
+    # a quadrant without the pole has residue 0 however far out
+    assert (kernel_residue(separated, -1.0, 400.0, -400.0)
+            == kernel_residue(separated, -1.0, -400.0, -400.0) == 0j)
 
 
 def test_s_matrix_converts_once_per_scheme(monkeypatch):

@@ -39,6 +39,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -320,7 +321,11 @@ def _emit(summary: dict, header: list, rows: list, fmt: str) -> str:
         buf.write(f"# {key} = {_scalar_str(val)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    if {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        # csv.writer writes an int or a float as its str and quotes neither: join them here
+        buf.writelines([",".join(map(str, row)) + "\n" for row in rows])
+    else:
+        writer.writerows(rows)
     return buf.getvalue()
 
 

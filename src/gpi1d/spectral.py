@@ -37,14 +37,19 @@ is constructed, and kept on it: the matrix-form constants (2 alpha, 4 + det and
 parts of the four quadrant coefficients) and the halfline form.  A scalar
 kernel or S-matrix call reads them instead of deriving them again.
 
-Every kernel starts from one prologue, `_kernel_point`: the sheet check, the
-sides of x and x', and exp(ik(|x|+|x'|)).  To its free part it adds one
-coefficient times that exponential: `_coupling_coef` for coupled and separated
-schemes alike (`green_kernel`, `green_kernel_dx` with the factor ik sx, and
-`green_kernel_greek`), the halfline expression in `green_kernel_halfline`.
-One pole rule, `_reciprocal`, refuses Delta(k), D(k) and a separated side's
-s - ik where |d| <= DEGENERACY_TOL * scale; `kernel_residue` asks the same rule,
-so a separated residue is nonzero exactly where the kernel refuses the pole.
+The scheme kernels, `green_kernel`, `green_kernel_dx` (the same coefficient
+times ik sx) and `green_kernel_greek`, are each one call to one body,
+`_scheme_kernel`, written out so that a kernel costs one Python call: the sheet
+check, the sides of x and x', exp(ik(|x|+|x'|)), the Dirichlet pair kernel, and
+one coefficient times that exponential, the quadrant coefficient over 2 Delta(k)
+for a coupled scheme and 1/(s - ik) on a separated Robin or Neumann side.  The
+pole rule refuses a denominator d where |d| <= DEGENERACY_TOL * scale, and the
+body refuses Delta(k) as DegenerateParametrization where it or its scale is not
+finite.  `kernel_residue` asks the same rule at k = i kappa0, so a residue is
+nonzero exactly where the kernel refuses the pole.  `green_kernel_halfline` is a
+test oracle for the matrix form and keeps its own code: prologue, free part and
+D(k).
+
 The scalar and array S-matrix paths share `_amplitudes`, which reads the
 halfline fields into locals once, so a scalar call costs few lookups beyond
 its arithmetic.
@@ -60,8 +65,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateParametrization, InvalidSheet, InvalidWavenumber, PoleEvaluation
 from .params import (DEGENERACY_TOL, DIRICHLET, CouplingScheme, GreekParams,
-                     HalflineParams, SeparatedHalflineBC, _matrix_constants,
-                     _MatrixConstants)
+                     HalflineBoundary, HalflineParams, SeparatedHalflineBC,
+                     _matrix_constants, _MatrixConstants)
 
 
 # ---------------------------------------------------------------------------
@@ -98,45 +103,10 @@ def _side(x: float, side: int, name: str) -> int:
     raise ValueError(f"{name} = 0 requires an explicit side (+1 or -1)")
 
 
-def _free_pair_value(sx: int, sxp: int, x: float, xp: float, k: complex) -> complex:
-    # Dirichlet kernel of the decoupled pair of halflines, e^{ikP} sin(kQ)/k on
-    # either side, P = max(|x|, |x'|) and Q = min(|x|, |x'|)
-    if sx != sxp:
-        return 0.0 + 0.0j
-    p, q = abs(x), abs(xp)
-    if p < q:
-        p, q = q, p
-    if k.imag * q <= 1.0:
-        return cmath.exp(1j * k * p) * cmath.sin(k * q) / k
-    # sin(kQ) alone overflows at large Im(k) Q, where |e^{2ikQ}| < e^-2 cancels nothing
-    return cmath.exp(1j * k * (p - q)) * (cmath.exp(2j * k * q) - 1.0) / (2j * k)
-
-
-def _free_pair_dx(sx: int, sxp: int, x: float, xp: float, k: complex,
-                  diag_side: int) -> complex:
-    # d/dx of the Dirichlet kernel: sx i e^{ikP} sin(kQ) where |x| = P, sx e^{ikP} cos(kQ) where |x| = Q
-    if sx != sxp:
-        return 0.0 + 0.0j
-    if x == xp and diag_side == 0:
-        raise ValueError("x = x' requires diag_side (+1 or -1)")
-    p, q = abs(x), abs(xp)
-    far = p > q or (p == q and diag_side * sx > 0)
-    if p < q:
-        p, q = q, p
-    if k.imag * q <= 1.0:
-        return sx * cmath.exp(1j * k * p) * (1j * cmath.sin(k * q) if far else cmath.cos(k * q))
-    e = cmath.exp(2j * k * q)
-    return 0.5 * sx * cmath.exp(1j * k * (p - q)) * (e - 1.0 if far else e + 1.0)
-
-
 def _halfline_coef(h: HalflineParams, k: complex, sx: int, sxp: int) -> complex:
-    if sx > 0 and sxp > 0:
-        return h.b - 1j * k
-    if sx < 0 and sxp < 0:
-        return h.a - 1j * k
-    if sx > 0 > sxp:
-        return -h.c
-    return -h.c.conjugate()
+    if sx == sxp:
+        return (h.b if sx > 0 else h.a) - 1j * k
+    return -h.c if sx > 0 else -h.c.conjugate()
 
 
 def _quadrant_coef(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> complex:
@@ -145,38 +115,75 @@ def _quadrant_coef(m: _MatrixConstants, k: complex, sx: int, sxp: int) -> comple
     return m.pm if sx > 0 else m.mp
 
 
-def _kernel_point(x: float, xp: float, k: complex, x_side: int, xp_side: int) -> tuple:
-    # k checked onto the physical sheet, the sides of x and x', and exp(ik(|x|+|x'|))
-    k = complex(k)
-    if not (k.imag > 0 and math.isfinite(k.real) and math.isfinite(k.imag)):
-        raise InvalidSheet(f"green kernel requires Im k > 0, got k = {k!r}")
-    sx = _side(x, x_side, "x")
-    sxp = _side(xp, xp_side, "x'")
-    return k, sx, sxp, cmath.exp(1j * k * (sx * x + sxp * xp))
-
-
-def _reciprocal(d: complex, scale: float, name: str, k: complex, num: float = 1.0) -> complex:
-    # num / d; the kernel's one pole rule refuses |d| <= DEGENERACY_TOL * scale
+def _reciprocal(d: complex, scale: float, name: str, k: complex) -> complex:
+    # 1 / d; the kernel's pole rule refuses |d| <= DEGENERACY_TOL * scale
     if abs(d) <= DEGENERACY_TOL * scale:
         raise PoleEvaluation(f"{name} = {d!r} vanishes at k = {k!r}")
-    return num / d
+    return 1.0 / d
 
 
-def _coupling_coef(m: _MatrixConstants | None, separated: SeparatedHalflineBC | None,
-                   k: complex, sx: int, sxp: int) -> complex:
-    # coefficient of exp(ik(|x|+|x'|)).  Matrix form: quadrant coefficient / (2 Delta),
-    # Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2 = 2 beta D(k).  Separated: 1/(s - ik)
-    # on a Robin or Neumann side of slope s, nothing on a Dirichlet side or across.
-    if m is not None:
-        d = m.two_alpha - 1j * k * m.four_det - m.two_beta * k * k
-        abs_k = abs(k)
-        scale = max(1.0, m.abs_alpha, abs_k * m.abs_four_det, m.abs_beta * abs_k ** 2)
-        # 0.5 / Delta: 0.5 * (1 / Delta) rounds apart where 1 / Delta has a subnormal part
-        return _reciprocal(d, scale, "Delta(k)", k, 0.5) * _quadrant_coef(m, k, sx, sxp)
+def _coupling_coef(separated: SeparatedHalflineBC, k: complex, sx: int, sxp: int) -> complex:
+    # a separated scheme's coefficient of exp(ik(|x|+|x'|)): 1/(s - ik) on a Robin or
+    # Neumann side of slope s, nothing on a Dirichlet side or across
     bc = separated.right if sx > 0 else separated.left
     if sx != sxp or bc.kind == DIRICHLET:
         return 0.0j
     return _reciprocal(bc.slope - 1j * k, max(1.0, abs(bc.slope), abs(k)), "side denominator", k)
+
+
+def _scheme_kernel(m: _MatrixConstants | None, separated: SeparatedHalflineBC | None,
+                   x: float, xp: float, k: complex, x_side: int, xp_side: int,
+                   diag_side: int | None = None) -> complex:
+    # G, or d/dx G where diag_side is given, in one call: a helper call costs ~5% of a kernel
+    k = complex(k)
+    if not (k.imag > 0 and cmath.isfinite(k)):
+        raise InvalidSheet(f"green kernel requires Im k > 0, got k = {k!r}")
+    sx = 1 if x > 0 else -1 if x < 0 else _side(x, x_side, "x")
+    sxp = 1 if xp > 0 else -1 if xp < 0 else _side(xp, xp_side, "x'")
+    expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
+    # Dirichlet pair kernel e^{ikP} sin(kQ)/k on either side, P = max(|x|, |x'|), Q = min;
+    # its d/dx is sx i e^{ikP} sin(kQ) where |x| = P, sx e^{ikP} cos(kQ) where |x| = Q
+    if sx != sxp:
+        free = 0.0 + 0.0j
+    elif diag_side is None:
+        p, q = abs(x), abs(xp)
+        if p < q:
+            p, q = q, p
+        if k.imag * q <= 1.0:
+            free = cmath.exp(1j * k * p) * cmath.sin(k * q) / k
+        else:  # sin(kQ) alone overflows at large Im(k) Q, where |e^{2ikQ}| < e^-2 cancels nothing
+            free = cmath.exp(1j * k * (p - q)) * (cmath.exp(2j * k * q) - 1.0) / (2j * k)
+    else:
+        if x == xp and diag_side == 0:
+            raise ValueError("x = x' requires diag_side (+1 or -1)")
+        p, q = abs(x), abs(xp)
+        far = p > q or (p == q and diag_side * sx > 0)
+        if p < q:
+            p, q = q, p
+        if k.imag * q <= 1.0:
+            free = sx * cmath.exp(1j * k * p) * (1j * cmath.sin(k * q) if far else cmath.cos(k * q))
+        else:
+            e = cmath.exp(2j * k * q)
+            free = 0.5 * sx * cmath.exp(1j * k * (p - q)) * (e - 1.0 if far else e + 1.0)
+    if m is None:
+        coef = _coupling_coef(separated, k, sx, sxp)
+    else:  # quadrant coefficient / (2 Delta), Delta(k) = 2 alpha - ik (4+det) - 2 beta k^2
+        (beta, _, _, two_alpha, four_det, two_beta, abs_alpha, abs_four_det, abs_beta,
+         pp, mm, pm, mp) = m
+        d = two_alpha - 1j * k * four_det - two_beta * k * k
+        try:
+            abs_k, abs_d = abs(k), abs(d)
+            tol = DEGENERACY_TOL * max(1.0, abs_alpha, abs_k * abs_four_det, abs_beta * abs_k ** 2)
+        except OverflowError:  # |k|, |Delta| or |k|^2 leaves the float range
+            tol = abs_d = math.inf
+        if not tol < abs_d < math.inf:  # the pole rule, or Delta(k) or its scale not finite
+            if abs_d <= tol < math.inf:
+                raise PoleEvaluation(f"Delta(k) = {d!r} vanishes at k = {k!r}")
+            raise DegenerateParametrization("Delta(k)", math.inf)
+        # 0.5 / Delta: 0.5 * (1 / Delta) rounds apart where 1 / Delta has a subnormal part
+        coef = 0.5 / d * ((pp if sx > 0 else mm) - 4j * k * beta if sx == sxp
+                          else pm if sx > 0 else mp)
+    return free + coef * expfac if diag_side is None else free + coef * (1j * k * sx) * expfac
 
 
 def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
@@ -188,36 +195,51 @@ def green_kernel(scheme: CouplingScheme, x: float, xp: float, k: complex,
     beta = 0 (the same expression as `green_kernel_greek`); separated schemes
     use the decoupled kernel.
     """
-    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
-    return (_free_pair_value(sx, sxp, x, xp, k)
-            + _coupling_coef(scheme._matrix, scheme.separated, k, sx, sxp) * expfac)
+    return _scheme_kernel(scheme._matrix, scheme.separated, x, xp, k, x_side, xp_side)
 
 
 def green_kernel_dx(scheme: CouplingScheme, x: float, xp: float, k: complex,
                     x_side: int = 0, xp_side: int = 0, diag_side: int = 0) -> complex:
     """Analytic d/dx of the resolvent kernel; `diag_side` picks the branch at x = x'."""
-    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
-    return (_free_pair_dx(sx, sxp, x, xp, k, diag_side)
-            + _coupling_coef(scheme._matrix, scheme.separated, k, sx, sxp)
-            * (1j * k * sx) * expfac)
+    return _scheme_kernel(scheme._matrix, scheme.separated, x, xp, k, x_side, xp_side, diag_side)
 
 
 def green_kernel_halfline(h: HalflineParams, x: float, xp: float, k: complex,
                           x_side: int = 0, xp_side: int = 0) -> complex:
-    """Kernel evaluated strictly through the halfline-form expression."""
-    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
+    """Kernel evaluated strictly through the halfline-form expression.
+
+    An oracle for the matrix form, written apart from `green_kernel`.
+    """
+    k = complex(k)
+    if not (k.imag > 0 and math.isfinite(k.real) and math.isfinite(k.imag)):
+        raise InvalidSheet(f"green kernel requires Im k > 0, got k = {k!r}")
+    sx, sxp = _side(x, x_side, "x"), _side(xp, xp_side, "x'")
+    expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
+    free = 0.0 + 0.0j
+    if sx == sxp:  # e^{ikP} sin(kQ)/k, P = max(|x|, |x'|), Q = min(|x|, |x'|)
+        p, q = abs(x), abs(xp)
+        if p < q:
+            p, q = q, p
+        if k.imag * q <= 1.0:
+            free = cmath.exp(1j * k * p) * cmath.sin(k * q) / k
+        else:
+            free = cmath.exp(1j * k * (p - q)) * (cmath.exp(2j * k * q) - 1.0) / (2j * k)
     scale = max(1.0, (abs(h.a) + abs(k)) * (abs(h.b) + abs(k)), abs(h.c) ** 2)
-    return (_free_pair_value(sx, sxp, x, xp, k)
-            + _reciprocal(denominator_D(h, k), scale, "D(k)", k)
+    return (free + _reciprocal(denominator_D(h, k), scale, "D(k)", k)
             * _halfline_coef(h, k, sx, sxp) * expfac)
 
 
 def green_kernel_greek(g: GreekParams, x: float, xp: float, k: complex,
                        x_side: int = 0, xp_side: int = 0) -> complex:
     """Kernel evaluated strictly through the matrix-form expression."""
-    k, sx, sxp, expfac = _kernel_point(x, xp, k, x_side, xp_side)
-    return (_free_pair_value(sx, sxp, x, xp, k)
-            + _coupling_coef(_matrix_constants(g), None, k, sx, sxp) * expfac)
+    try:
+        m = _matrix_constants(g)
+    except (DegenerateParametrization, OverflowError):
+        # an off-sheet k or an unsided x = 0 is refused first, as in every kernel
+        dirichlet = HalflineBoundary.dirichlet()
+        _scheme_kernel(None, SeparatedHalflineBC(dirichlet, dirichlet), x, xp, k, x_side, xp_side)
+        raise
+    return _scheme_kernel(m, None, x, xp, k, x_side, xp_side)
 
 
 def kernel_derivative_jump(scheme: CouplingScheme, xp: float, k: complex) -> complex:
@@ -271,18 +293,23 @@ def _denominator_roots(g: GreekParams, m: _MatrixConstants) -> list[float]:
 def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -> complex:
     """Residue in k of the resolvent kernel at the simple pole k = i*kappa0.
 
-    A separated scheme's residue is nonzero exactly where `green_kernel` refuses
-    the pole; DegenerateParametrization where the residue leaves the float range.
+    The residue is nonzero exactly where the kernel's pole rule refuses
+    k = i*kappa0 (where `green_kernel` would); DegenerateParametrization where
+    the residue leaves the float range, or at a double root of Delta.
     """
     sx = _side(x, 0, "x")
     sxp = _side(xp, 0, "x'")
     m = scheme._matrix
-    if m is None:
-        try:  # the kernel's own coefficient at k = i kappa0 refuses exactly its poles
-            _coupling_coef(None, scheme.separated, 1j * kappa0, sx, sxp)
+    try:  # 0 where the kernel's own pole rule lets k = i kappa0 through
+        if m is None:
+            _coupling_coef(scheme.separated, 1j * kappa0, sx, sxp)
             return 0.0j
-        except PoleEvaluation:
-            pass
+        abs_k = abs(kappa0)  # Delta(i kappa0) = 2 alpha + (4 + det) kappa0 + 2 beta kappa0^2
+        if (DEGENERACY_TOL * max(1.0, m.abs_alpha, abs_k * m.abs_four_det, m.abs_beta * abs_k ** 2)
+                < abs(m.two_alpha + kappa0 * m.four_det + m.two_beta * kappa0 * kappa0) < math.inf):
+            return 0.0j
+    except (PoleEvaluation, OverflowError):
+        pass
     try:
         expfac = math.exp(-kappa0 * (sx * x + sxp * xp))
     except OverflowError:  # an antibound pole far from the origin
@@ -291,6 +318,8 @@ def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -
         res = 1j * expfac  # d/dk (slope - ik) = -i
     else:  # Delta'(i kappa) = -i (4 + det + 4 beta kappa)
         dprime = -1j * (m.four_det + 4.0 * m.beta * kappa0)
+        if dprime == 0:
+            raise DegenerateParametrization("Delta'(i kappa0)", 0.0)
         res = _quadrant_coef(m, 1j * kappa0, sx, sxp) * expfac / (2.0 * dprime)
     if not cmath.isfinite(res):
         raise DegenerateParametrization("kernel residue", math.inf)

@@ -281,6 +281,45 @@ def test_csv_rows_write_floats_as_repr():
                                  "inf,nan,-0.0,0.30000000000000004,7"]
 
 
+def _csv_writer_text(summary: dict, header: list, rows: list) -> str:
+    buf = io.StringIO()
+    for key, val in summary.items():
+        buf.write(f"# {key} = {cli._scalar_str(val)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_csv_tables_are_what_csv_writer_writes(run, monkeypatch):
+    # numeric tables are joined without csv.writer, tables with a str cell go through
+    # it; either way the bytes are csv.writer's
+    tables = []
+    emit = cli._emit
+
+    def recording(summary, header, rows, fmt):
+        tables.append((summary, header, rows))
+        return emit(summary, header, rows, fmt)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    coupling = ("--scheme", "greek", "--alpha=-1", "--beta=0.5", "--gamma-re=0.3",
+                "--gamma-im=0.4")
+    for argv in (("berry", "--a=-2", "--cmod", "0.6", "--samples", "64"),
+                 ("scatter", *coupling, "--kmin", "0.05", "--kmax", "20", "--steps", "50"),
+                 ("bound-states", *coupling), ("bands", *coupling, "--ell", "1", "--mmax", "12"),
+                 ("convert", *coupling)):
+        code, out, _ = run(*argv, "--format", "csv")
+        assert code == 0
+        assert out == _csv_writer_text(*tables[-1]), argv[0]
+    numbers = [[-0.0, 1e-300, 5e-324, 10 ** 40, -(2 ** 63), 0, 1.7976931348623157e308],
+               [math.inf, -math.inf, math.nan, 0.1 + 0.2, -7, 1e16, 123456789.0]]
+    quoted = [[1.0, "a,b", True], [2, 'say "hi"', 3.5], [-0.0, "", 7]]
+    mixed = [[1.0, "x", None], [3 + 4j, -0.0, 1e-300]]
+    for rows in (numbers, quoted, mixed, [], [[]], [[1.5]]):
+        assert cli._emit({"task": "x"}, ["a", "b"], rows, "csv") == _csv_writer_text(
+            {"task": "x"}, ["a", "b"], rows)
+
+
 def _fresh_run(*argv: str) -> tuple[int, str]:
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -16,6 +16,7 @@ from gpi1d import (BindingKind, CouplingScheme, DegenerateParametrization,
                    green_kernel, green_kernel_dx, green_kernel_greek, kernel_residue,
                    params, point_spectrum, s_matrix, s_matrix_array,
                    scattering_asymptotics, spectral)
+from gpi1d.errors import GpiError
 from conftest import random_greek, random_halfline, random_scheme
 
 
@@ -430,6 +431,24 @@ def _reference_prefactor(g, k):
     return 0.5 / (2.0 * g.alpha - 1j * k * (4.0 + g.det) - 2.0 * g.beta * k * k)
 
 
+def _reference_free(sx, sxp, x, xp, k, diag_side=None):
+    # the Dirichlet pair kernel, or its d/dx where diag_side is given, written out
+    if sx != sxp:
+        return 0.0 + 0.0j
+    p, q = abs(x), abs(xp)
+    far = diag_side is not None and (p > q or (p == q and diag_side * sx > 0))
+    if p < q:
+        p, q = q, p
+    if diag_side is None:
+        if k.imag * q <= 1.0:
+            return cmath.exp(1j * k * p) * cmath.sin(k * q) / k
+        return cmath.exp(1j * k * (p - q)) * (cmath.exp(2j * k * q) - 1.0) / (2j * k)
+    if k.imag * q <= 1.0:
+        return sx * cmath.exp(1j * k * p) * (1j * cmath.sin(k * q) if far else cmath.cos(k * q))
+    e = cmath.exp(2j * k * q)
+    return 0.5 * sx * cmath.exp(1j * k * (p - q)) * (e - 1.0 if far else e + 1.0)
+
+
 def _reference_coef(g, k, sx, sxp):
     det = g.det
     if sx > 0 and sxp > 0:
@@ -460,17 +479,19 @@ def test_kernel_constants_are_those_of_the_matrix_form(rng):
             sx, sxp = (1 if x > 0 else -1), (1 if xp > 0 else -1)
             assert green_kernel(scheme, x, xp, k) == green_kernel_greek(g, x, xp, k)
             expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
-            want = (spectral._free_pair_dx(sx, sxp, x, xp, k, 1)
+            want = (_reference_free(sx, sxp, x, xp, k, 1)
                     + _reference_prefactor(g, k) * _reference_coef(g, k, sx, sxp)
                     * (1j * k * sx) * expfac)
             assert green_kernel_dx(scheme, x, xp, k, diag_side=1) == want
-        kappas = [p.kappa for p in point_spectrum(scheme)] + [0.0, float(rng.uniform(-2, 2))]
-        for kappa in kappas:
+        roots = [p.kappa for p in point_spectrum(scheme)]
+        for kappa in roots + [0.0, float(rng.uniform(-2, 2))]:
             for x, xp in ((0.8, 1.1), (-0.5, 1.1), (0.3, -2.0), (-1.0, -0.2)):
                 sx, sxp = (1 if x > 0 else -1), (1 if xp > 0 else -1)
                 dprime = -1j * (4.0 + g.det + 4.0 * g.beta * kappa)
                 want = (_reference_coef(g, 1j * kappa, sx, sxp)
                         * math.exp(-kappa * (sx * x + sxp * xp)) / (2.0 * dprime))
+                if kappa not in roots:  # off the roots of Delta the residue is 0
+                    want = 0j
                 assert kernel_residue(scheme, kappa, x, xp) == want
 
 
@@ -493,8 +514,8 @@ def test_separated_kernel_is_the_side_formula_bit_for_bit():
                     assert repr(value) == repr(dx) == "0j"
                     continue
                 bc = right if sx > 0 else left
-                want = spectral._free_pair_value(sx, sxp, x, xp, k)
-                want_dx = spectral._free_pair_dx(sx, sxp, x, xp, k, 1)
+                want = _reference_free(sx, sxp, x, xp, k)
+                want_dx = _reference_free(sx, sxp, x, xp, k, 1)
                 if bc.kind != params.DIRICHLET:
                     expfac = cmath.exp(1j * k * (abs(x) + abs(xp)))
                     want = want + 1.0 / (bc.slope - 1j * k) * expfac
@@ -536,6 +557,178 @@ def test_kernel_residue_refuses_an_out_of_range_magnitude():
     # a quadrant without the pole has residue 0 however far out
     assert (kernel_residue(separated, -1.0, 400.0, -400.0)
             == kernel_residue(separated, -1.0, -400.0, -400.0) == 0j)
+
+
+def test_coupled_residue_is_nonzero_exactly_where_the_kernel_refuses_the_pole():
+    # roots 0.4735... (bound) and -4.2235... (antibound); 1e-12 off the bound one the
+    # kernel is finite and the residue is 0, as it is at kappa0 = 0.2 and at the vertex
+    # -(4 + det)/(4 beta) = -1.875 of Delta(i kappa), where Delta' vanishes
+    scheme = CouplingScheme.from_greek(GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+    bound, antibound = (p.kappa for p in point_spectrum(scheme))
+    refused = []
+    offsets = (0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 1e-10, -1e-10)
+    for kappa0 in [bound * (1.0 + f) for f in offsets] + [0.2, 1.875]:
+        residue = kernel_residue(scheme, kappa0, 0.8, -1.1)
+        try:
+            green_kernel(scheme, 0.8, -1.1, 1j * kappa0)
+        except PoleEvaluation:
+            refused.append(kappa0)
+            assert residue != 0j
+        else:
+            assert residue == 0j, kappa0
+    # the rule's edge, |Delta| = DEGENERACY_TOL * scale, lies between 5e-13 and 1e-12 off
+    assert refused == [bound * (1.0 + f) for f in offsets[:5]]
+    assert kernel_residue(scheme, antibound, 0.8, -1.1) != 0j
+    assert (kernel_residue(scheme, -1.875, 0.8, -1.1) == kernel_residue(scheme, 0.2, -0.8, 1.1)
+            == 0j)
+
+
+def test_kernel_residue_refuses_a_double_root():
+    # gamma = 1e-7 i keeps (2, 2, gamma) coupled, and its two antibound roots lie 1e-7
+    # apart around kappa0 = -(4 + det)/(4 beta), where Delta passes the pole rule and
+    # Delta'(i kappa0) is exactly 0
+    scheme = CouplingScheme.from_greek(GreekParams(2.0, 2.0, 1e-7j))
+    assert not scheme.is_separated
+    kappa0 = -(4.0 + scheme.greek.det) / (4.0 * scheme.greek.beta)
+    message = ("degenerate parametrization: denominator \"Delta'(i kappa0)\" vanishes"
+               " (|value| = 0.000e+00)")
+    with pytest.raises(DegenerateParametrization, match=re.escape(message)):
+        kernel_residue(scheme, kappa0, 0.5, 0.7)
+    for p in point_spectrum(scheme):
+        assert cmath.isfinite(kernel_residue(scheme, p.kappa, 0.5, 0.7))
+
+
+def test_kernel_refuses_an_out_of_range_delta():
+    # |k|^2 past the float range (|k| > 1.34e154), Delta(k) past it at beta ~ 1e150,
+    # |k| ~ 1e100, where the kernel returned nan before, and at alpha ~ 1e308, where it
+    # returned the free part alone; |k| = 1e150 still evaluates
+    g = GreekParams(-1.0, 0.5, 0.3 + 0.4j)
+    scheme = CouplingScheme.from_greek(g)
+    big_beta = GreekParams(-1.0, 1e150, 0.3 + 0.4j)
+    big_alpha = GreekParams(1.5e308, 1e-10, 0.5j)  # 2 alpha = inf under a finite pole scale
+    message = "degenerate parametrization: 'Delta(k)' is not finite (|value| = inf)"
+    for call in (lambda: green_kernel(scheme, 0.5, -0.7, 1e160j),
+                 lambda: green_kernel_dx(scheme, 0.5, -0.7, 1e160j),
+                 lambda: green_kernel_greek(g, 0.5, -0.7, 1e160j),
+                 lambda: green_kernel(CouplingScheme.from_greek(big_beta), 0.5, 0.7, 1e100j),
+                 lambda: green_kernel_greek(big_beta, -0.5, 0.7, 3e99 + 1e100j),
+                 lambda: green_kernel(CouplingScheme.from_greek(big_alpha), 0.5, 0.7, 1j)):
+        with pytest.raises(DegenerateParametrization, match=re.escape(message)) as info:
+            call()
+        assert info.value.magnitude == math.inf
+    for x, xp in ((0.5, -0.7), (0.5, 0.7)):
+        assert green_kernel(scheme, x, xp, 1e150j) == green_kernel_greek(g, x, xp, 1e150j)
+        assert cmath.isfinite(green_kernel_dx(scheme, x, xp, 1e150j))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _outcome(f, *args):
+    # a kernel's value bits, or its refusal's type and message
+    try:
+        return _bits(f(*args))
+    except (ValueError, GpiError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_kernel(scheme, x, xp, k, x_side, xp_side, diag_side=None):
+    # free part + coefficient * e^{ik(|x|+|x'|)}: 0.5 / Delta * quadrant for a coupled
+    # scheme, 1/(s - ik) on a Robin or Neumann side of a separated one; dx multiplies
+    # the coefficient by ik sx; the same refusals, in the same order
+    k = complex(k)
+    if not (k.imag > 0 and math.isfinite(k.real) and math.isfinite(k.imag)):
+        return "InvalidSheet", f"green kernel requires Im k > 0, got k = {k!r}"
+    sides = []
+    for name, v, side in (("x", x, x_side), ("x'", xp, xp_side)):
+        if v == 0 and side not in (1, -1):
+            return "ValueError", f"{name} = 0 requires an explicit side (+1 or -1)"
+        sides.append(1 if v > 0 else -1 if v < 0 else side)
+    sx, sxp = sides
+    expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
+    if diag_side == 0 and sx == sxp and x == xp:
+        return "ValueError", "x = x' requires diag_side (+1 or -1)"
+    free = _reference_free(sx, sxp, x, xp, k, diag_side)
+    if scheme.is_separated:
+        bc = scheme.separated.right if sx > 0 else scheme.separated.left
+        coef = 0j
+        if sx == sxp and bc.kind != params.DIRICHLET:
+            d = bc.slope - 1j * k
+            if abs(d) <= params.DEGENERACY_TOL * max(1.0, abs(bc.slope), abs(k)):
+                return "PoleEvaluation", f"side denominator = {d!r} vanishes at k = {k!r}"
+            coef = 1.0 / d
+    else:
+        g = scheme.greek
+        d = 2.0 * g.alpha - 1j * k * (4.0 + g.det) - 2.0 * g.beta * k * k
+        scale = max(1.0, abs(g.alpha), abs(k) * abs(4.0 + g.det), abs(g.beta) * abs(k) ** 2)
+        if abs(d) <= params.DEGENERACY_TOL * scale:
+            return "PoleEvaluation", f"Delta(k) = {d!r} vanishes at k = {k!r}"
+        coef = _reference_prefactor(g, k) * _reference_coef(g, k, sx, sxp)
+    if diag_side is None:
+        return _bits(free + coef * expfac)
+    return _bits(free + coef * (1j * k * sx) * expfac)
+
+
+def _bit_schemes(rng):
+    g = GreekParams(-1.0, 0.5, 0.3 + 0.4j)
+    yield g, CouplingScheme.from_greek(g)
+    for g in (GreekParams(-2.0, 0.0, 0j), GreekParams(-1.5, 0.0, 0.3 + 0.4j),
+              *(random_greek(rng) for _ in range(4))):
+        yield g, CouplingScheme.from_greek(g)
+    sides = (HalflineBoundary.robin(-1.3), HalflineBoundary.robin(0.7),
+             HalflineBoundary.neumann(), HalflineBoundary.dirichlet())
+    for right in sides:
+        for left in sides:
+            yield None, CouplingScheme.from_separated(right, left)
+
+
+def test_scheme_kernels_are_the_written_out_formula_bit_for_bit(rng):
+    # green_kernel, green_kernel_dx and green_kernel_greek against free part + 0.5/Delta
+    # quadrant e^{ik(|x|+|x'|)} (1/(s - ik) on a separated side): value bits, refusals
+    # and messages, at x = 0 with and without a side, Im k Q > 1, poles +- 1e-13 and Im k <= 0
+    seen = set()
+    for g, scheme in _bit_schemes(rng):
+        poles = [p.kappa for p in point_spectrum(scheme) if p.kappa > 0]
+        ks = [complex(rng.uniform(-3, 3), rng.uniform(0.05, 3)) for _ in range(6)]
+        ks += [complex(rng.uniform(-1, 1), rng.uniform(5, 50)), 0.7 - 0.2j, 1.3 + 0j, -0.4j,
+               complex(math.inf, 1.0), complex(0.5, math.inf), complex(math.nan, 1.0)]
+        ks += [1j * kappa * f for kappa in poles for f in (1.0, 1.0 + 1e-13, 1.0 - 1e-13)]
+        for k in ks:
+            for _ in range(8):
+                x, xp = (float(v) for v in rng.uniform(-3, 3, 2))
+                x_side, xp_side, diag_side = (int(v) for v in rng.choice([-1, 0, 1], 3))
+                if rng.uniform() < 0.3:
+                    x = 0.0
+                if rng.uniform() < 0.3:
+                    xp = 0.0
+                if rng.uniform() < 0.2:
+                    xp, xp_side = x, x_side
+                want = _reference_kernel(scheme, x, xp, k, x_side, xp_side)
+                assert _outcome(green_kernel, scheme, x, xp, k, x_side, xp_side) == want
+                if g is not None:
+                    assert _outcome(green_kernel_greek, g, x, xp, k, x_side, xp_side) == want
+                want_dx = _reference_kernel(scheme, x, xp, k, x_side, xp_side, diag_side)
+                assert (_outcome(green_kernel_dx, scheme, x, xp, k, x_side, xp_side, diag_side)
+                        == want_dx)
+                for w in (want, want_dx):
+                    value = "0x" in w[0]
+                    seen.add(w[1][:12] if w[0] == "ValueError" else "value" if value else w[0])
+                if "0x" in want[0]:
+                    seen.add("x = 0 sided" if 0.0 in (x, xp) else None)
+                    same_side = x * xp > 0
+                    seen.add("Im k Q > 1" if same_side and k.imag * min(abs(x), abs(xp)) > 1.0
+                             else None)
+    # |Delta| ~ 1.7e308, where 0.5 / Delta is subnormal and 0.5 * (1 / Delta) rounds apart
+    scheme = CouplingScheme.from_greek(GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+    for kappa in (1.25e154, 1.27e154, 1.3e154, 1.32e154, 1.34e154):
+        k = complex(1e150, kappa)
+        for x, xp in ((1e-155, 2e-155), (-1e-155, -3e-155), (2e-155, -1e-155)):
+            want = _reference_kernel(scheme, x, xp, k, 0, 0)
+            assert _outcome(green_kernel, scheme, x, xp, k, 0, 0) == want
+            assert want[0] != "0x0.0p+0" and want[0].startswith(("0x", "-0x"))
+    assert {"value", "InvalidSheet", "PoleEvaluation", "x = 0 requir", "x' = 0 requi",
+            "x = x' requi", "x = 0 sided", "Im k Q > 1"} <= seen, seen
 
 
 def test_s_matrix_converts_once_per_scheme(monkeypatch):

@@ -173,7 +173,7 @@ def _scheme_kernel(m: _MatrixConstants | None, separated: SeparatedHalflineBC | 
         d = two_alpha - 1j * k * four_det - two_beta * k * k
         try:
             abs_k, abs_d = abs(k), abs(d)
-            tol = DEGENERACY_TOL * max(1.0, abs_alpha, abs_k * abs_four_det, abs_beta * abs_k ** 2)
+            tol = DEGENERACY_TOL * max(1.0, abs_alpha, abs_k * abs_four_det, abs_beta * abs_k * abs_k)
         except OverflowError:  # |k|, |Delta| or |k|^2 leaves the float range
             tol = abs_d = math.inf
         if not tol < abs_d < math.inf:  # the pole rule, or Delta(k) or its scale not finite
@@ -305,7 +305,7 @@ def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -
             _coupling_coef(scheme.separated, 1j * kappa0, sx, sxp)
             return 0.0j
         abs_k = abs(kappa0)  # Delta(i kappa0) = 2 alpha + (4 + det) kappa0 + 2 beta kappa0^2
-        if (DEGENERACY_TOL * max(1.0, m.abs_alpha, abs_k * m.abs_four_det, m.abs_beta * abs_k ** 2)
+        if (DEGENERACY_TOL * max(1.0, m.abs_alpha, abs_k * m.abs_four_det, m.abs_beta * abs_k * abs_k)
                 < abs(m.two_alpha + kappa0 * m.four_det + m.two_beta * kappa0 * kappa0) < math.inf):
             return 0.0j
     except (PoleEvaluation, OverflowError):

@@ -1,11 +1,20 @@
-"""Shared samplers for randomized property tests (seeded, reproducible)."""
+"""Shared samplers for randomized property tests (seeded, reproducible), the
+in-process CLI fixture and the fresh-interpreter runner."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpi1d import CouplingScheme, GreekParams, HalflineParams
+from gpi1d.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_greek(rng: np.random.Generator, beta_min: float = 0.05,
@@ -53,3 +62,23 @@ def random_scheme(rng: np.random.Generator, allow_beta_zero: bool = False) -> Co
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def run(capsys):
+    """main(argv) in this process: (exit code, stdout, stderr)."""
+    def _run(*argv: str):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    return _run
+
+
+def fresh_run(*args: str) -> tuple[int, str, str]:
+    """`python *args` in a fresh interpreter with src/ on PYTHONPATH and, as in
+    the tier-1 command, RuntimeWarning an error: (exit code, stdout, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr

@@ -1,31 +1,21 @@
-"""Command-line interface: tasks, formats, config merging, exit codes."""
+"""Command-line interface: tasks, formats, config merging, exit codes; the
+numpy-free scalar path and the demos in fresh interpreters."""
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from gpi1d import (CouplingScheme, GreekParams, ParameterLoop, berry_phase_discrete, cli,
                    s_matrix)
 from gpi1d.cli import main
-
-
-@pytest.fixture
-def run(capsys):
-    def _run(*argv: str):
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-    return _run
+from conftest import SRC, fresh_run
 
 
 def _parse_csv(text: str) -> tuple[dict, list[dict]]:
@@ -183,12 +173,10 @@ def test_degenerate_parametrization_exits_3(run):
 
 
 def test_cli_runs_as_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpi1d.cli", "berry", "--a", "-2", "--cmod", "0.3",
-         "--samples", "64"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert abs(json.loads(proc.stdout)["summary"]["phase"] - math.pi) < 1e-9
+    code, out, _ = fresh_run("-m", "gpi1d.cli", "berry", "--a", "-2", "--cmod", "0.3",
+                             "--samples", "64")
+    assert code == 0
+    assert abs(json.loads(out)["summary"]["phase"] - math.pi) < 1e-9
 
 
 @pytest.mark.parametrize("task", [["convert"], ["bands", "--ell", "1", "--mmax", "10"]])
@@ -274,6 +262,29 @@ def test_scatter_table_matches_scalar_calls(run):
     assert worst <= 1e-15
 
 
+def test_scatter_table_and_berry_loop_at_1e5_points(run):
+    code, out, _ = run("scatter", *_GENERIC, "--kmin", "0.05", "--kmax", "20",
+                       "--steps", "100000")
+    assert code == 0
+    scatter = json.loads(out)
+    code, out, _ = run("berry", "--a", "-2", "--cmod", "0.6", "--samples", "100000")
+    assert code == 0
+    berry = json.loads(out)
+    assert len(scatter["rows"]) == 100000, len(scatter["rows"])
+    defect = max(abs(row[5] - 1.0) for row in scatter["rows"])
+    assert defect <= 1e-12, defect
+    n = len(berry["rows"])
+    assert n == 100000, n
+    steps = [row[0] for row in berry["rows"]]
+    assert steps == list(range(n)) and all(type(j) is int for j in steps)
+    # every step of the loop has the closed-form overlap (1 + e^{-2 pi i / n}) / 2
+    closed = (1 + cmath.exp(-2j * math.pi / n)) / 2
+    overlap_err = max(abs(complex(row[2], row[3]) - closed) for row in berry["rows"])
+    assert overlap_err <= 4e-15, overlap_err
+    phase_err = abs(berry["summary"]["phase"] - math.pi)
+    assert phase_err <= 1e-5, phase_err
+
+
 def test_csv_rows_write_floats_as_repr():
     text = cli._emit({"task": "x", "flag": True}, ["a", "b", "c", "d", "e"],
                      [[math.inf, math.nan, -0.0, 0.1 + 0.2, 7]], "csv")
@@ -320,15 +331,6 @@ def test_csv_tables_are_what_csv_writer_writes(run, monkeypatch):
             {"task": "x"}, ["a", "b"], rows)
 
 
-def _fresh_run(*argv: str) -> tuple[int, str]:
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "gpi1d.cli", *argv], env=env,
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout
-
-
 def test_shared_parser_carries_nothing_between_runs(run, tmp_path):
     # one parser serves every main() call of a process: a run must print what
     # the same argv prints in a fresh interpreter, whatever ran before it
@@ -343,7 +345,7 @@ def test_shared_parser_carries_nothing_between_runs(run, tmp_path):
     for argv in runs:
         code, out, _ = run(*argv)
         assert code == 0
-        assert (code, out) == _fresh_run(*argv), argv
+        assert (code, out) == fresh_run("-m", "gpi1d.cli", *argv)[:2], argv
     assert run("bands", "--config", str(cfg))[1].startswith("# task = bands\n")
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 42\n")
@@ -374,6 +376,10 @@ def test_each_task_accepts_exactly_its_options(task):
     # a dropped parent loses its options; one passed twice fails the build on
     # its conflicting flags
     assert sorted(strings) == sorted(want)
+    for argv in ([task, "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -402,3 +408,87 @@ def test_coupling_without_a_transfer_record_is_named(run):
     code, out, err = run("bands", *_NO_TRANSFER, "--ell", "0.0056007541257996245",
                          "--mmax", "12")
     assert code == 3 and out == "" and "|4-det+4i*Im(gamma)|" in err
+
+
+# convert, bound-states and every scalar call of three couplings, in a fresh
+# interpreter: none of them may need numpy
+_SCALAR_CHAIN = """\
+import cmath
+import sys
+import gpi1d
+from gpi1d.cli import main
+coupling = ["--scheme", "greek", "--alpha=-1", "--beta=0.5", "--gamma-re=0.3", "--gamma-im=0.4"]
+assert main(["convert", *coupling]) == 0
+assert main(["bound-states", *coupling]) == 0
+# every scalar call of one coupling: the charts, the scheme, its spectrum,
+# S-matrix, kernel and asymptotics; coupled, delta-family and separated
+for alpha, beta, gamma in ((-1.0, 0.5, 0.3 + 0.4j), (-1.5, 0.0, 0.3 + 0.4j), (-3.0, -1.0, 1 + 0j)):
+    g = gpi1d.GreekParams(alpha, beta, gamma)
+    charts = {"g": g}
+    for key, name, src in (("h", "greek_to_halfline", "g"), ("i", "greek_to_inverse", "g"),
+                           ("t", "greek_to_transfer", "g"), ("hg", "halfline_to_greek", "h"),
+                           ("hi", "halfline_to_inverse", "h"), ("ht", "halfline_to_transfer", "h"),
+                           ("ig", "inverse_to_greek", "i"), ("ih", "inverse_to_halfline", "i"),
+                           ("tg", "transfer_to_greek", "t"), ("th", "transfer_to_halfline", "t")):
+        if src in charts:
+            try:
+                charts[key] = getattr(gpi1d, name)(charts[src])
+            except gpi1d.DegenerateParametrization:
+                pass
+    scheme = gpi1d.CouplingScheme.from_greek(g)
+    gpi1d.classify_symmetries(scheme), gpi1d.is_decoupled(scheme), gpi1d.point_spectrum(scheme)
+    for k in (0.3, 1.7, 9.0):
+        gpi1d.s_matrix(scheme, k)
+    gpi1d.green_kernel(scheme, 0.7, -1.1, 0.8 + 0.4j), gpi1d.green_kernel(scheme, 1.3, 0.5, 2 + 0.3j)
+    gpi1d.scattering_asymptotics(scheme)
+    if scheme.halfline is not None:
+        gpi1d.binding_regime(scheme.halfline)
+        gpi1d.green_kernel_halfline(scheme.halfline, 0.7, -1.1, 0.8 + 0.4j)
+    if not scheme.is_separated:
+        gpi1d.green_kernel_dx(scheme, 0.7, 0.7, 0.8 + 0.4j, diag_side=1)
+        gpi1d.green_kernel_greek(g, 1.3, 0.5, 2 + 0.3j)
+        for p in gpi1d.point_spectrum(scheme):
+            gpi1d.kernel_residue(scheme, p.kappa, 0.8, -1.1)
+assert len(charts) > 1 and scheme.is_separated
+# the separated scheme refuses each bound-state pole on the side that carries it
+bound = [p.kappa for p in gpi1d.point_spectrum(scheme) if p.kind is gpi1d.PointKind.BOUND]
+refused = 0
+for kappa in bound:
+    for x in (0.5, -0.5):
+        try:
+            gpi1d.green_kernel(scheme, x, 2 * x, 1j * kappa)
+        except gpi1d.PoleEvaluation:
+            refused += 1
+assert bound and refused == len(bound), (bound, refused)
+# a Delta(k) past the float range is refused by name; off the roots of Delta
+# a coupled residue is 0
+coupled = gpi1d.CouplingScheme.from_greek(gpi1d.GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+try:
+    gpi1d.green_kernel(coupled, 0.5, -0.7, 1e160j)
+    raise AssertionError("green_kernel at k = 1e160j returned a value")
+except gpi1d.DegenerateParametrization as exc:
+    assert exc.denominator == "Delta(k)", exc
+assert gpi1d.kernel_residue(coupled, 0.2, 0.8, -1.1) == 0j
+# the scalar Berry calls on one loop; berry reads its tolerance from params
+loop = gpi1d.ParameterLoop(a=-2.0, c_mod=0.6, samples=8)
+f0, f1 = gpi1d.eigenstate_at(loop, 0.0), gpi1d.eigenstate_at(loop, 0.5)
+assert abs(gpi1d.overlap(f0, f1) - (1 + cmath.exp(-0.5j)) / 2) < 1e-15
+assert gpi1d.berry_connection_analytic(loop, 0.5) == 0.5
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))[:5]
+"""
+
+
+def test_convert_bound_states_and_the_scalar_chain_load_neither_numpy_nor_scipy():
+    code, out, err = fresh_run("-c", _SCALAR_CHAIN + "print(sorted(m for m in sys.modules "
+                               "if m.partition('.')[0] in ('numpy', 'scipy')))\n")
+    assert code == 0, err
+    assert out.splitlines()[-1] == "[]"
+
+
+_DEMOS = SRC.parent / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in _DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    code, _, err = fresh_run(str(_DEMOS / demo))
+    assert code == 0, err

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import cmath
 import decimal
+import json
 import math
-import os
-import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import gpi1d
 from gpi1d import (BandInterval, CouplingScheme, GapInterval, GreekParams, GridTooCoarse,
                    HalflineParams, InsufficientBands, LatticeSpec, PointKind, Regime,
                    asymptotic_regime, band_condition_lhs_bound, band_condition_rhs, band_structure,
@@ -536,23 +534,33 @@ def test_bound_state_bands_of_wide_cells(ell):
     # single-center levels kappa = 3.734 and 0.880: one band each, narrower
     # than the float spacing once kappa ell >~ 40, and then [E, E] at -kappa^2
     spec = _spec(-2.3, -0.7, 0.2 - 0.9j, ell=ell)
-    levels = [-p.kappa ** 2 for p in point_spectrum(spec.scheme) if p.kind is PointKind.BOUND]
+    levels = sorted(-p.kappa ** 2 for p in point_spectrum(spec.scheme)
+                    if p.kind is PointKind.BOUND)
     assert len(levels) == 2
-    bands, _ = band_structure(spec, 3)
-    negative = [b for b in bands if b.e_lo < 0.0]
-    assert len(negative) == 2
-    for b in negative:
-        residual = max(abs(abs(trace_at_energy(spec, e)) - 2.0) for e in (b.e_lo, b.e_hi))
-        degenerate = any(max(abs(b.e_lo - e), abs(b.e_hi - e)) <= 1e-12 * abs(e) for e in levels)
-        assert residual <= 1e-8 or degenerate, (ell, b)
+    for m_max in (3, 6):
+        bands, _ = band_structure(spec, m_max)
+        negative = [b for b in bands if b.e_lo < 0.0]
+        assert len(negative) == 2
+        for b, level in zip(negative, levels):
+            residual = max(abs(abs(trace_at_energy(spec, e)) - 2.0) for e in (b.e_lo, b.e_hi))
+            degenerate = any(max(abs(b.e_lo - e), abs(b.e_hi - e)) <= 1e-12 * abs(e)
+                             for e in levels)
+            assert residual <= 1e-8 or degenerate, (ell, m_max, b)
+            # from kappa ell = 70 on, band m sits on the m-th level
+            assert ell < 80.0 or max(abs(b.e_lo - level), abs(b.e_hi - level)) <= \
+                1e-12 * abs(level), (ell, m_max, b, level)
 
 
 def test_delta_band_narrower_than_the_float_spacing():
     # kappa ell = 400: cosh overflows nowhere near the band, but the band is
     # e^-400 wide, so it is reported at the bound level -1
-    bands, _ = band_structure(_spec(-2.0, 0.0, 0.0, ell=400.0), 3)
-    assert (bands[0].e_lo, bands[0].e_hi) == (-1.0, -1.0)
-    assert bands[1].e_lo > 0.0
+    spec = _spec(-2.0, 0.0, 0.0, ell=400.0)
+    assert [-p.kappa ** 2 for p in point_spectrum(spec.scheme)
+            if p.kind is PointKind.BOUND] == [-1.0]
+    for m_max in (3, 6):
+        bands, _ = band_structure(spec, m_max)
+        assert (bands[0].e_lo, bands[0].e_hi) == (-1.0, -1.0)
+        assert bands[1].e_lo > 0.0
 
 
 def test_trace_overflows_to_infinity_not_nan():
@@ -644,8 +652,10 @@ def test_newton_returns_on_narrow_cells(monkeypatch, alpha, beta, gamma, ell, m_
     # an edge bracket wide in z, e.g. [160.30, 9481.35], has a stop tolerance
     # below the float spacing of its ends; a step clamped that far inside an
     # end rounds back onto it and the solver never returns
-    counts = _solver_evaluations(monkeypatch, _spec(alpha, beta, gamma, ell=ell), m_max)
+    spec = _spec(alpha, beta, gamma, ell=ell)
+    counts = _solver_evaluations(monkeypatch, spec, m_max)
     assert len(counts) == 2 and max(counts) <= 20
+    assert [b.m for b in band_structure(spec, m_max)[0]] == list(range(1, m_max + 1))
 
 
 @pytest.mark.parametrize("greek, ell", [
@@ -697,7 +707,8 @@ def test_exactly_closed_gap_is_reported_with_zero_width():
     assert [b.m for b in bands] == list(range(1, 9))
     assert bands[2].e_hi == bands[3].e_lo == 1.0
     assert gaps[2] == GapInterval(3, 1.0, 1.0, closed=True)
-    assert [gp.closed for gp in gaps] == [gp.m == 3 for gp in gaps]
+    assert [gp.closed for gp in gaps] == [gp.width == 0.0 for gp in gaps] == \
+        [gp.m == 3 for gp in gaps]
 
 
 def _decimal_pi() -> decimal.Decimal:
@@ -788,6 +799,31 @@ def test_gaps_beside_the_closed_one_are_open(shift):
     _assert_edges_are_exact(greek, ell, bands)
 
 
+@pytest.mark.parametrize("greek", ONE_PER_REGIME,
+                         ids=["delta_prime", "delta", "generic", "intermediate"])
+def test_bands_task_edges_up_to_m_max_10000(run, greek):
+    alpha, beta, gamma = greek
+    code, out, _ = run("bands", "--scheme", "greek", f"--alpha={alpha!r}", f"--beta={beta!r}",
+                       f"--gamma-re={complex(gamma).real!r}",
+                       f"--gamma-im={complex(gamma).imag!r}",
+                       "--ell", "1", "--mmax", "10000", "--format", "json")
+    assert code == 0
+    spec = _spec(*greek)
+    edges = np.array([e for r in json.loads(out)["rows"] if r[0] == "band" and r[3] > r[2]
+                      for e in r[2:4]])
+
+    def excess(e):
+        # trace_at_energy's values, over an array
+        return np.abs(lattice._floquet_trace(spec._trace_coeffs, spec.ell, e)) - 2.0
+
+    # ||tr| - 2| <= 1e-8, or, where one float step of E moves |tr| by more
+    # than that (beta != 0 near E ~ 1e9), a sign change of |tr| - 2 within
+    # the solver's energy tolerance
+    tol = _edge_tol(edges)
+    off = edges[(np.abs(excess(edges)) > 1e-8) & (excess(edges - tol) * excess(edges + tol) > 0)]
+    assert off.size == 0, off[:5]
+
+
 def test_weak_delta_like_gaps_of_a_narrow_cell_are_counted():
     # |alpha| ell ~ 1e-6: each gap is 1e-9 of its energy wide, but |tr| - 2
     # there is about 1e-14 or less
@@ -876,14 +912,6 @@ def test_grid_too_coarse_names_window_and_density(monkeypatch):
                         lambda spec, k_max: np.linspace(1e-9, k_max, 40))
     with pytest.raises(GridTooCoarse, match=r"energy window \[.*\] sampled at \d+ grid points"):
         band_structure(spec, 20)
-
-
-def test_import_leaves_scipy_out():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gpi1d.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gpi1d; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
 
 
 def test_dispersion_free_folds_k():

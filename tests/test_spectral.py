@@ -619,6 +619,15 @@ def test_kernel_refuses_an_out_of_range_delta():
     for x, xp in ((0.5, -0.7), (0.5, 0.7)):
         assert green_kernel(scheme, x, xp, 1e150j) == green_kernel_greek(g, x, xp, 1e150j)
         assert cmath.isfinite(green_kernel_dx(scheme, x, xp, 1e150j))
+    # at beta = 0 Delta(k) = 2 alpha - ik (4 + det) is finite past |k| = 1.34e154,
+    # and so is its pole scale
+    g0 = GreekParams(-1.5, 0.0, 0.3 + 0.4j)
+    beta_zero = CouplingScheme.from_greek(g0)
+    assert green_kernel(beta_zero, 0.5, -0.7, 1e155j) == 0j
+    assert green_kernel_dx(beta_zero, 0.5, -0.7, 1e155j) == 0j
+    assert green_kernel_greek(g0, 0.5, -0.7, 1e155j) == 0j
+    for kappa0 in (1e155, -1e155):
+        assert kernel_residue(beta_zero, kappa0, 0.8, -1.1) == 0j
 
 
 def _bits(z: complex) -> tuple[str, str]:

@@ -74,6 +74,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +87,7 @@ _EPS = np.finfo(float).eps
 _EDGE_RTOL = 8.0 * _EPS  # relative part of the same tolerance
 _TINY = np.finfo(float).tiny
 _K_MIN = 1e-9  # k_min ell: the anchors -+k_min either side of zero
+_LOWER = np.array([[False], [True]])  # up != _LOWER is [up, ~up], a mask on _newton's two rows
 
 
 @dataclass(frozen=True)
@@ -221,17 +223,19 @@ def _trace(coeffs: tuple[float, float, float], ell: float, z):
 
     # one side of zero only, as in nearly every solver step: no masks
     up = z > 0.0
-    if up.all():
+    n_up = np.count_nonzero(up)
+    if n_up == z.size:
         scaled, slope = above(z)
         return scaled, np.ones(z.shape), slope, np.zeros(z.shape)
     down = z < 0.0
-    if down.all():
+    n_down = np.count_nonzero(down)
+    if n_down == z.size:
         return below(-z)
     scaled, sech = np.full(z.shape, s + c_sin * ell), np.ones(z.shape)
     slope, sech_slope = np.zeros(z.shape), np.zeros(z.shape)
-    if up.any():
+    if n_up:
         scaled[up], slope[up] = above(z[up])
-    if down.any():
+    if n_down:
         scaled[down], sech[down], slope[down], sech_slope[down] = below(-z[down])
     return scaled, sech, slope, sech_slope
 
@@ -295,31 +299,33 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
             closed.append((ns + 0.5) * (math.pi / ell))
             continue
         uj, vj = u_diag / diag, v_diag / diag
-        lo = np.full(ns.shape, -0.5)
-        lo[0] = math.sqrt(-uj / ell - 1.0) * ell / (-uj * math.pi) if uj < -ell else 0.0
-        first = 0 if uj < -ell or vj > 0.0 else 1
-        rows.append(np.column_stack([ns, np.full(ns.shape, uj), np.full(ns.shape, vj),
-                                     lo, np.full(ns.shape, 0.5)])[first:])
+        block = np.empty((5, ns.size))
+        block[0], block[1], block[2], block[3], block[4] = ns, uj, vj, -0.5, 0.5
+        block[3, 0] = math.sqrt(-uj / ell - 1.0) * ell / (-uj * math.pi) if uj < -ell else 0.0
+        rows.append(block[:, 0 if uj < -ell or vj > 0.0 else 1:])
         if -ell < uj < 0.0 or vj < 0.0:  # one root below zero, near x0 = q0 ell
             x0 = -ell / uj if uj else -vj * ell
             x_lo = max(x0 - 1.0, k_min * ell if uj else math.sqrt(0.5 * x0))
             below.append([0.0, uj, vj, -(x0 + 1.0) / math.pi, -x_lo / math.pi])
-    n, u, v, t_lo, t_hi = np.concatenate([np.reshape(below, (-1, 5))] + rows).T
+    n, u, v, t_lo, t_hi = np.concatenate([np.reshape(below, (-1, 5)).T] + rows, axis=1)
 
     def phase(tt):  # and its slope in t
         k = (n + tt) * (math.pi / ell)
-        y = u * k * k - v
+        u_kk = u * k * k
+        y = u_kk - v
         out = tt * math.pi + np.arctan2(y, k)
-        slope = math.pi + (math.pi / ell) * (u * k * k + v) / (k * k + y * y)
-        for i in range(np.count_nonzero(k < 0.0)):  # the (at most two) brackets below zero
-            q = -float(k[i])
+        slope = math.pi + (math.pi / ell) * (u_kk + v) / (k * k + y * y)
+        if not below:
+            return out, slope
+        for i in zip(*np.nonzero(k < 0.0)):  # the (at most two) brackets below zero
+            q, j = -float(k[i]), i[-1]
             th = math.tanh(q * ell)
             sech2 = 1.0 - th * th
-            if u[i]:
-                out[i] = th / q + u[i]
+            if u[j]:
+                out[i] = th / q + u[j]
                 slope[i] = (th / q - ell * sech2) / ell * math.pi / q
             else:
-                out[i] = q * th + v[i]
+                out[i] = q * th + v[j]
                 slope[i] = -(th + q * ell * sech2) * math.pi / ell
         return out, slope
 
@@ -337,7 +343,9 @@ def _xtol(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
     """A root of f in every bracket [lo_i, hi_i] at once, where (f, f') = resid(x).
 
-    resid takes one point per bracket, in the order of the brackets.
+    resid takes one point per bracket along the last axis of x, in the order
+    of the brackets, and returns f and f' of the shape of x.  Its first call
+    takes both ends at once, a leading axis of two: x = [lo, hi].
     Each step is the shorter of the Newton steps from the two ends where it
     lands in the bracket (a step within tol of an end, or past it, goes tol
     inside it instead, tol = max(tol(lo, hi), eps max(|lo|, |hi|)), at least
@@ -350,34 +358,45 @@ def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
     the smaller residual where that point is not in it or where that end's
     Newton step is shorter than its float spacing.
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ends = np.array([lo, hi], dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # infinite ends
-        (fa, da), (fb, db) = resid(a), resid(b)
+        # the bracket state, row 0 at the lower ends and row 1 at the upper,
+        # updated in place: a, fa, da, b, fb, db are views of its rows, and
+        # f, df are copies, whatever resid returns
+        f, df = (np.array(v, dtype=float) for v in resid(ends))
+        (a, b), (fa, fb), (da, db) = ends, f, df
         done = np.sign(fa) * np.sign(fb) >= 0.0
-        newton = np.ones(a.shape, dtype=bool)
+        fallback = np.zeros(a.shape, dtype=bool)  # where the previous step was no Newton step
         while True:
             w = np.maximum(tol(a, b), _EPS * np.maximum(b, -a))  # a <= b
             w2 = w + w
             done |= b - a < w2
-            if done.all():
+            if np.count_nonzero(done) == done.size:
                 break
-            step_a, step_b = fa / da, fb / db
-            x = np.where(np.abs(step_a) <= np.abs(step_b), a - step_a, b - step_b)
+            # the Newton steps from both ends, and the shorter one
+            steps = f / df
+            size = np.abs(steps)
+            x_a, x_b = ends - steps
+            x = np.where(size[0] <= size[1], x_a, x_b)
             lo_in, hi_in = a + w, b - w
             step = np.minimum(np.maximum(x, lo_in), hi_in)
-            fallback = ~(np.abs(step - x) <= w2)  # a Newton step that leaves the bracket
-            if fallback.any():
-                df = fb - fa
-                x = np.where(newton & np.isfinite(df), a - fa * (b - a) / df, 0.5 * (a + b))
-                step = np.where(fallback, np.minimum(np.maximum(x, lo_in), hi_in), step)
-            newton = ~fallback
-            step = np.where(done, a, step)  # a bracket that is done stays as it is
+            leaves = ~(np.abs(step - x) <= w2)  # a Newton step that leaves the bracket
+            if np.count_nonzero(leaves):
+                d = fb - fa
+                x = np.where(~fallback & np.isfinite(d), a - fa * (b - a) / d, 0.5 * (a + b))
+                np.copyto(step, np.minimum(np.maximum(x, lo_in), hi_in), where=leaves)
+            fallback = leaves
+            np.copyto(step, a, where=done)  # a bracket that is done stays as it is
             fx, dx = resid(step)
             done |= fx == 0.0
-            # the root lies in [step, b] where step has the sign of a: step replaces a
-            up = (np.sign(fx) == np.sign(fa)) | done
-            a, fa, da = np.where(up, step, a), np.where(up, fx, fa), np.where(up, dx, da)
-            b, fb, db = np.where(up, b, step), np.where(up, fb, fx), np.where(up, db, dx)
+            # the root lies in [step, b] where step has the sign of a: step
+            # replaces a there, and b elsewhere
+            up = np.sign(fx) == np.sign(fa)
+            up |= done
+            side = up != _LOWER
+            np.copyto(ends, step, where=side)
+            np.copyto(f, fx, where=side)
+            np.copyto(df, dx, where=side)
         x = a - fa * (b - a) / (fb - fa)
         at_a = np.abs(fa) <= np.abs(fb)
         end = np.where(at_a, a, b)
@@ -498,23 +517,27 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         return np.arctan2(root, 2.0) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
 
     def edge(x):  # > 0 in the bracket's gap: sigma tr sech - 2 sech, then pruefer
-        f, slope = pruefer(x[n:])
+        f, slope = pruefer(x[..., n:])
         if n == 0:
             return f, slope
-        scaled, sech, scaled_slope, sech_slope = _trace(coeffs, ell, x[:n])
-        return (np.concatenate([sigma * scaled - 2.0 * sech, f]),
-                np.concatenate([sigma * scaled_slope - 2.0 * sech_slope, slope]))
+        scaled, sech, scaled_slope, sech_slope = _trace(coeffs, ell, x[..., :n])
+        return (np.concatenate([sigma * scaled - 2.0 * sech, f], axis=-1),
+                np.concatenate([sigma * scaled_slope - 2.0 * sech_slope, slope], axis=-1))
 
-    edges = _newton(edge, lo, hi, tol=lambda z0, z1: _xtol(z0 * z0, z1 * z1) / np.abs(z0 + z1))
+    # _xtol at the lower end's energy z0 * z0 >= 0, in z
+    edges = _newton(edge, lo, hi,
+                    tol=lambda z0, z1: (_EDGE_XTOL + _EDGE_RTOL * (z0 * z0)) / np.abs(z0 + z1))
     edges *= np.abs(edges)
     # an edge within the refinement tolerance of zero is the threshold itself
     edges = np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
     lo, hi = edges[0::2], edges[1::2]
     # a gap is closed where its width is within the edge solver's tolerance
     closed = lo[1:] - hi[:-1] <= 2.0 * _xtol(hi[:-1], lo[1:])
+    # the records, built as _make builds them but without a Python call each
     m = range(1, m_max + 1)
-    bands = list(map(BandInterval._make, zip(m, lo.tolist(), hi.tolist())))
-    gaps = list(map(GapInterval._make, zip(m, hi[:-1].tolist(), lo[1:].tolist(), closed.tolist())))
+    bands = list(map(tuple.__new__, repeat(BandInterval), zip(m, lo.tolist(), hi.tolist())))
+    gaps = list(map(tuple.__new__, repeat(GapInterval),
+                    zip(m, hi[:-1].tolist(), lo[1:].tolist(), closed.tolist())))
     return bands, gaps
 
 

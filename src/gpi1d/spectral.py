@@ -174,7 +174,7 @@ def _scheme_kernel(m: _MatrixConstants | None, separated: SeparatedHalflineBC | 
         try:
             abs_k, abs_d = abs(k), abs(d)
             tol = DEGENERACY_TOL * max(1.0, abs_alpha, abs_k * abs_four_det, abs_beta * abs_k * abs_k)
-        except OverflowError:  # |k|, |Delta| or |k|^2 leaves the float range
+        except OverflowError:  # |k| or |Delta| leaves the float range
             tol = abs_d = math.inf
         if not tol < abs_d < math.inf:  # the pole rule, or Delta(k) or its scale not finite
             if abs_d <= tol < math.inf:

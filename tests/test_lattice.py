@@ -623,25 +623,26 @@ ONE_PER_REGIME = [(0.0, 1.0, 0.0), (-2.0, 0.0, 0.0), (-1.0, 0.5, 0.3 + 0.4j),
 
 
 @pytest.mark.parametrize("greek, ell, m_max, most", [
-    ((-22.95, -0.2334, -0.891 - 0.667j), 47.63, 6, 15),
-    (ONE_PER_REGIME[0], 1.0, 200, 9), (ONE_PER_REGIME[1], 1.0, 200, 11),
-    (ONE_PER_REGIME[2], 1.0, 200, 9), (ONE_PER_REGIME[3], 1.0, 200, 9),
+    ((-22.95, -0.2334, -0.891 - 0.667j), 47.63, 6, 14),
+    (ONE_PER_REGIME[0], 1.0, 200, 8), (ONE_PER_REGIME[1], 1.0, 200, 10),
+    (ONE_PER_REGIME[2], 1.0, 200, 8), (ONE_PER_REGIME[3], 1.0, 200, 8),
 ], ids=["bound_bands", "delta_prime", "delta", "generic", "intermediate"])
 def test_edges_take_few_evaluations(monkeypatch, greek, ell, m_max, most):
     # below zero the scaled trace varies like c ell near q = 0 and like c/q
     # further out; above zero the Pruefer residual is nearly linear in k.  The
-    # bounds are what a band-point solve and an edge solve took together.
+    # bounds are what a band-point solve and an edge solve took together, less
+    # one: the solver evaluates both ends of its brackets in one call.
     gap_points, edges = _solver_evaluations(monkeypatch, _spec(*greek, ell=ell), m_max)
     assert edges <= most
 
 
-@pytest.mark.parametrize("alpha, beta, most", [(-2.0, 0.0, 11), (0.0, 1.0, 9)],
+@pytest.mark.parametrize("alpha, beta, most", [(-2.0, 0.0, 10), (0.0, 1.0, 8)],
                          ids=["delta", "delta_prime"])
 def test_edges_on_gap_points_take_few_evaluations(monkeypatch, alpha, beta, most):
     # every Dirichlet point of delta and Neumann point of delta' is a band
     # edge whose residual is rounding noise of either sign
     gap_points, edges = _solver_evaluations(monkeypatch, _spec(alpha, beta, 0.0), 60)
-    assert gap_points <= 8 and edges <= most
+    assert gap_points <= 7 and edges <= most
 
 
 @pytest.mark.parametrize("alpha, beta, gamma, ell, m_max", [
@@ -656,6 +657,115 @@ def test_newton_returns_on_narrow_cells(monkeypatch, alpha, beta, gamma, ell, m_
     counts = _solver_evaluations(monkeypatch, spec, m_max)
     assert len(counts) == 2 and max(counts) <= 20
     assert [b.m for b in band_structure(spec, m_max)[0]] == list(range(1, m_max + 1))
+
+
+def _cubic(c, nan_below=-math.inf):
+    # x^3 - c and its slope, one c per bracket along the last axis; the
+    # residual is nan at or below nan_below
+    def resid(x):
+        return np.where(x <= nan_below, np.nan, x * x * x - c), 3.0 * x * x
+    return resid
+
+
+def _recording(resid, seen):
+    def recorded(x):
+        seen.append(np.array(x))
+        return resid(x)
+    return recorded
+
+
+def test_newton_starts_with_both_ends_in_one_call():
+    c = np.array([2.0, 30.0, -5.0, 0.5])
+    lo, hi = np.array([1.0, 2.0, -3.0, 0.1]), np.array([2.0, 4.0, 0.0, 1.0])
+    seen = []
+    roots = lattice._newton(_recording(_cubic(c), seen), lo, hi)
+    assert seen[0].shape == (2, 4) and (seen[0] == [lo, hi]).all()
+    assert all(x.shape == (4,) for x in seen[1:])
+    assert (np.abs(roots - np.cbrt(c)) <= 2e-12 * np.abs(np.cbrt(c))).all()
+    # each bracket alone, its ends in one call of shape (2, 1), comes to the same root
+    for i in range(4):
+        alone = lattice._newton(_cubic(c[i:i + 1]), lo[i:i + 1], hi[i:i + 1])
+        assert alone.tolist() == roots[i:i + 1].tolist()
+
+
+def test_newton_updates_no_array_of_its_residual():
+    # the residual returns x itself and a read-only slope
+    roots = lattice._newton(lambda x: (x, np.broadcast_to(1.0, np.shape(x))),
+                            np.array([-1.0, -2.0]), np.array([3.0, 0.5]))
+    assert roots.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("greek, ell", [
+    ((-2.0, 0.0, 0.0), 1.0), ((-1.0, 0.5, 0.3 + 0.4j), 1.0),
+    ((-22.95, -0.2334, -0.891 - 0.667j), 47.63),
+    ((4.363699631480355, -1.1158415309265318e-05, -0.3460478967885976j), 5.292428886414487e-4),
+], ids=["delta", "generic", "bound_bands", "narrow"])
+def test_band_residuals_take_both_ends_as_each_end_alone(monkeypatch, greek, ell):
+    # the gap-point and edge residuals give on [lo, hi] what they give on lo
+    # and on hi, bit for bit, brackets below zero included
+    solve = lattice._newton
+
+    def rowwise(resid, lo, hi, *args, **kwargs):
+        def resid_by_rows(x):
+            if np.ndim(x) == 1:
+                return resid(x)
+            (fa, da), (fb, db) = resid(x[0]), resid(x[1])
+            both = resid(x)
+            assert [v.tobytes() for v in both] == [np.array([fa, fb]).tobytes(),
+                                                  np.array([da, db]).tobytes()]
+            return both
+        return solve(resid_by_rows, lo, hi, *args, **kwargs)
+
+    spec = _spec(*greek, ell=ell)
+    want = band_structure(spec, 40)
+    monkeypatch.setattr(lattice, "_newton", rowwise)
+    assert band_structure(spec, 40) == want
+
+
+def test_newton_returns_an_end_that_is_an_exact_root():
+    # x^3 - 8 vanishes at its lower end 2, x^3 + 1 at its upper end -1
+    c = np.array([8.0, -1.0])
+    seen = []
+    roots = lattice._newton(_recording(_cubic(c), seen), np.array([2.0, -3.0]), np.array([5.0, -1.0]))
+    assert roots.tolist() == [2.0, -1.0] and len(seen) == 1
+
+
+def test_newton_returns_the_end_with_the_smaller_residual_where_the_ends_share_a_sign():
+    # x^3 - 2 is positive on [2, 3] and negative on [-3, -2]
+    c = np.array([2.0, 2.0])
+    seen = []
+    roots = lattice._newton(_recording(_cubic(c), seen), np.array([2.0, -3.0]), np.array([3.0, -2.0]))
+    assert roots.tolist() == [2.0, -2.0] and len(seen) == 1
+
+
+def test_newton_takes_no_step_in_a_bracket_narrower_than_its_tolerance():
+    # x - 1 - 5e-14 on [1, 1 + 1e-13]: done at the start, at the false-position point
+    seen = []
+    lo, hi = np.array([1.0]), np.array([1.0 + 1e-13])
+    roots = lattice._newton(_recording(lambda x: (x - 1.0 - 5e-14, np.ones_like(x)), seen), lo, hi)
+    assert len(seen) == 1
+    assert lo[0] <= roots[0] <= hi[0] and abs(roots[0] - (1.0 + 5e-14)) < 1e-15
+
+
+def test_newton_keeps_finished_brackets_while_others_iterate():
+    # bracket 0 is done at the start (its lower end is a root), bracket 2
+    # before bracket 1, and bracket 3, whose residual is nan at its lower end,
+    # bisects down to its tolerance before bracket 1 is done
+    c = np.array([8.0, 30.0, 1.0, 1.0])
+    lo = np.array([2.0, 0.5, 0.99, 1.0 - 1e-11])
+    hi = np.array([3.0, 10.0, 1.02, 1.0 + 1e-11])
+    nan_below = np.array([-math.inf, -math.inf, -math.inf, lo[3]])
+    seen = []
+    roots = lattice._newton(_recording(_cubic(c, nan_below), seen), lo, hi)
+    assert len(seen) > 4
+    assert (np.array(seen[1:])[:, 0] == 2.0).all()
+    assert roots[0] == 2.0 and np.abs(roots[1:3] - np.cbrt(c[1:3])).max() <= 4e-12
+    assert lo[3] < roots[3] <= hi[3]
+    # each bracket comes back as it does alone, when the loop ends with it
+    for i in range(4):
+        one = slice(i, i + 1)
+        alone = lattice._newton(_cubic(c[one], nan_below[one]), lo[one], hi[one])
+        assert alone.tolist() == roots[one].tolist(), i
 
 
 @pytest.mark.parametrize("greek, ell", [

@@ -74,7 +74,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -82,10 +82,16 @@ import numpy as np
 from .errors import GridTooCoarse, InsufficientBands
 from .params import CouplingScheme, TransferParams, is_decoupled, scheme_to_transfer
 
-_EDGE_XTOL = 1e-12  # absolute stop tolerance of the root solver (in energy for the edges)
-_EPS = np.finfo(float).eps
-_EDGE_RTOL = 8.0 * _EPS  # relative part of the same tolerance
-_TINY = np.finfo(float).tiny
+# The band solve's ufuncs take 0-d arrays, never floats: under numpy 2's scalar
+# promotion (NEP 50) a ufunc on a (120,) array takes about 0.55 us with a Python
+# float operand and 0.37 us with a 0-d ndarray (numpy 2.4, x86_64).  An np.float64
+# is as slow as a float, so each constant below is a 0-d array, and so is each
+# scalar that the solve's closures take, built once per call.
+_EDGE_XTOL = np.array(1e-12)  # absolute stop tolerance of the root solver (in energy for the edges)
+_EPS = np.array(np.finfo(float).eps)
+_EDGE_RTOL = np.array(8.0 * _EPS)  # relative part of the same tolerance
+_TINY = np.array(np.finfo(float).tiny)
+_ZERO, _HALF, _ONE, _TWO, _PI = map(np.array, (0.0, 0.5, 1.0, 2.0, math.pi))
 _K_MIN = 1e-9  # k_min ell: the anchors -+k_min either side of zero
 _LOWER = np.array([[False], [True]])  # up != _LOWER is [up, ~up], a mask on _newton's two rows
 
@@ -208,26 +214,32 @@ def _trace(coeffs: tuple[float, float, float], ell: float, z):
     # neither overflows; at z = 0 tr = s + c ell and both slopes are 0
     s, c_sin, b_sin = coeffs
     z = np.asarray(z, dtype=float)
+    s_ell = s * ell
+    # 0-d operands for the ufuncs on an array z, as the module's constants; a
+    # scalar z (LatticeSpec._bottom) keeps the floats of numpy's scalar arithmetic,
+    # which 0-d operands would send through the slower ufunc machinery
+    if z.ndim:
+        s, c_sin, b_sin, ell, s_ell = map(np.array, (s, c_sin, b_sin, ell, s_ell))
 
     def above(k):  # tr and its slope at k > 0
         cos, sin = np.cos(k * ell), np.sin(k * ell)
         y = c_sin / k - b_sin * k
-        return s * cos + y * sin, y * ell * cos - (c_sin / k / k + b_sin + s * ell) * sin
+        return s * cos + y * sin, y * ell * cos - (c_sin / k / k + b_sin + s_ell) * sin
 
     def below(q):  # tr sech, sech and their slopes in z at q = -z > 0
         th = np.tanh(q * ell)
         w = c_sin / q + b_sin * q
         decay = np.exp(-q * ell)
-        h = 2.0 * decay / (1.0 + decay * decay)
+        h = _TWO * decay / (_ONE + decay * decay)
         return s + w * th, h, (c_sin / q / q - b_sin) * th - w * ell * h * h, ell * h * th
 
     # one side of zero only, as in nearly every solver step: no masks
-    up = z > 0.0
+    up = z > _ZERO
     n_up = np.count_nonzero(up)
     if n_up == z.size:
         scaled, slope = above(z)
         return scaled, np.ones(z.shape), slope, np.zeros(z.shape)
-    down = z < 0.0
+    down = z < _ZERO
     n_down = np.count_nonzero(down)
     if n_down == z.size:
         return below(-z)
@@ -308,29 +320,30 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
             x_lo = max(x0 - 1.0, k_min * ell if uj else math.sqrt(0.5 * x0))
             below.append([0.0, uj, vj, -(x0 + 1.0) / math.pi, -x_lo / math.pi])
     n, u, v, t_lo, t_hi = np.concatenate([np.reshape(below, (-1, 5)).T] + rows, axis=1)
+    pi_ell = np.array(math.pi / ell)  # 0-d, as the module's constants
 
     def phase(tt):  # and its slope in t
-        k = (n + tt) * (math.pi / ell)
+        k = (n + tt) * pi_ell
         u_kk = u * k * k
         y = u_kk - v
-        out = tt * math.pi + np.arctan2(y, k)
-        slope = math.pi + (math.pi / ell) * (u_kk + v) / (k * k + y * y)
-        if not below:
-            return out, slope
-        for i in zip(*np.nonzero(k < 0.0)):  # the (at most two) brackets below zero
-            q, j = -float(k[i]), i[-1]
+        out = tt * _PI + np.arctan2(y, k)
+        slope = _PI + pi_ell * (u_kk + v) / (k * k + y * y)
+        # the (at most two) brackets below zero, its first columns: both
+        # ends lie below zero, so k < 0 there at every step
+        for i in product(*map(range, k.shape[:-1]), range(len(below))):
+            q, (_, uj, vj, _, _) = -float(k[i]), below[i[-1]]
             th = math.tanh(q * ell)
             sech2 = 1.0 - th * th
-            if u[j]:
-                out[i] = th / q + u[j]
+            if uj:
+                out[i] = th / q + uj
                 slope[i] = (th / q - ell * sech2) / ell * math.pi / q
             else:
-                out[i] = q * th + v[j]
+                out[i] = q * th + vj
                 slope[i] = -(th + q * ell * sech2) * math.pi / ell
         return out, slope
 
     tt = _newton(phase, t_lo, t_hi)
-    pts = np.concatenate(closed + [(n + tt) * (math.pi / ell)])
+    pts = np.concatenate(closed + [(n + tt) * pi_ell])
     q_bot = spec._bottom[0]
     return np.sort(np.append(pts[(pts > -q_bot) & (pts != 0.0) & (pts < k_max)], -q_bot))
 
@@ -365,7 +378,7 @@ def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
         # f, df are copies, whatever resid returns
         f, df = (np.array(v, dtype=float) for v in resid(ends))
         (a, b), (fa, fb), (da, db) = ends, f, df
-        done = np.sign(fa) * np.sign(fb) >= 0.0
+        done = np.sign(fa) * np.sign(fb) >= _ZERO
         fallback = np.zeros(a.shape, dtype=bool)  # where the previous step was no Newton step
         while True:
             w = np.maximum(tol(a, b), _EPS * np.maximum(b, -a))  # a <= b
@@ -376,19 +389,19 @@ def _newton(resid, lo: np.ndarray, hi: np.ndarray, tol=_xtol) -> np.ndarray:
             # the Newton steps from both ends, and the shorter one
             steps = f / df
             size = np.abs(steps)
-            x_a, x_b = ends - steps
-            x = np.where(size[0] <= size[1], x_a, x_b)
+            x = ends - steps
+            x = np.where(size[0] <= size[1], x[0], x[1])
             lo_in, hi_in = a + w, b - w
             step = np.minimum(np.maximum(x, lo_in), hi_in)
             leaves = ~(np.abs(step - x) <= w2)  # a Newton step that leaves the bracket
             if np.count_nonzero(leaves):
                 d = fb - fa
-                x = np.where(~fallback & np.isfinite(d), a - fa * (b - a) / d, 0.5 * (a + b))
+                x = np.where(~fallback & np.isfinite(d), a - fa * (b - a) / d, _HALF * (a + b))
                 np.copyto(step, np.minimum(np.maximum(x, lo_in), hi_in), where=leaves)
             fallback = leaves
             np.copyto(step, a, where=done)  # a bracket that is done stays as it is
             fx, dx = resid(step)
-            done |= fx == 0.0
+            done |= fx == _ZERO
             # the root lies in [step, b] where step has the sign of a: step
             # replaces a there, and b elsewhere
             up = np.sign(fx) == np.sign(fa)
@@ -465,7 +478,7 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
         raise GridTooCoarse(f"found {len(first) - 1} bands below k_max, fewer than"
                             f" m_max = {m_max}: " + _grid_note(pts, 0, len(pts) - 1))
     first, last = first[:m_max + 1], last[:m_max + 1]
-    mid = 0.5 * (pts[first] + pts[last])
+    mid = _HALF * (pts[first] + pts[last])
     # The brackets in ascending order, band m's lower edge then its upper
     # edge.  Each belongs to the gap at one end, of trace sign sigma: a lower
     # edge to gap m - 1 at lo, an upper edge to gap m at hi.
@@ -494,35 +507,36 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     # maps to tol/(|z_lo| + |z_hi|).
     n = np.count_nonzero(lo <= 0.0)
     gap_end, sigma = np.where(at_lo, lo, hi)[n:], sigma[:n]
-    sign_s = math.copysign(1.0, s)
     t_diff = t.ta - t.td
-    t_diff2 = t_diff * t_diff
+    # the Pruefer residual's scalars, 0-d arrays from here on, as the module's constants
+    s, c, b, ell, sign_s, abs_s, s2, t_diff2 = map(
+        np.array, (s, c, b, ell, math.copysign(1.0, s), abs(s), s * s, t_diff * t_diff))
 
     def theta(y, k):  # the Pruefer phase above zero, y = c/k - b k (module docstring)
-        return k * ell - np.arctan2(sign_s * y, abs(s))
+        return k * ell - np.arctan2(sign_s * y, abs_s)
 
-    j_pi = math.pi * np.round(theta(c / gap_end - b * gap_end, gap_end) / math.pi)
+    j_pi = _PI * np.round(theta(c / gap_end - b * gap_end, gap_end) / _PI)
 
     def pruefer(k):  # a - |theta - j pi|: > 0 in gap j, < 0 in the bands beside it
         c_k, b_k = c / k, b * k
         c_kk = c_k / k
         y, dy = c_k - b_k, c_kk + b  # dy = -y'
-        r2 = s * s + y * y
+        r2 = s2 + y * y
         # tan a = sqrt(R^2 - 4)/2, R^2 - 4 = (ta - td)^2 + (tb k + tc/k)^2 as
         # det M = 1, with (tb, tc) = (b, c); where root = 0, p = 0 too
         p = b_k + c_k
         root = np.sqrt(t_diff2 + p * p)
         d = theta(y, k) - j_pi
-        slope_a = 2.0 * p / np.maximum(root, _TINY) * (b - c_kk) / r2
-        return np.arctan2(root, 2.0) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
+        slope_a = _TWO * p / np.maximum(root, _TINY) * (b - c_kk) / r2
+        return np.arctan2(root, _TWO) - np.abs(d), slope_a - np.sign(d) * (ell + s * dy / r2)
 
     def edge(x):  # > 0 in the bracket's gap: sigma tr sech - 2 sech, then pruefer
         f, slope = pruefer(x[..., n:])
         if n == 0:
             return f, slope
-        scaled, sech, scaled_slope, sech_slope = _trace(coeffs, ell, x[..., :n])
-        return (np.concatenate([sigma * scaled - 2.0 * sech, f], axis=-1),
-                np.concatenate([sigma * scaled_slope - 2.0 * sech_slope, slope], axis=-1))
+        scaled, sech, scaled_slope, sech_slope = _trace(coeffs, spec.ell, x[..., :n])
+        return (np.concatenate([sigma * scaled - _TWO * sech, f], axis=-1),
+                np.concatenate([sigma * scaled_slope - _TWO * sech_slope, slope], axis=-1))
 
     # _xtol at the lower end's energy z0 * z0 >= 0, in z
     edges = _newton(edge, lo, hi,
@@ -532,7 +546,7 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     edges = np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
     lo, hi = edges[0::2], edges[1::2]
     # a gap is closed where its width is within the edge solver's tolerance
-    closed = lo[1:] - hi[:-1] <= 2.0 * _xtol(hi[:-1], lo[1:])
+    closed = lo[1:] - hi[:-1] <= _TWO * _xtol(hi[:-1], lo[1:])
     # the records, built as _make builds them but without a Python call each
     m = range(1, m_max + 1)
     bands = list(map(tuple.__new__, repeat(BandInterval), zip(m, lo.tolist(), hi.tolist())))
@@ -578,6 +592,12 @@ def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _fields(records: list, width: int) -> np.ndarray:
+    # the fields of named-tuple records as the rows of one float array
+    flat = np.fromiter(chain.from_iterable(records), float, len(records) * width)
+    return flat.reshape(-1, width).T
+
+
 def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeReport:
     """Measure band/gap widths over band indices m_range = (m_lo, m_hi) and
     compare with the applicable high-energy law.
@@ -592,22 +612,23 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
     if m_hi - m_lo + 1 < 5:
         raise InsufficientBands("need at least 5 band indices to fit the regime")
     bands, gaps = band_structure(spec, m_hi + 1)
-    sel_bands = [b for b in bands if m_lo <= b.m <= m_hi]
-    sel_gaps = [gp for gp in gaps if m_lo <= gp.m <= m_hi]
-    if len(sel_bands) < 5:
-        raise InsufficientBands(f"only {len(sel_bands)} bands in range {m_range}")
+    # band m and gap m are the records' row m - 1, so the window is one slice;
+    # its fields are read once into arrays (m, e_lo, e_hi, and closed for gaps)
+    window = slice(max(m_lo, 1) - 1, max(m_hi, 0))
+    ms, band_lo, band_hi = _fields(bands[window], 3)
+    if len(ms) < 5:
+        raise InsufficientBands(f"only {len(ms)} bands in range {m_range}")
+    gap_ms, gap_lo, gap_hi, _ = _fields(gaps[window], 4)
 
     g = spec.scheme.greek
     ell = spec.ell
     wmod = band_condition_lhs_bound(spec)
     regime = classify_regime(spec)
-    ms = np.array([b.m for b in sel_bands], dtype=float)
-    band_widths = np.array([b.width for b in sel_bands])
-    gap_widths = np.array([gp.width for gp in sel_gaps])
-    gap_ms = np.array([gp.m for gp in sel_gaps], dtype=float)
+    band_widths = band_hi - band_lo
+    gap_widths = gap_hi - gap_lo
 
     details: dict = {
-        "band_indices": [b.m for b in sel_bands],
+        "band_indices": ms.astype(int).tolist(),
         "band_widths": band_widths.tolist(),
         "gap_widths": gap_widths.tolist(),
     }
@@ -618,7 +639,7 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
         slope, intercept, r2 = _linear_fit(gap_ms, gap_widths)
         # each band against its nearest (pi n / ell)^2: bound-state bands shift
         # the count m against the anchors
-        centres = 0.5 * np.array([b.e_lo + b.e_hi for b in sel_bands])
+        centres = 0.5 * (band_lo + band_hi)
         ns = np.round(np.sqrt(np.maximum(centres, 0.0)) * ell / math.pi)
         centre_offsets = (centres - (math.pi * ns / ell) ** 2).tolist()
         details.update(gap_slope=slope, gap_intercept=intercept, gap_fit_r2=r2,
@@ -636,10 +657,10 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
         tinf = wmod / (4.0 + gm2)
         pred_band_kl = 2.0 * math.asin(min(1.0, tinf))
         pred_gap_kl = 2.0 * math.acos(min(1.0, tinf))
-        band_kl = np.array([(math.sqrt(b.e_hi) - math.sqrt(max(b.e_lo, 0.0))) * ell
-                            for b in sel_bands])
-        gap_kl = np.array([(math.sqrt(gp.e_hi) - math.sqrt(max(gp.e_lo, 0.0))) * ell
-                           for gp in sel_gaps])
+        band_kl = np.array([(math.sqrt(hi) - math.sqrt(max(lo, 0.0))) * ell
+                            for lo, hi in zip(band_lo.tolist(), band_hi.tolist())])
+        gap_kl = np.array([(math.sqrt(hi) - math.sqrt(max(lo, 0.0))) * ell
+                           for lo, hi in zip(gap_lo.tolist(), gap_hi.tolist())])
         slope_b, _, r2_b = _linear_fit(ms, band_widths)
         details.update(band_kl_widths=band_kl.tolist(), gap_kl_widths=gap_kl.tolist(),
                        band_energy_slope=slope_b, band_energy_fit_r2=r2_b,
@@ -656,8 +677,10 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
     # delta-like: constant gaps anchored at (pi m / ell)^2
     predicted_gap = 8.0 * abs(g.alpha) / ((4.0 + gm2) * ell)
     measured_gap = float(gap_widths.mean()) if len(gap_widths) else math.nan
-    anchors = [min(abs(gp.e_lo - (math.pi * gp.m / ell) ** 2),
-                   abs(gp.e_hi - (math.pi * gp.m / ell) ** 2)) for gp in sel_gaps]
+    # float_power squares with libm's pow, as a float's ** does; x * x, which
+    # ** 2 on an array computes, differs from it in the last bit about once in 1000
+    dirichlet = np.float_power(math.pi * gap_ms / ell, 2.0)
+    anchors = np.minimum(np.abs(gap_lo - dirichlet), np.abs(gap_hi - dirichlet)).tolist()
     slope_b, _, r2_b = _linear_fit(ms, band_widths)
     details.update(anchor_offsets=anchors, band_slope=slope_b, band_fit_r2=r2_b)
     rel = (abs(measured_gap - predicted_gap) / predicted_gap

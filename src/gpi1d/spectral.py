@@ -422,7 +422,10 @@ def binding_regime(h: HalflineParams) -> BindingRegime:
     cmod = abs(h.c)
     tol = DEGENERACY_TOL * h.scale
     s, ab, split = a + b, a * b, abs(a - b)
-    sq = math.sqrt((a - b) ** 2 + 4.0 * cmod ** 2)
+    try:
+        sq = math.sqrt((a - b) ** 2 + 4.0 * cmod ** 2)
+    except OverflowError:  # a square leaves the float range; hypot does not
+        sq = math.hypot(a - b, 2.0 * cmod)
     detail = {
         "kappa_hi": (-s + sq) / 2.0,
         "kappa_lo": (-s - sq) / 2.0,
@@ -432,9 +435,9 @@ def binding_regime(h: HalflineParams) -> BindingRegime:
         kind = BindingKind.CROSSING
     elif ab < 0:
         kind = BindingKind.MIXED_SIGN
-    elif a > 0 and b > 0 and split > tol and cmod ** 2 > ab:
+    elif a > 0 and b > 0 and split > tol and cmod * cmod > ab:
         kind = BindingKind.CONSPIRACY_BINDING
-    elif a < 0 and b < 0 and split > tol and cmod ** 2 < ab:
+    elif a < 0 and b < 0 and split > tol and cmod * cmod < ab:
         kind = BindingKind.TWO_BOUND
     else:
         kind = BindingKind.OTHER
@@ -468,7 +471,10 @@ def _amplitudes(scheme: CouplingScheme, k):
     if h is not None:
         a, b, c = h.a, h.b, h.c
         ik = 1j * k
-        c2 = abs(c) ** 2
+        try:
+            c2 = abs(c) ** 2
+        except OverflowError:  # the halfline route leaves the float range
+            raise DegenerateParametrization("|c|^2", math.inf) from None
         d = (a - ik) * (b - ik) - c2
         return -((a - ik) * (b + ik) - c2) / d, 2j * k * c / d
     g = scheme.greek

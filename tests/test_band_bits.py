@@ -9,6 +9,14 @@ cells, cells of width 1e-4 whose edge brackets are wide in z, an exactly
 closed gap, the free coupling and random couplings on cells from ell = 1e-2
 to 10^2.5.  A rewrite of the solver must reproduce every bit.
 
+At m_max = 1e4, on the benchmark's four regime couplings at ell = 1, the
+edges are pinned by the sha256 of their float64 bytes, with the indices of
+the closed gaps.  The regime fit, `asymptotic_regime`, is pinned at the fit
+windows (1, 6) and (39, 59), by the sha256 of its report written out with
+`float.hex`, on every lattice above, on the regime couplings not among them
+and on one delta-like lattice whose anchor offsets turn on the last bit of
+a square.
+
 The trace and the Pruefer phase go through numpy's `sin`, `cos`, `tanh`,
 `exp` and `arctan2`, whose SIMD loops are chosen per CPU at import and may
 round differently on another CPU or numpy version, so the test skips where
@@ -21,6 +29,7 @@ the implementation to record on the path:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 from pathlib import Path
@@ -28,10 +37,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpi1d import CouplingScheme, GpiError, GreekParams, LatticeSpec, band_structure
+from gpi1d import (CouplingScheme, GpiError, GreekParams, LatticeSpec, asymptotic_regime,
+                   band_structure)
 
 FIXTURE = Path(__file__).with_name("band_bits.json")
 M_MAX = (1, 2, 5, 60, 200)
+M_MAX_LARGE = 10_000
+FIT_WINDOWS = ((1, 6), (39, 59))
 
 # label: ((alpha, beta, gamma), ell)
 NAMED = {
@@ -71,6 +83,21 @@ def _seeded(count: int = 12, seed: int = 2027) -> dict:
 
 CASES = {**NAMED, **_seeded()}
 
+# the benchmark's lattice couplings, one per high-energy regime, without
+# their seeded jitter (REGIME_BASES in bench/workloads.py); the fit pins
+# take those not among CASES
+REGIMES = {
+    "delta_prime": ((0.0, 1.0, 0.0), 1.0),
+    "delta": ((-2.0, 0.0, 0.0), 1.0),
+    "intermediate": ((1.0, 0.0, 1.0 + 0.0j), 1.0),
+    "generic": ((-1.0, 0.5, 0.3 + 0.4j), 1.0),
+}
+REPORT_CASES = {**CASES, **{f"regime_{label}": case for label, case in REGIMES.items()
+                             if case not in CASES.values()},
+                # gap 50 ends on (50 pi / ell)^2, a square that libm's pow
+                # rounds one bit away from x * x
+                "delta_anchor": ((-2.0, 0.0, 0.0), 1.025)}
+
 
 def _host() -> dict:
     try:
@@ -98,20 +125,61 @@ def snapshot(greek: tuple, ell: float, m_max: int) -> dict | str:
             "closed": "".join("1" if gp.closed else "0" for gp in gaps)}
 
 
+def _spec(greek: tuple, ell: float) -> LatticeSpec:
+    return LatticeSpec(CouplingScheme.from_greek(GreekParams(*greek)), ell)
+
+
+def large_digest(greek: tuple, ell: float) -> dict:
+    """The sha256 of the edges' float64 bytes at m_max = 1e4, and the closed gaps."""
+    bands, gaps = band_structure(_spec(greek, ell), M_MAX_LARGE)
+    assert len(bands) == M_MAX_LARGE and len(gaps) == M_MAX_LARGE - 1
+    edges = np.array([(b.e_lo, b.e_hi) for b in bands], dtype=np.float64)
+    return {"edges_sha256": hashlib.sha256(edges.tobytes()).hexdigest(),
+            "closed": [gp.m for gp in gaps if gp.closed]}
+
+
+def _exact(value):
+    # the report's values as text that keeps every bit and every type
+    if type(value) is float:
+        return value.hex()
+    if type(value) in (int, bool, str) or value is None:
+        return value
+    if type(value) is list:
+        return [_exact(v) for v in value]
+    if type(value) is dict:
+        return {k: _exact(v) for k, v in value.items()}
+    raise TypeError(f"unexpected {type(value).__name__} in a regime report")
+
+
+def report_digest(greek: tuple, ell: float, m_range: tuple[int, int]) -> str:
+    """The sha256 of one regime report, written out exactly, or its refusal."""
+    try:
+        rep = asymptotic_regime(_spec(greek, ell), m_range)
+    except (GpiError, ValueError) as exc:
+        return f"raise {type(exc).__name__}: {exc}"
+    text = json.dumps([rep.regime.value, _exact(rep.predicted), _exact(rep.measured),
+                       _exact(rep.relative_error), _exact(rep.details)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _record() -> dict:
     return {"host": _host(),
             "cases": {label: {str(m): snapshot(*case, m) for m in M_MAX}
-                      for label, case in CASES.items()}}
+                      for label, case in CASES.items()},
+            "large": {label: large_digest(*case) for label, case in REGIMES.items()},
+            "reports": {label: {f"{lo}:{hi}": report_digest(*case, (lo, hi))
+                                for lo, hi in FIT_WINDOWS}
+                        for label, case in REPORT_CASES.items()}}
 
 
-def _recorded() -> dict:
+def _recorded(part: str = "cases") -> dict:
     recorded = json.loads(FIXTURE.read_text())
     host = _host()
     for key, value in recorded["host"].items():
         if host[key] != value:
             pytest.skip(f"recorded with {key} {value}, running with {host[key]}:"
                         " numpy's SIMD loops may round differently")
-    return recorded["cases"]
+    return recorded[part]
 
 
 @pytest.mark.parametrize("label", list(CASES))
@@ -123,6 +191,20 @@ def test_band_structure_keeps_its_bits(label):
         assert got == want[str(m_max)], (label, m_max)
 
 
+@pytest.mark.parametrize("label", list(REGIMES))
+def test_band_structure_keeps_its_bits_at_m_max_1e4(label):
+    want = _recorded("large")[label]
+    assert large_digest(*REGIMES[label]) == want, label
+
+
+@pytest.mark.parametrize("label", list(REPORT_CASES))
+def test_asymptotic_regime_keeps_its_bits(label):
+    want = _recorded("reports")[label]
+    assert list(want) == [f"{lo}:{hi}" for lo, hi in FIT_WINDOWS]
+    for lo, hi in FIT_WINDOWS:
+        assert report_digest(*REPORT_CASES[label], (lo, hi)) == want[f"{lo}:{hi}"], (label, lo, hi)
+
+
 def test_the_pinned_lattices_reach_every_case():
     recorded = json.loads(FIXTURE.read_text())["cases"]
     assert list(recorded) == list(CASES)
@@ -132,6 +214,12 @@ def test_the_pinned_lattices_reach_every_case():
     assert recorded["free"]["200"] == {"edges": "0x0.0p+0 inf", "closed": ""}
     # bound-state bands: edges below zero
     assert recorded["bound_bands"]["5"]["edges"].startswith("-")
+    fixture = json.loads(FIXTURE.read_text())
+    assert list(fixture["large"]) == list(REGIMES)
+    assert list(fixture["reports"]) == list(REPORT_CASES)
+    # every fit came back but the free coupling's, which has one band
+    assert [label for label, fits in fixture["reports"].items()
+            if any(d.startswith("raise") for d in fits.values())] == ["free"]
 
 
 if __name__ == "__main__":

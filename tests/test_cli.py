@@ -172,6 +172,16 @@ def test_degenerate_parametrization_exits_3(run):
     assert err.startswith("error: ") and err.count("\n") == 1 and "'det'" in err
 
 
+def test_scatter_past_the_float_range_exits_3(run):
+    # the halfline form's |c|^2 leaves the float range: one error line, no traceback
+    code, out, err = run("scatter", "--scheme", "greek", "--alpha=-3.2201753949266605e-205",
+                         "--beta=-1.795297460710003e+138", "--gamma-re=2.7846321312815223e+146",
+                         "--gamma-im=-2.42813073191864e+146", "--kmin", "0.5", "--kmax", "2",
+                         "--steps", "4")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'|c|^2'" in err
+
+
 def test_cli_runs_as_module():
     code, out, _ = fresh_run("-m", "gpi1d.cli", "berry", "--a", "-2", "--cmod", "0.3",
                              "--samples", "64")

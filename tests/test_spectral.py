@@ -257,6 +257,17 @@ def test_binding_regime_consistent_with_spectrum(rng):
             assert n_bound == 2
 
 
+@pytest.mark.parametrize("h", [HalflineParams(1e155, 1.0, 1.0 + 0j),
+                               HalflineParams(1.0, 1.0, 1e155 + 0j)])
+def test_binding_regime_where_a_square_leaves_the_float_range(h):
+    # (a - b)^2 or |c|^2 overflows, but kappa_+- = (-(a+b) +- hypot(a - b, 2|c|))/2 do not
+    reg = binding_regime(h)
+    sq = math.hypot(h.a - h.b, 2.0 * abs(h.c))
+    assert reg.detail["kappa_hi"] == (-(h.a + h.b) + sq) / 2.0
+    assert reg.detail["kappa_lo"] == (-(h.a + h.b) - sq) / 2.0
+    assert reg.kind is BindingKind.OTHER
+
+
 # ---------------------------------------------------------------------------
 # scattering
 # ---------------------------------------------------------------------------
@@ -363,6 +374,21 @@ def test_s_matrix_array_rejects_bad_wavenumbers():
         s_matrix_array(scheme, np.array([1.0, 2.0 - 3.0j, 1.0j]))
     with pytest.raises(InvalidWavenumber):
         s_matrix(scheme, 1 + 1j)
+
+
+# its halfline form has |a|, |b|, |c| of about 1.9e154, so |c|^2 overflows
+_HALFLINE_PAST_THE_FLOAT_RANGE = GreekParams(
+    -3.2201753949266605e-205, -1.795297460710003e+138,
+    2.7846321312815223e+146 - 2.42813073191864e+146j)
+
+
+def test_s_matrix_refuses_a_halfline_form_past_the_float_range():
+    scheme = CouplingScheme.from_greek(_HALFLINE_PAST_THE_FLOAT_RANGE)
+    assert abs(scheme.halfline.c) > 1.34e154
+    with pytest.raises(DegenerateParametrization, match=re.escape("'|c|^2' is not finite")):
+        s_matrix(scheme, 1.0)
+    with pytest.raises(DegenerateParametrization, match=re.escape("'|c|^2' is not finite")):
+        s_matrix_array(scheme, np.array([0.5, 1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

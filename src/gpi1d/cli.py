@@ -7,8 +7,8 @@ any option; explicit flags override the file.  Exit codes: 0 success,
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later call.  Its tasks share two option parents: --format and
---config (every task), and --scheme with the flags of every scheme's fields
-(every task but berry), so each of those options is registered once.
+--config (every task), and --scheme with the flags of every scheme's fields,
+read from `_SCHEMES` (every task but berry), so each option is registered once.
 
 Complex values serialize as two-element [re, im] arrays in JSON and as paired
 *_re / *_im columns in CSV; CSV carries the summary as leading '# key = value'
@@ -58,16 +58,6 @@ from .params import (CarreauParams, ChernoffHughesParams, CouplingScheme,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
-
-_SCHEME_FIELDS = {
-    "greek": ("alpha", "beta", "gamma_re", "gamma_im"),
-    "halfline": ("a", "b", "c_re", "c_im"),
-    "inverse": ("inv_a", "inv_b", "inv_c_re", "inv_c_im"),
-    "transfer": ("omega_re", "omega_im", "ta", "tb", "tc", "td"),
-    "carreau": ("alpha_c", "beta_c", "rho_c", "theta_c"),
-    "seba": ("alpha_s", "beta_s", "gamma_s", "delta_s"),
-    "chernoff-hughes": ("r", "z_re", "z_im"),
-}
 
 
 class ConfigError(Exception):
@@ -121,39 +111,43 @@ def _as_int(name: str, value) -> int:
     return int(out)
 
 
+def _transfer_scheme(omega_re, omega_im, ta, tb, tc, td) -> CouplingScheme:
+    # a transfer record with no matrix form is read through its halfline form
+    t = TransferParams(complex(omega_re, omega_im), ta, tb, tc, td)
+    try:
+        return CouplingScheme.from_greek(transfer_to_greek(t))
+    except DegenerateParametrization:
+        return CouplingScheme.from_halfline(transfer_to_halfline(t))
+
+
+# each --scheme's options, in the order its builder takes their float values
+_SCHEMES = {
+    "greek": (("alpha", "beta", "gamma_re", "gamma_im"), lambda al, be, re, im:
+              CouplingScheme.from_greek(GreekParams(al, be, complex(re, im)))),
+    "halfline": (("a", "b", "c_re", "c_im"), lambda a, b, re, im:
+                 CouplingScheme.from_halfline(HalflineParams(a, b, complex(re, im)))),
+    "inverse": (("inv_a", "inv_b", "inv_c_re", "inv_c_im"), lambda a, b, re, im:
+                CouplingScheme.from_greek(inverse_to_greek(InverseParams(a, b, complex(re, im))))),
+    "transfer": (("omega_re", "omega_im", "ta", "tb", "tc", "td"), _transfer_scheme),
+    "carreau": (("alpha_c", "beta_c", "rho_c", "theta_c"), lambda *v:
+                CouplingScheme.from_halfline(carreau_to_halfline(CarreauParams(*v)))),
+    "seba": (("alpha_s", "beta_s", "gamma_s", "delta_s"), lambda *v:
+             CouplingScheme.from_halfline(seba_to_halfline(SebaParams(*v)))),
+    "chernoff-hughes": (("r", "z_re", "z_im"), lambda r, re, im: CouplingScheme.from_greek(
+        chernoff_hughes_to_greek(ChernoffHughesParams(r, complex(re, im))))),
+}
+
+
 def _build_scheme(args: argparse.Namespace) -> CouplingScheme:
     kind = args.scheme
     if kind is None:
         raise ConfigError("no parametrization given (use --scheme)")
-    if kind not in _SCHEME_FIELDS:
-        raise ConfigError(f"unknown scheme {kind!r}; choose from {sorted(_SCHEME_FIELDS)}")
-    vals = {name: _as_float(name, getattr(args, name)) for name in _SCHEME_FIELDS[kind]}
+    if kind not in _SCHEMES:
+        raise ConfigError(f"unknown scheme {kind!r}; choose from {sorted(_SCHEMES)}")
+    names, build = _SCHEMES[kind]
+    values = [_as_float(name, getattr(args, name)) for name in names]
     try:
-        if kind == "greek":
-            return CouplingScheme.from_greek(GreekParams(
-                vals["alpha"], vals["beta"], complex(vals["gamma_re"], vals["gamma_im"])))
-        if kind == "halfline":
-            return CouplingScheme.from_halfline(HalflineParams(
-                vals["a"], vals["b"], complex(vals["c_re"], vals["c_im"])))
-        if kind == "inverse":
-            gr = inverse_to_greek(InverseParams(
-                vals["inv_a"], vals["inv_b"], complex(vals["inv_c_re"], vals["inv_c_im"])))
-            return CouplingScheme.from_greek(gr)
-        if kind == "transfer":
-            t = TransferParams(complex(vals["omega_re"], vals["omega_im"]),
-                               vals["ta"], vals["tb"], vals["tc"], vals["td"])
-            try:
-                return CouplingScheme.from_greek(transfer_to_greek(t))
-            except DegenerateParametrization:
-                return CouplingScheme.from_halfline(transfer_to_halfline(t))
-        if kind == "carreau":
-            return CouplingScheme.from_halfline(carreau_to_halfline(CarreauParams(
-                vals["alpha_c"], vals["beta_c"], vals["rho_c"], vals["theta_c"])))
-        if kind == "seba":
-            return CouplingScheme.from_halfline(seba_to_halfline(SebaParams(
-                vals["alpha_s"], vals["beta_s"], vals["gamma_s"], vals["delta_s"])))
-        return CouplingScheme.from_greek(chernoff_hughes_to_greek(ChernoffHughesParams(
-            vals["r"], complex(vals["z_re"], vals["z_im"]))))
+        return build(*values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -177,28 +171,26 @@ def _task_convert(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
         "quasifree": flags.quasifree,
     }
     rows: list[list] = []
+    header = ["form", "field", "value_re", "value_im"]
     if scheme.is_separated:
         sep = scheme.separated
         summary["right"] = f"{sep.right.kind}({sep.right.slope:g})"
         summary["left"] = f"{sep.left.kind}({sep.left.slope:g})"
-        return summary, ["form", "field", "value_re", "value_im"], rows
+        return summary, header, rows
     g = scheme.greek
     summary["det"] = g.det
-    rows += [["greek", "alpha", g.alpha, 0.0], ["greek", "beta", g.beta, 0.0],
-             ["greek", "gamma", g.gamma.real, g.gamma.imag]]
-    for form, conv, fields in (
-            ("halfline", greek_to_halfline, ("a", "b", "c")),
-            ("inverse", greek_to_inverse, ("A", "B", "C")),
-            ("transfer", greek_to_transfer, ("omega", "ta", "tb", "tc", "td"))):
+    # a record's instance dict holds its fields, in order, and nothing else
+    for form, conv in (("greek", lambda g: g), ("halfline", greek_to_halfline),
+                       ("inverse", greek_to_inverse), ("transfer", greek_to_transfer)):
         try:
             rec = conv(g)
         except DegenerateParametrization as exc:
             print(f"note: {form} form not available: {exc}", file=sys.stderr)
             continue
-        for name in fields:
-            val = complex(getattr(rec, name))
+        for name, val in vars(rec).items():
+            val = complex(val)
             rows.append([form, name, val.real, val.imag])
-    return summary, ["form", "field", "value_re", "value_im"], rows
+    return summary, header, rows
 
 
 def _task_bound_states(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
@@ -263,11 +255,8 @@ def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bands, gaps = lattice_mod.band_structure(spec, m_max)
-    rows: list[list] = []
-    for b in bands:
-        rows.append(["band", b.m, b.e_lo, b.e_hi, b.width])
-    for gp in gaps:
-        rows.append(["gap", gp.m, gp.e_lo, gp.e_hi, gp.width])
+    rows = ([["band", b.m, b.e_lo, b.e_hi, b.width] for b in bands]
+            + [["gap", gp.m, gp.e_lo, gp.e_hi, gp.width] for gp in gaps])
     summary: dict = {"task": "bands", "ell": ell, "m_max": m_max,
                      "n_bands": len(bands), "n_gaps": len(gaps)}
     fit, m_range = args.fit_range, None
@@ -292,6 +281,10 @@ def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
         for key, val in sorted(report.measured.items()):
             summary[f"measured_{key}"] = val
     return summary, ["type", "m", "e_lo", "e_hi", "width"], rows
+
+
+_SCHEME_TASKS = {"convert": _task_convert, "bound-states": _task_bound_states,
+                 "scatter": _task_scatter, "bands": _task_bands}
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
     io_opts.add_argument("--format", choices=("json", "csv"), default=None)
     io_opts.add_argument("--config", default=None, help="key = value file; flags override")
     scheme_opts = argparse.ArgumentParser(add_help=False)
-    scheme_opts.add_argument("--scheme", choices=sorted(_SCHEME_FIELDS), default=None,
+    scheme_opts.add_argument("--scheme", choices=sorted(_SCHEMES), default=None,
                              help="input parametrization")
-    for fields in _SCHEME_FIELDS.values():
-        for name in fields:
+    for names, _ in _SCHEMES.values():
+        for name in names:
             scheme_opts.add_argument("--" + name.replace("_", "-"), default=None)
     coupled = [io_opts, scheme_opts]
 
@@ -400,26 +393,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.task == "berry":
             summary, header, rows = _task_berry(args)
         else:
-            scheme = _build_scheme(args)
-            if args.task == "convert":
-                summary, header, rows = _task_convert(scheme, args)
-            elif args.task == "bound-states":
-                summary, header, rows = _task_bound_states(scheme, args)
-            elif args.task == "scatter":
-                summary, header, rows = _task_scatter(scheme, args)
-            else:
-                summary, header, rows = _task_bands(scheme, args)
+            summary, header, rows = _SCHEME_TASKS[args.task](_build_scheme(args), args)
         sys.stdout.write(_emit(summary, header, rows, fmt))
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, GpiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateParametrization as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except GpiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateParametrization) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

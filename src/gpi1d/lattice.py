@@ -294,19 +294,20 @@ def bloch_determinant(spec: LatticeSpec, k: float, theta: float) -> complex:
 
 def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
     # Signed wavenumbers z, E = z |z|, ascending: the bottom anchor -q_bot and
-    # the gap points between it and k_max, z = 0 aside.
+    # the gap points between it and k_max.
     t = spec._transfer
     ell = spec.ell
     k_min = _K_MIN / ell
     ns = np.arange(math.floor(k_max * ell / math.pi + 0.5) + 1, dtype=float)
     # Away from a zero diagonal factor, (M T)_12 = 0 and (M T)_21 = 0 read
     # t pi + atan(u k - v/k) = 0 with (u, v) = (tb/ta, 0) and (0, tc/td), where
-    # k ell = (n + t) pi; for n >= 1 exactly one root has |t| <= 1/2.  Besides
-    # k = 0, n = 0 has a root only if v > 0 (bracketed from k = 0) or
-    # u < -ell (bracketed from the minimum of t pi + atan(u k)).  Below zero,
+    # k ell = (n + t) pi; for n >= 1 exactly one root has |t| <= 1/2.  n = 0
+    # has a root at k >= 0 only if v >= 0 on the Neumann row (bracketed from
+    # k = 0, the root where v = 0, tc = 0) or u <= -ell (bracketed from the
+    # minimum of t pi + atan(u k); at k = 0 where u = -ell).  Below zero,
     # t = -x/pi < 0 (module docstring), they read tanh(q ell)/q + u = 0 or q tanh(q ell) + v = 0.
     closed, rows, below = [], [], []  # (n, u, v, t_lo, t_hi); those below zero go first
-    for diag, u_diag, v_diag in ((t.ta, t.tb, 0.0), (t.td, 0.0, t.tc)):
+    for diag, u_diag, v_diag, neumann in ((t.ta, t.tb, 0.0, False), (t.td, 0.0, t.tc, True)):
         if diag == 0.0:  # the entry is a multiple of cos(k ell)
             closed.append((ns + 0.5) * (math.pi / ell))
             continue
@@ -314,7 +315,7 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
         block = np.empty((5, ns.size))
         block[0], block[1], block[2], block[3], block[4] = ns, uj, vj, -0.5, 0.5
         block[3, 0] = math.sqrt(-uj / ell - 1.0) * ell / (-uj * math.pi) if uj < -ell else 0.0
-        rows.append(block[:, 0 if uj < -ell or vj > 0.0 else 1:])
+        rows.append(block[:, 0 if uj <= -ell or (neumann and vj >= 0.0) else 1:])
         if -ell < uj < 0.0 or vj < 0.0:  # one root below zero, near x0 = q0 ell
             x0 = -ell / uj if uj else -vj * ell
             x_lo = max(x0 - 1.0, k_min * ell if uj else math.sqrt(0.5 * x0))
@@ -345,7 +346,7 @@ def _gap_grid(spec: LatticeSpec, k_max: float) -> np.ndarray:
     tt = _newton(phase, t_lo, t_hi)
     pts = np.concatenate(closed + [(n + tt) * pi_ell])
     q_bot = spec._bottom[0]
-    return np.sort(np.append(pts[(pts > -q_bot) & (pts != 0.0) & (pts < k_max)], -q_bot))
+    return np.sort(np.append(pts[(pts > -q_bot) & (pts < k_max)], -q_bot))
 
 
 def _xtol(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -486,10 +487,11 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     lo[0::2], hi[0::2], sigma[0::2] = mid[:-1], pts[first[1:]], sign[first[:-1]]
     lo[1::2], hi[1::2], sigma[1::2] = pts[last[:-1]], mid[1:], sign[first[1:]]
     at_lo = np.arange(2 * m_max) % 2 == 0
-    # A bracket across zero keeps the side of its edge: above zero where 0
-    # lies in the gap at lo, or outside the gap at hi.
+    # A bracket across zero (from lo = 0 too, a gap point at k = 0) keeps the
+    # side of its edge: above zero where 0 lies in the gap at lo, or outside
+    # the gap at hi.
     k_min = _K_MIN / ell
-    across = (lo < 0.0) & (hi > 0.0)
+    across = (lo <= 0.0) & (hi > 0.0)
     above = across & ((sigma * (s + c * ell) > 2.0) == at_lo)
     lo = np.where(above, np.minimum(k_min, hi), lo)
     hi = np.where(across & ~above, np.maximum(-k_min, lo), hi)
@@ -604,7 +606,8 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
 
     delta'-like: mean band width against 2|w|/(|beta| ell); gap widths are
     fitted linearly in m.  Intermediate: mean per-period k*ell band width
-    against 2 arcsin|t_inf| (gap against 2 arccos).  delta-like: mean gap width
+    against 2 arcsin|t_inf| (gap against 2 arccos); a window band below zero
+    has no k*ell width and raises InsufficientBands.  delta-like: mean gap width
     against 8|alpha|/((4+|gamma|^2) ell), plus the (pi m / ell)^2 gap-endpoint
     anchors.
     """
@@ -657,10 +660,14 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
         tinf = wmod / (4.0 + gm2)
         pred_band_kl = 2.0 * math.asin(min(1.0, tinf))
         pred_gap_kl = 2.0 * math.acos(min(1.0, tinf))
-        band_kl = np.array([(math.sqrt(hi) - math.sqrt(max(lo, 0.0))) * ell
-                            for lo, hi in zip(band_lo.tolist(), band_hi.tolist())])
-        gap_kl = np.array([(math.sqrt(hi) - math.sqrt(max(lo, 0.0))) * ell
-                           for lo, hi in zip(gap_lo.tolist(), gap_hi.tolist())])
+        below = np.flatnonzero(band_hi < 0.0)
+        if below.size:
+            i = below[0]
+            raise InsufficientBands(f"band {int(ms[i])} of range {m_range} lies below zero"
+                                    f" (e_hi = {band_hi[i]:.6g}): no k*ell width to fit")
+        # np.sqrt rounds correctly, as math.sqrt does
+        band_kl, gap_kl = (np.sqrt([band_hi, gap_hi])
+                           - np.sqrt(np.maximum([band_lo, gap_lo], 0.0))) * ell
         slope_b, _, r2_b = _linear_fit(ms, band_widths)
         details.update(band_kl_widths=band_kl.tolist(), gap_kl_widths=gap_kl.tolist(),
                        band_energy_slope=slope_b, band_energy_fit_r2=r2_b,

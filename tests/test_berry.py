@@ -150,6 +150,15 @@ def test_phase_result_builds_its_overlap_tuple_once_from_a_read_only_array():
     assert _phase_dist(wilson_loop_phase(states).phase, res.phase) <= 1e-14
 
 
+def test_phase_result_repr_and_equality_with_another_type():
+    res = berry.PhaseResult(0.25, np.array([1.0 + 0.0j, 0.5j]))
+    assert repr(res) == "PhaseResult(phase=0.25, per_step_overlaps=((1+0j), 0.5j))"
+    # equal only to a PhaseResult: not to the tuple its equality reads
+    assert res.__eq__((0.25, (1.0 + 0.0j, 0.5j))) is NotImplemented
+    assert res != (0.25, (1.0 + 0.0j, 0.5j)) and not res == 0.25
+    assert res == berry.PhaseResult(0.25, [1.0, 0.5j])
+
+
 def test_array_loop_keeps_the_bound_state_check():
     with pytest.raises(NoBoundState):
         berry_phase_discrete(ParameterLoop(-2.0, 3.0, 8, "plus"))

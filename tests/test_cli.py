@@ -12,8 +12,12 @@ import math
 
 import pytest
 
-from gpi1d import (CouplingScheme, GreekParams, ParameterLoop, berry_phase_discrete, cli,
-                   s_matrix)
+from gpi1d import (CarreauParams, ChernoffHughesParams, CouplingScheme,
+                   DegenerateParametrization, GreekParams, HalflineParams, InverseParams,
+                   ParameterLoop, SebaParams, TransferParams, berry_phase_discrete,
+                   carreau_to_halfline, chernoff_hughes_to_greek, classify_symmetries, cli,
+                   inverse_to_greek, s_matrix, seba_to_halfline, transfer_to_greek,
+                   transfer_to_halfline)
 from gpi1d.cli import main
 from conftest import SRC, fresh_run
 
@@ -364,7 +368,7 @@ def test_shared_parser_carries_nothing_between_runs(run, tmp_path):
 
 
 _SCHEME_FLAGS = {"--" + name.replace("_", "-")
-                 for fields in cli._SCHEME_FIELDS.values() for name in fields}
+                 for names, _ in cli._SCHEMES.values() for name in names}
 _OWN_FLAGS = {
     "convert": set(),
     "bound-states": set(),
@@ -392,6 +396,77 @@ def test_each_task_accepts_exactly_its_options(task):
         assert info.value.code == 0, argv
 
 
+_OMEGA_RE, _OMEGA_IM = math.cos(0.3), math.sin(0.3)
+# transfer_to_greek refuses this record (ta + td + 2 Re omega = 0), so the
+# CLI reads it through its halfline form, a separated pair
+_NO_MATRIX_TRANSFER = TransferParams(-1.0 + 0.0j, 0.5, 1e13, -2.5e-14, 1.5)
+# per --scheme: each option's value, all distinct, and the library chain that
+# builds the same coupling
+_CHART_CASES = {
+    "greek": [({"alpha": 1.5, "beta": -0.7, "gamma_re": 0.3, "gamma_im": 0.4},
+               lambda: CouplingScheme.from_greek(GreekParams(1.5, -0.7, 0.3 + 0.4j)))],
+    "halfline": [({"a": 1.0, "b": 2.0, "c_re": 0.5, "c_im": -0.3},
+                  lambda: CouplingScheme.from_halfline(HalflineParams(1.0, 2.0, 0.5 - 0.3j)))],
+    "inverse": [({"inv_a": 0.5, "inv_b": 1.2, "inv_c_re": 0.3, "inv_c_im": 0.1},
+                 lambda: CouplingScheme.from_greek(
+                     inverse_to_greek(InverseParams(0.5, 1.2, 0.3 + 0.1j))))],
+    "transfer": [
+        ({"omega_re": _OMEGA_RE, "omega_im": _OMEGA_IM, "ta": 2.0, "tb": 0.5, "tc": 3.0,
+          "td": 1.25},
+         lambda: CouplingScheme.from_greek(transfer_to_greek(
+             TransferParams(complex(_OMEGA_RE, _OMEGA_IM), 2.0, 0.5, 3.0, 1.25)))),
+        ({"omega_re": -1.0, "omega_im": 0.0, "ta": 0.5, "tb": 1e13, "tc": -2.5e-14, "td": 1.5},
+         lambda: CouplingScheme.from_halfline(transfer_to_halfline(_NO_MATRIX_TRANSFER)))],
+    "carreau": [({"alpha_c": 1.0, "beta_c": 2.0, "rho_c": 0.5, "theta_c": 1.25},
+                 lambda: CouplingScheme.from_halfline(
+                     carreau_to_halfline(CarreauParams(1.0, 2.0, 0.5, 1.25))))],
+    "seba": [({"alpha_s": -0.5, "beta_s": 0.25, "gamma_s": -1.5, "delta_s": -1.0},
+              lambda: CouplingScheme.from_halfline(
+                  seba_to_halfline(SebaParams(-0.5, 0.25, -1.5, -1.0))))],
+    "chernoff-hughes": [({"r": 0.7, "z_re": 0.2, "z_im": 0.5},
+                         lambda: CouplingScheme.from_greek(
+                             chernoff_hughes_to_greek(ChernoffHughesParams(0.7, 0.2 + 0.5j))))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cli._SCHEMES))
+def test_each_input_chart_builds_its_library_coupling(run, kind):
+    if kind == "transfer":  # its second case takes the halfline route
+        with pytest.raises(DegenerateParametrization):
+            transfer_to_greek(_NO_MATRIX_TRANSFER)
+    for values, chain in _CHART_CASES[kind]:
+        assert set(values) == set(cli._SCHEMES[kind][0])
+        code, out, _ = run("convert", "--scheme", kind,
+                           *(f"--{name.replace('_', '-')}={v!r}" for name, v in values.items()))
+        assert code == 0
+        payload = json.loads(out)
+        want = chain()
+        flags = classify_symmetries(want)
+        summary = payload["summary"]
+        assert (summary["decoupled"], summary["time_reversal"], summary["space_reflection"],
+                summary["quasifree"]) == (want.is_separated, *flags)
+        if want.is_separated:
+            right, left = want.separated.right, want.separated.left
+            assert (summary["right"], summary["left"]) == (f"{right.kind}({right.slope:g})",
+                                                           f"{left.kind}({left.slope:g})")
+            assert payload["rows"] == []
+            continue
+        g = want.greek
+        assert summary["det"] == g.det
+        assert payload["rows"][:3] == [["greek", "alpha", g.alpha, 0.0],
+                                       ["greek", "beta", g.beta, 0.0],
+                                       ["greek", "gamma", g.gamma.real, g.gamma.imag]]
+
+
+def test_readme_lists_each_schemes_options():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    assert rows[0] == "| `--scheme` | options |"
+    assert rows[1:] == ["| `%s` | %s |" % (kind, " ".join(f"`--{name.replace('_', '-')}`"
+                                                          for name in names))
+                        for kind, (names, _) in cli._SCHEMES.items()]
+
+
 @pytest.mark.parametrize("argv", [
     ("bands", *_GENERIC, "--ell=-1", "--mmax", "12"),
     ("bands", *_GENERIC, "--ell", "1", "--mmax", "0"),
@@ -399,11 +474,23 @@ def test_each_task_accepts_exactly_its_options(task):
      "--gamma-im", "0", "--ell", "1", "--mmax", "12"),  # decoupled: no lattice
     ("berry", "--a", "-2", "--cmod", "0.6", "--samples", "2"),
     ("berry", "--a", "-2", "--cmod=-0.5", "--samples", "50"),
+    ("bands", "--scheme", "greek", "--alpha=-5", "--beta", "0", "--gamma-re", "0.5",
+     "--gamma-im", "0.2", "--ell", "3", "--mmax", "8"),  # intermediate fit with band 1 below 0
 ])
 def test_invalid_lattice_and_loop_options_exit_2(run, argv):
     code, out, err = run(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_attractive_delta_prime_bands(run):
+    # alpha = 0, beta < 0: both gap points of gap 1 sit at E = 0 where beta = -ell
+    code, out, _ = run("bands", "--scheme", "greek", "--alpha", "0", "--beta=-1", "--gamma-re",
+                       "0", "--gamma-im", "0", "--ell", "1", "--mmax", "6")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0][:2] == ["band", 1] and rows[0][3] == 0.0 and rows[1][2] == 0.0
+    assert rows[6] == ["gap", 1, 0.0, 0.0, 0.0]
 
 
 _NO_TRANSFER = ("--scheme", "greek", "--alpha", "3.715587397906834", "--beta", "0",

@@ -381,6 +381,20 @@ def _oracle_edges(spec: LatticeSpec, k_top: float) -> list[float]:
     return sorted(edges)
 
 
+def _assert_edges_match_oracle(spec: LatticeSpec, bands, m_max: int, floor: float = 0.0,
+                               count: int | None = None) -> None:
+    # the edges above the energy floor, up to band m_max's upper edge, against
+    # the scalar oracle's, each to 1e-10 relative
+    got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > floor)
+    top = bands[-1].e_hi
+    want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI / spec.ell)
+            if floor < e <= top * (1.0 + 1e-9)]
+    assert len(got) == len(want), (spec.scheme.greek, spec.ell)
+    assert count is None or len(got) == count
+    for e_got, e_want in zip(got, want):
+        assert abs(e_got - e_want) <= 1e-10 * max(1.0, abs(e_want)), (spec.scheme.greek, spec.ell)
+
+
 @pytest.mark.parametrize("regime", ["delta_prime", "delta", "intermediate", "near_delta",
                                     "strong_delta"])
 def test_band_edges_match_scalar_oracle(rng, regime):
@@ -390,13 +404,7 @@ def test_band_edges_match_scalar_oracle(rng, regime):
     for _ in range(30 if regime == "strong_delta" else 3):
         spec = _fuzzed_lattice(rng, regime)
         bands, _ = band_structure(spec, m_max)
-        top = bands[-1].e_hi
-        got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 1e-6)
-        k_top = (m_max + 1.5) * PI / spec.ell
-        want = [e for e in _oracle_edges(spec, k_top) if 1e-6 < e <= top * (1.0 + 1e-9)]
-        assert len(got) == len(want), (spec.scheme.greek, spec.ell)
-        for e_got, e_want in zip(got, want):
-            assert abs(e_got - e_want) <= 1e-10 * max(1.0, abs(e_want)), spec.scheme.greek
+        _assert_edges_match_oracle(spec, bands, m_max, floor=1e-6)
 
 
 @pytest.mark.parametrize("alpha, beta, gamma", [
@@ -426,12 +434,7 @@ def test_zero_diagonal_transfer_factor_edges_match_scalar_oracle(gamma):
     m_max = 12
     bands, _ = band_structure(spec, m_max)
     assert [b.m for b in bands] == list(range(1, m_max + 1))
-    got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
-    want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI)
-            if e <= bands[-1].e_hi * (1.0 + 1e-9)]
-    assert len(got) == len(want)
-    for e_got, e_want in zip(got, want):
-        assert abs(e_got - e_want) <= 1e-10 * max(1.0, e_want)
+    _assert_edges_match_oracle(spec, bands, m_max)
 
 
 def _max_edge_residual(spec: LatticeSpec, bands) -> float:
@@ -478,12 +481,7 @@ def test_wide_delta_prime_lattice_edges_match_scalar_oracle():
     m_max = 12
     bands, _ = band_structure(spec, m_max)
     assert bands[-1].m == m_max
-    got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
-    want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI / spec.ell)
-            if e <= bands[-1].e_hi * (1.0 + 1e-9)]
-    assert len(got) == len(want) == 23
-    for e_got, e_want in zip(got, want):
-        assert abs(e_got - e_want) <= 1e-10 * max(1.0, e_want)
+    _assert_edges_match_oracle(spec, bands, m_max, count=23)
 
 
 def test_oracle_finds_gaps_narrower_than_its_grid():
@@ -493,12 +491,7 @@ def test_oracle_finds_gaps_narrower_than_its_grid():
                  0.00034194609650965127 - 0.8467155676587824j, ell=5.794485405907231)
     m_max = 12
     bands, _ = band_structure(spec, m_max)
-    got = sorted(e for b in bands for e in (b.e_lo, b.e_hi) if e > 0.0)
-    want = [e for e in _oracle_edges(spec, (m_max + 1.5) * PI / spec.ell)
-            if e <= bands[-1].e_hi * (1.0 + 1e-9)]
-    assert len(got) == len(want) == 23
-    for e_got, e_want in zip(got, want):
-        assert abs(e_got - e_want) <= 1e-10 * max(1.0, e_want)
+    _assert_edges_match_oracle(spec, bands, m_max, count=23)
 
 
 @pytest.mark.parametrize("alpha, gamma, ell, m_max", [
@@ -909,6 +902,53 @@ def test_gaps_beside_the_closed_one_are_open(shift):
     _assert_edges_are_exact(greek, ell, bands)
 
 
+# alpha = 0 makes tc = 0, so the Neumann gap point of n = 0 is k = 0, and so is
+# the Dirichlet one where beta = -ell (tb = -ta ell)
+_ATTRACTIVE_DELTA_PRIME = ([((0.0, beta, 0j), ell) for beta in (-2.0, -1.0, -0.3)
+                            for ell in (0.7, 1.0, 1.3, 3.0)] + [((0.0, -1.0, 0.5j), 1.0)])
+
+
+@pytest.mark.parametrize("greek, ell", _ATTRACTIVE_DELTA_PRIME,
+                         ids=[f"beta{g[1]}-gamma{g[2].imag}i-ell{ell}"
+                              for g, ell in _ATTRACTIVE_DELTA_PRIME])
+def test_attractive_delta_prime_lattice_keeps_its_gap_points_at_zero(greek, ell):
+    g = GreekParams(*greek)
+    bands, _ = band_structure(LatticeSpec(CouplingScheme.from_greek(g), ell), 6)
+    assert [b.m for b in bands] == list(range(1, 7))
+    _assert_edges_are_exact(g, ell, bands)
+
+
+def test_attractive_delta_prime_gap_closes_at_zero_where_beta_is_minus_ell():
+    bands, gaps = band_structure(_spec(0.0, -1.0, 0j), 6)
+    assert bands[0].e_lo == pytest.approx(-5.756915359562582, rel=1e-12)
+    assert bands[0].e_hi == bands[1].e_lo == 0.0
+    assert bands[1].e_hi == pytest.approx(PI * PI, rel=1e-12)
+    assert gaps[0] == GapInterval(1, 0.0, 0.0, True)
+    assert not any(gp.closed for gp in gaps[1:])
+
+
+def test_alpha_zero_lattices_agree_with_alpha_just_off_zero():
+    # seeded draws of the alpha = 0 family, where tc = 0: each resolves, and its
+    # edges agree with those at alpha = 1e-13 or -1e-13 to 1e-6 max(1, |E|)
+    def edges(alpha, beta, gamma, ell):
+        bands, _ = band_structure(_spec(alpha, beta, gamma, ell), 5)
+        return np.array([e for b in bands for e in (b.e_lo, b.e_hi)])
+
+    rng = np.random.default_rng(1)
+    for _ in range(120):
+        beta, gamma = rng.uniform(-3.0, 3.0), complex(rng.normal(), rng.normal())
+        ell = 10.0 ** rng.uniform(-2.0, 2.5)
+        got = edges(0.0, beta, gamma, ell)
+        gaps = []
+        for alpha in (1e-13, -1e-13):
+            try:
+                near = edges(alpha, beta, gamma, ell)
+            except GridTooCoarse:
+                continue
+            gaps.append(np.max(np.abs(near - got) / np.maximum(1.0, np.abs(got))))
+        assert min(gaps) <= 1e-6, (beta, gamma, ell)
+
+
 @pytest.mark.parametrize("greek", ONE_PER_REGIME,
                          ids=["delta_prime", "delta", "generic", "intermediate"])
 def test_bands_task_edges_up_to_m_max_10000(run, greek):
@@ -1097,6 +1137,18 @@ def test_regime_report_delta_like_off_axis_gamma():
 def test_regime_requires_enough_bands():
     with pytest.raises(InsufficientBands):
         asymptotic_regime(_spec(0.0, 1.0, 0.0), (10, 12))
+
+
+def test_intermediate_regime_refuses_a_window_below_zero():
+    # the k ell widths need E >= 0: band 1 of this bound-state lattice lies below it
+    spec = _spec(-5.0, 0.0, 0.5 + 0.2j, ell=3.0)
+    assert classify_regime(spec) is Regime.INTERMEDIATE
+    bands, _ = band_structure(spec, 7)
+    assert bands[0].e_hi < 0.0 <= bands[1].e_lo
+    with pytest.raises(InsufficientBands,
+                       match=r"^band 1 of range \(1, 6\) lies below zero \(e_hi = -5\.41574\)"):
+        asymptotic_regime(spec, (1, 6))
+    assert asymptotic_regime(spec, (2, 7)).regime is Regime.INTERMEDIATE
 
 
 def test_general_ell_scaling_delta_prime():

@@ -26,8 +26,8 @@ from gpi1d import (AsymptoticExpansion, CarreauParams, ChernoffHughesParams, Cou
                    gauge_transform, greek_to_halfline, greek_to_inverse,
                    greek_to_transfer, halfline_to_greek, halfline_to_inverse,
                    halfline_to_transfer, inverse_to_greek, inverse_to_halfline,
-                   is_decoupled, seba_to_halfline, transfer_to_greek,
-                   transfer_to_halfline)
+                   is_decoupled, scheme_to_transfer, seba_to_halfline,
+                   transfer_to_greek, transfer_to_halfline)
 from conftest import random_greek, random_halfline
 
 
@@ -192,6 +192,16 @@ def test_transfer_delta_prime():
 def test_transfer_identity_is_free():
     g = transfer_to_greek(TransferParams(1.0, 1.0, 0.0, 0.0, 1.0))
     assert close(g.alpha, 0.0) and close(g.beta, 0.0) and close(g.gamma, 0.0)
+
+
+def test_separated_scheme_has_no_transfer_form():
+    scheme = CouplingScheme.from_separated(HalflineBoundary.robin(1.0), HalflineBoundary.dirichlet())
+    with pytest.raises(DegenerateParametrization) as info:
+        scheme_to_transfer(scheme)
+    assert info.value.denominator == "c (separated scheme has no transfer form)"
+    assert info.value.magnitude is None
+    coupled = CouplingScheme.from_greek(GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+    assert scheme_to_transfer(coupled) == greek_to_transfer(coupled.greek)
 
 
 def test_transfer_invariants_enforced():

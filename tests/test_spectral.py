@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gpi1d import (BindingKind, CouplingScheme, DegenerateParametrization,
-                   GreekParams, HalflineBoundary, HalflineParams, InvalidWavenumber,
+                   GreekParams, HalflineBoundary, HalflineParams, InvalidSheet, InvalidWavenumber,
                    PointKind, PoleEvaluation, binding_regime, classify_symmetries,
                    denominator_D, denominator_F, gauge_transform, greek_to_halfline,
                    green_kernel, green_kernel_dx, green_kernel_greek, kernel_residue,
@@ -654,6 +654,37 @@ def test_kernel_refuses_an_out_of_range_delta():
     assert green_kernel_greek(g0, 0.5, -0.7, 1e155j) == 0j
     for kappa0 in (1e155, -1e155):
         assert kernel_residue(beta_zero, kappa0, 0.8, -1.1) == 0j
+
+
+def test_kernel_refuses_a_wavenumber_whose_modulus_leaves_the_float_range():
+    # |k| itself overflows (abs raises OverflowError), on the beta != 0 and the
+    # beta = 0 forms, for the value and its d/dx
+    k = 1.5e308 + 1.5e308j
+    with pytest.raises(OverflowError):
+        abs(k)
+    message = "degenerate parametrization: 'Delta(k)' is not finite (|value| = inf)"
+    for g in (GreekParams(-1.0, 0.5, 0.3 + 0.4j), GreekParams(-1.0, 0.0, 0.3 + 0.4j)):
+        scheme = CouplingScheme.from_greek(g)
+        for call in (lambda: green_kernel(scheme, 0.3, 0.2, k),
+                     lambda: green_kernel_dx(scheme, 0.3, -0.2, k),
+                     lambda: green_kernel_greek(g, -0.3, 0.2, k)):
+            with pytest.raises(DegenerateParametrization, match=re.escape(message)) as info:
+                call()
+            assert info.value.magnitude == math.inf
+
+
+def test_matrix_form_kernel_with_an_infinite_det_refuses_a_bad_point_first():
+    # det = alpha beta + |gamma|^2 overflows, so the matrix constants refuse;
+    # an off-sheet k and an unsided x = 0 are still refused as on every kernel
+    g = GreekParams(1e200, 1e200, 0.5)
+    with pytest.raises(InvalidSheet, match=re.escape("got k = (-0-1j)")):
+        green_kernel_greek(g, 0.3, 0.2, -1j)
+    with pytest.raises(ValueError, match="x = 0 requires an explicit side"):
+        green_kernel_greek(g, 0.0, 0.2, 1j)
+    for k in (1j, 1.5e308 + 1.5e308j):
+        with pytest.raises(DegenerateParametrization) as info:
+            green_kernel_greek(g, 0.3, 0.2, k)
+        assert (info.value.denominator, info.value.magnitude) == ("det", math.inf)
 
 
 def _bits(z: complex) -> tuple[str, str]:

@@ -55,6 +55,8 @@ class ParameterLoop:
             raise ValueError("need finite a and c_mod > 0 (crossings are excluded)")
         if self.samples < 3:
             raise ValueError("a loop needs at least 3 samples")
+        if self.samples % 1 != 0:  # np.arange would close the chain with a short step
+            raise ValueError(f"a loop needs a whole number of samples, got {self.samples!r}")
         if self.branch not in (BRANCH_PLUS, BRANCH_MINUS):
             raise ValueError(f"unknown branch {self.branch!r}")
 
@@ -222,4 +224,6 @@ def connection_riemann_sum(loop: ParameterLoop, n: int) -> float:
 
     if n < 3:
         raise ValueError("need at least 3 samples")
+    if n % 1 != 0:
+        raise ValueError(f"need a whole number of samples, got {n!r}")
     return float(-np.sum(_loop_overlaps(loop, n).imag))

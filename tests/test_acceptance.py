@@ -21,7 +21,7 @@ from gpi1d import (CouplingScheme, GreekParams, HalflineParams, ParameterLoop,
                    kernel_derivative_jump, LatticeSpec, monodromy_trace,
                    point_spectrum, s_matrix, scattering_asymptotics,
                    PoleEvaluation)
-from conftest import random_greek, random_halfline, random_scheme
+from conftest import exact_roots, random_greek, random_halfline, random_scheme
 
 PI = math.pi
 
@@ -65,10 +65,9 @@ def test_criterion_1_conversion_round_trips():
 
 def test_criterion_2_delta_anchors():
     pts = point_spectrum(CouplingScheme.from_greek(GreekParams(-2.0, 0.0, 0.0)))
-    bound = [p for p in pts if p.kind is PointKind.BOUND]
-    assert len(bound) == 1
-    assert abs(bound[0].kappa - 1.0) <= 1e-12
-    assert abs(bound[0].energy + 1.0) <= 1e-12
+    assert len(pts) == 1 and pts[0].kind is PointKind.BOUND
+    assert abs(pts[0].kappa - 1.0) <= 1e-12
+    assert abs(pts[0].energy + 1.0) <= 1e-12
 
     pts = point_spectrum(CouplingScheme.from_greek(GreekParams(0.0, -2.0, 0.0)))
     assert [p.kind for p in pts] == [PointKind.BOUND, PointKind.SPURIOUS_ROOT]
@@ -86,14 +85,13 @@ def test_criterion_3_two_bound_states():
     h = HalflineParams(-3.0, -1.0, 0.5)
     pts = point_spectrum(CouplingScheme.from_halfline(h))
     assert all(p.kind is PointKind.BOUND for p in pts) and len(pts) == 2
-    # independent oracle: quadratic roots via numpy
-    kappas = sorted(np.roots([1.0, h.a + h.b, h.a * h.b - abs(h.c) ** 2]).real,
-                    reverse=True)
+    # independent oracle: the 60-digit roots, kappa descending (the deeper level first)
+    kappas = sorted(map(float, exact_roots(h)), reverse=True)
     for p, kref in zip(pts, kappas):
         assert abs(p.kappa - kref) <= 1e-12
-    energies = sorted(p.energy for p in pts)
-    assert abs(energies[0] - (-5.25 - math.sqrt(20))) <= 1e-12
-    assert abs(energies[1] - (-5.25 + math.sqrt(20))) <= 1e-12
+        assert abs(p.energy + kref ** 2) <= 1e-12
+    assert abs(pts[0].energy - (-5.25 - math.sqrt(20))) <= 1e-12
+    assert abs(pts[1].energy - (-5.25 + math.sqrt(20))) <= 1e-12
     for p in pts:
         r1 = (-p.kappa * p.mu) - (h.a * p.mu + h.c * p.nu)
         r2 = (-p.kappa * p.nu) - (np.conj(h.c) * p.mu + h.b * p.nu)
@@ -173,7 +171,7 @@ def test_criterion_5_unitarity():
     for _ in range(20):
         a, b = rng.uniform(-3, 3, 2)
         scheme = CouplingScheme.from_halfline(HalflineParams(a, b, 0.0))
-        for k in 10.0 ** rng.uniform(-3, 3, 5):
+        for k in [*10.0 ** rng.uniform(-3, 3, 5), 0.1, 1.0, 10.0]:
             amp = s_matrix(scheme, float(k))
             assert amp.t == 0 and abs(abs(amp.r) - 1.0) <= 1e-12
     _report(5, f"|r|^2+|t|^2 = 1 within {worst:.2e} over 200 schemes x 10 "
@@ -260,6 +258,7 @@ def test_criterion_7_berry_phase():
     for cmod in (0.3, 1.0):
         res = berry_phase_discrete(ParameterLoop(a=-2.0, c_mod=cmod, samples=1000))
         assert abs(res.phase - PI) <= 1e-5
+        assert len(res.per_step_overlaps) == 1000
         phases[cmod] = res.phase
     assert abs(phases[0.3] - phases[1.0]) <= 1e-8
     assert abs(cmath.exp(1j * phases[0.3]) - cmath.exp(1j * phases[1.0])) <= 1e-8

@@ -95,12 +95,6 @@ def test_overlap_rejects_mismatched_branches():
 # discrete phase
 # ---------------------------------------------------------------------------
 
-def test_phase_is_pi_at_n_1000():
-    res = berry_phase_discrete(ParameterLoop(a=-2.0, c_mod=1.0, samples=1000))
-    assert abs(res.phase - PI) < 1e-5
-    assert len(res.per_step_overlaps) == 1000
-
-
 def test_phase_exact_at_n_4():
     res = berry_phase_discrete(ParameterLoop(a=-2.0, c_mod=1.0, samples=4))
     assert _phase_dist(res.phase, PI) < 1e-14
@@ -213,8 +207,13 @@ def test_degenerate_overlap_raises():
 def test_loop_validation():
     with pytest.raises(ValueError):
         ParameterLoop(-2.0, 0.0, 8)
-    with pytest.raises(ValueError):
-        ParameterLoop(-2.0, 1.0, 2)
+    for samples in (2, 3.5, math.nan):
+        with pytest.raises(ValueError):
+            ParameterLoop(-2.0, 1.0, samples)
+    # 3.5 samples would be 4 points at 2 pi j / 3.5, the closing step half the others
+    with pytest.raises(ValueError, match="whole number of samples, got 3.5"):
+        connection_riemann_sum(ParameterLoop(-2.0, 1.0, 8), 3.5)
+    assert ParameterLoop(-2.0, 1.0, 8.0).samples == 8.0
     with pytest.raises(ValueError):
         ParameterLoop(-2.0, 1.0, 8, "sideways")
 

@@ -2,9 +2,9 @@
 and each refusing conversion on either side of its DEGENERACY_TOL edge.
 
 The oracles here are independent of the library's floating-point route:
-roots come from 60-digit `decimal` arithmetic, kernel coefficients from exact
-`fractions.Fraction` arithmetic on the binary inputs (only the exponential is
-evaluated in floating point).
+roots come from 60-digit `decimal` arithmetic (`conftest.exact_roots`), kernel
+coefficients from exact `fractions.Fraction` arithmetic on the binary inputs
+(only the exponential is evaluated in floating point).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from gpi1d import (ChernoffHughesParams, CouplingScheme, DegenerateParametrizati
                    inverse_to_greek, inverse_to_halfline, point_spectrum,
                    seba_to_halfline, transfer_to_greek, transfer_to_halfline)
 from gpi1d.params import DEGENERACY_TOL
+from conftest import exact_roots, reference_free
 
 _BETA_BASES = ((-2.681821950849469, complex(0.26487946756737557, -0.978265951835119)),
                (1.3, 0.4 + 0.2j), (-1.3, 0.4 + 0.2j), (0.5, -1.1 + 0.0j))
@@ -65,20 +66,6 @@ edge_sweeps = pytest.mark.parametrize("edge", sorted(SWEEPS))
 # oracles
 # ---------------------------------------------------------------------------
 
-def _exact_roots(g: GreekParams) -> list[decimal.Decimal]:
-    """Roots of 2 beta kappa^2 + (4+det) kappa + 2 alpha = 0 to 60 digits, small root first."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        al, be = decimal.Decimal(g.alpha), decimal.Decimal(g.beta)
-        gr, gi = decimal.Decimal(g.gamma.real), decimal.Decimal(g.gamma.imag)
-        b = 4 + al * be + gr * gr + gi * gi
-        if be == 0:
-            return [-2 * al / b]
-        sq = (b * b - 16 * al * be).sqrt()
-        roots = [(-b + sq) / (4 * be), (-b - sq) / (4 * be)]
-        return sorted(roots, key=abs)
-
-
 def _cmul(u, v):
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
@@ -106,23 +93,6 @@ def _exact_correction_ratio(g: GreekParams, k: complex, sx: int, sxp: int) -> co
     return complex(float(re), float(im))
 
 
-def _free_pair(x: float, xp: float, k: complex) -> tuple[complex, complex]:
-    """Dirichlet pair kernel and its d/dx off the diagonal."""
-    if x > 0 and xp > 0:
-        if x > xp:
-            return cmath.exp(1j * k * x) * cmath.sin(k * xp) / k, \
-                1j * cmath.exp(1j * k * x) * cmath.sin(k * xp)
-        return cmath.exp(1j * k * xp) * cmath.sin(k * x) / k, \
-            cmath.exp(1j * k * xp) * cmath.cos(k * x)
-    if x < 0 and xp < 0:
-        if x < xp:
-            return -cmath.exp(-1j * k * x) * cmath.sin(k * xp) / k, \
-                1j * cmath.exp(-1j * k * x) * cmath.sin(k * xp)
-        return -cmath.exp(-1j * k * xp) * cmath.sin(k * x) / k, \
-            -cmath.exp(-1j * k * xp) * cmath.cos(k * x)
-    return 0j, 0j
-
-
 _KERNEL_POINTS = ((0.7, 1.3), (0.7, -1.1), (-0.6, -1.7), (-0.5, 0.9))
 _KS = (0.7 + 0.9j, -1.3 + 0.4j, 2.1 + 1.5j)
 
@@ -140,7 +110,7 @@ def test_roots_match_60_digit_oracle(edge):
         kappas = [p.kappa for p in point_spectrum(scheme)]
         expected_count = 1 if abs(g.beta) <= DEGENERACY_TOL * g.scale else 2
         assert len(kappas) == expected_count, g
-        for kappa, r in zip(sorted(kappas, key=abs), _exact_roots(g)):
+        for kappa, r in zip(sorted(kappas, key=abs), exact_roots(g)):
             err = float(abs(decimal.Decimal(kappa) - r) / max(1, abs(r)))
             assert err <= 1e-12, (g, kappa, r, err)
 
@@ -151,11 +121,12 @@ def test_kernel_matches_exact_rational_coefficients(edge):
         scheme = CouplingScheme.from_greek(g)
         for k in _KS:
             for x, xp in _KERNEL_POINTS:
-                sx = 1 if x > 0 else -1
-                corr = (_exact_correction_ratio(g, k, sx, 1 if xp > 0 else -1)
+                sx, sxp = (1 if x > 0 else -1), (1 if xp > 0 else -1)
+                corr = (_exact_correction_ratio(g, k, sx, sxp)
                         * cmath.exp(1j * k * (abs(x) + abs(xp))))
                 dcorr = corr * 1j * k * sx
-                free, free_dx = _free_pair(x, xp, k)
+                free = reference_free(sx, sxp, x, xp, k)
+                free_dx = reference_free(sx, sxp, x, xp, k, 1)
                 err = abs(green_kernel(scheme, x, xp, k) - (free + corr))
                 assert err <= 1e-12 * (abs(free) + abs(corr)), (g, k, x, xp, err)
                 err = abs(green_kernel_dx(scheme, x, xp, k) - (free_dx + dcorr))
@@ -202,7 +173,7 @@ def test_root_inside_the_zero_window_is_reported_as_computed():
     g = GreekParams(4e-12, 2.5, 0.4 + 0.2j)
     point = min(point_spectrum(CouplingScheme.from_greek(g)), key=lambda p: abs(p.kappa))
     assert point.kind.value == "zero_resonance"
-    r = _exact_roots(g)[0]
+    r = exact_roots(g)[0]
     assert float(abs(decimal.Decimal(point.kappa) - r)) <= 1e-12 * float(abs(r))
     assert point.energy == -point.kappa ** 2
     # an exact zero root stays +0.0

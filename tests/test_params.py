@@ -28,7 +28,7 @@ from gpi1d import (AsymptoticExpansion, CarreauParams, ChernoffHughesParams, Cou
                    halfline_to_transfer, inverse_to_greek, inverse_to_halfline,
                    is_decoupled, scheme_to_transfer, seba_to_halfline,
                    transfer_to_greek, transfer_to_halfline)
-from conftest import random_greek, random_halfline
+from conftest import exact_roots, random_greek, random_halfline
 
 
 def close(x, y, tol=1e-12):
@@ -121,8 +121,7 @@ def test_inverse_preserves_spectral_condition(rng):
     for _ in range(200):
         h = random_halfline(rng)
         i = halfline_to_inverse(h)
-        roots = np.roots([1.0, h.a + h.b, h.a * h.b - abs(h.c) ** 2])
-        for kappa in roots:
+        for kappa in map(float, exact_roots(h)):
             val = (1 + kappa * i.A) * (1 + kappa * i.B) - kappa ** 2 * abs(i.C) ** 2
             assert abs(val) < 1e-9
 

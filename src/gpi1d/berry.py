@@ -137,17 +137,6 @@ def overlap(state1: Eigenstate, state2: Eigenstate) -> complex:
             + state1.nu.conjugate() * state2.nu) / (2.0 * state1.kappa)
 
 
-def _wrap_phase(p: float) -> float:
-    # into (-pi, pi]; pi is the canonical representative, so values within
-    # rounding noise of the -pi cut report as +pi
-    t = math.fmod(p, 2.0 * math.pi)
-    if t <= -math.pi + 1e-9:
-        t += 2.0 * math.pi
-    elif t > math.pi:
-        t -= 2.0 * math.pi
-    return t
-
-
 def _phase_of_overlaps(w) -> PhaseResult:
     # -arg prod(w_j / |w_j|) of a complex array of step overlaps; only the
     # argument matters, and renormalizing each factor dodges underflow on long chains
@@ -158,7 +147,11 @@ def _phase_of_overlaps(w) -> PhaseResult:
     if small.size:
         j = int(small[0])
         raise DegenerateOverlap(f"step {j} overlap {complex(w[j])!r} is numerically zero")
-    phase = _wrap_phase(-cmath.phase(complex(np.prod(w / mod))))
+    # -arg lies in [-pi, pi]; into (-pi, pi] with pi the canonical representative,
+    # so values within rounding noise of the -pi cut report as +pi
+    phase = -cmath.phase(complex(np.prod(w / mod)))
+    if phase <= -math.pi + 1e-9:
+        phase += 2.0 * math.pi
     return PhaseResult(phase, w)
 
 

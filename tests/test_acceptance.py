@@ -34,11 +34,18 @@ def _report(n: int, text: str) -> None:
 # 1. conversion round trips
 # ---------------------------------------------------------------------------
 
+def _field_gap(p, q) -> float:
+    # the worst |x - y| / max(1, |x|, |y|) over the fields of two records of one chart
+    return max(abs(x - y) / max(1.0, abs(x), abs(y))
+               for x, y in zip(vars(p).values(), vars(q).values()))
+
+
 def test_criterion_1_conversion_round_trips():
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     worst_rt = 0.0
     worst_det = 0.0
+    draws = []
     for _ in range(1000):
         g = random_greek(rng)
         h = greek_to_halfline(g)
@@ -51,12 +58,23 @@ def test_criterion_1_conversion_round_trips():
         worst_rt = max(worst_rt, rel)
         det_rhs = 4.0 * (h.a + h.b + 2 * h.c.real) / (h.a + h.b - 2 * h.c.real)
         worst_det = max(worst_det, abs(g.det - det_rhs) / max(1.0, abs(g.det)))
+        draws.append((g, h))
     elapsed = time.perf_counter() - t0
+    # each field to its own size: g -> h -> g on the same draws, then h -> i -> h
+    # and the det identity from the halfline side on 500 halfline draws
+    worst_field = max(_field_gap(g, halfline_to_greek(h)) for g, h in draws)
+    for _ in range(500):
+        h = random_halfline(rng)
+        det = halfline_to_greek(h).det
+        det_rhs = 4.0 * (h.a + h.b + 2 * h.c.real) / (h.a + h.b - 2 * h.c.real)
+        worst_field = max(worst_field, _field_gap(h, inverse_to_halfline(halfline_to_inverse(h))),
+                          abs(det - det_rhs) / max(1.0, abs(det), abs(det_rhs)))
     assert worst_rt <= 1e-10
     assert worst_det <= 1e-10
+    assert worst_field <= 1e-10
     assert elapsed < 1.0
-    _report(1, f"1000 round trips, worst rel err {worst_rt:.2e}, "
-               f"det identity {worst_det:.2e}, {elapsed:.2f}s (< 1 s)")
+    _report(1, f"1000 round trips, worst rel err {worst_rt:.2e}, det identity {worst_det:.2e}, "
+               f"per field (+500 halfline) {worst_field:.2e}, {elapsed:.2f}s (< 1 s)")
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +261,40 @@ def test_criterion_6_asymptotic_duality():
     assert abs(low.r_limit - high.r_limit) < 1e-14
     assert abs(low.t_limit - high.t_limit) < 1e-14
 
+    # random couplings: alpha != 0 decouples at k -> 0, beta != 0 at k -> infinity
+    rng = np.random.default_rng(106)
+    for _ in range(50):
+        g = random_greek(rng, allow_beta_zero=True)
+        if abs(g.alpha) < 0.1:
+            continue
+        scheme = CouplingScheme.from_greek(g)
+        asym = scattering_asymptotics(scheme)
+        assert asym.low.branch == "alpha_nonzero"
+        assert asym.low.r_limit == -1.0 and asym.low.t_limit == 0
+        amp = s_matrix(scheme, 1e-7)
+        assert abs(amp.r + 1.0) < 1e-5 and abs(amp.t) < 1e-5
+    for _ in range(50):
+        scheme = random_scheme(rng)
+        asym = scattering_asymptotics(scheme)
+        assert asym.high.branch == "beta_nonzero"
+        assert asym.high.r_limit == 1.0 and asym.high.t_limit == 0
+        amp = s_matrix(scheme, 1e7)
+        assert abs(amp.r - 1.0) < 1e-5 and abs(amp.t) < 1e-5
+    for _ in range(30):
+        gamma = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
+        g_low = GreekParams(0.0, rng.uniform(0.2, 2.0), gamma)
+        g_high = GreekParams(rng.uniform(0.2, 2.0), 0.0, gamma)
+        if abs(abs(gamma) ** 2 - 4) < 1e-2:
+            continue
+        low = scattering_asymptotics(CouplingScheme.from_greek(g_low)).low
+        high = scattering_asymptotics(CouplingScheme.from_greek(g_high)).high
+        assert abs(low.r_limit - high.r_limit) < 1e-14
+        assert abs(low.t_limit - high.t_limit) < 1e-14
+
     assert worst <= 1e-6
-    _report(6, f"Richardson-extracted limits and first coefficients match the "
-               f"closed forms within {worst:.2e} (<= 1e-6); high-energy "
-               f"decoupling verified with the oracle-resolved r -> +1 sign")
+    _report(6, f"Richardson-extracted limits and first coefficients match the closed forms "
+               f"within {worst:.2e} (<= 1e-6); both decouplings, with the oracle-resolved "
+               f"r -> +1 sign at high energy, and the duality hold on random couplings")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +339,9 @@ def test_criterion_8_delta_prime_regime():
     r2 = 1.0 - float(np.sum(resid ** 2)) / float(np.sum((ws - ws.mean()) ** 2))
     elapsed = time.perf_counter() - t0
     assert slope > 0 and r2 > 0.99
+    # band 1 is the bound-state band, so the band starting at (50 pi)^2 is band 51
+    b51 = next(b for b in bands if b.m == 51)
+    assert abs(b51.e_lo - (50 * PI) ** 2) <= 1e-8 and abs(b51.width - 8.0) <= 0.05 * 8.0
     assert elapsed < 30.0
     _report(8, f"delta'(beta=1): band widths -> {widths.mean():.4f} (8 within 5%); "
                f"gap growth slope {slope:.2f} > 0 with R^2 = {r2:.6f} > 0.99; "
@@ -300,13 +351,12 @@ def test_criterion_8_delta_prime_regime():
 def test_criterion_9_delta_regime():
     spec = LatticeSpec(CouplingScheme.from_greek(GreekParams(1.0, 0.0, 0.0)), 1.0)
     bands, gaps = band_structure(spec, 61)
-    gsel = [gp for gp in gaps if 40 <= gp.m <= 60]
-    anchor_dev = max(min(abs(gp.e_lo - (PI * gp.m) ** 2),
-                         abs(gp.e_hi - (PI * gp.m) ** 2)) for gp in gsel)
-    widths = np.array([gp.width for gp in gsel])
+    # alpha > 0: each gap starts at its Dirichlet point
+    anchor_dev = max(abs(gp.e_lo - (PI * gp.m) ** 2) for gp in gaps)
+    widths = np.array([gp.width for gp in gaps if 40 <= gp.m <= 60])
     assert anchor_dev <= 1e-8
     assert abs(widths.mean() - 2.0) <= 0.05 * 2.0
-    _report(9, f"delta(alpha=1): every gap in m=[40,60] anchored at (pi m)^2 "
+    _report(9, f"delta(alpha=1): every gap in m=[1,60] starts at (pi m)^2 "
                f"within {anchor_dev:.2e} (<= 1e-8); gap width -> "
                f"{widths.mean():.4f} (2 within 5%)")
 
@@ -357,6 +407,9 @@ def test_criterion_11_band_condition_monodromy_concordance():
         t = scheme_to_transfer(scheme)
         tr = (t.ta + t.td) * np.cos(kl) + (t.tc / ks - t.tb * ks) * np.sin(kl)
         in_tr = np.abs(tr) <= 2.0
+        # |tr| = 2 |RHS| / |w| identically, so the band memberships coincide
+        assert np.all(np.abs(np.abs(tr) - 2.0 * np.abs(rhs) / wmod)
+                      <= 1e-9 * np.maximum(1.0, np.abs(tr)))
         # the scalar entry point agrees with the vectorized evaluation
         sub = rng.integers(0, len(ks), 25)
         assert np.allclose([monodromy_trace(spec, float(ks[j])) for j in sub],
@@ -366,6 +419,6 @@ def test_criterion_11_band_condition_monodromy_concordance():
         disagreements += int(np.sum(mism & ~near_edge))
         total += len(ks)
     assert disagreements == 0
-    _report(11, f"band membership via |RHS| <= |w| and via |tr| <= 2 agrees on "
-                f"{total} grid points across 50 schemes (edge window 1e-8); "
-                f"the 4i Im(gamma) convention of the Bloch side is thereby frozen")
+    _report(11, f"|tr| = 2 |RHS| / |w| to 1e-9 and band membership agree on {total} grid "
+                f"points across 50 schemes (edge window 1e-8); the 4i Im(gamma) convention "
+                f"of the Bloch side is thereby frozen")

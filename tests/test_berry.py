@@ -9,7 +9,6 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from gpi1d import (DegenerateOverlap, Eigenstate, NoBoundState, ParameterLoop,
                    berry, berry_connection_analytic, berry_phase_discrete,
@@ -61,24 +60,21 @@ def test_overlap_closed_form():
     assert abs(abs(overlap(s0, s_half)) - math.sqrt(2) / 2) < 1e-15
 
 
+def _gauss_legendre(f, lo: float, hi: float):
+    # the 200-node Gauss-Legendre rule for the integral of f over [lo, hi]
+    x, w = np.polynomial.legendre.leggauss(200)
+    half = 0.5 * (hi - lo)
+    return half * np.dot(w, f(lo + half * (x + 1.0)))
+
+
 def test_overlap_against_quadrature_oracle():
-    # numerical integral of conj(f1) f2 over the line
+    # numerical integral of conj(f1) f2 over the line, one rule per half-line
     loop = ParameterLoop(a=-1.5, c_mod=0.4, samples=8)
     xi1, xi2 = 0.7, 2.9
-
-    def f(xi, x):
-        st = eigenstate_at(loop, xi)
-        if x > 0:
-            return st.mu * math.exp(-st.kappa * x)
-        return st.nu * math.exp(st.kappa * x)
-
-    def integrand(x, part):
-        v = np.conj(f(xi1, x)) * f(xi2, x)
-        return v.real if part == "re" else v.imag
-
-    ref = complex(quad(integrand, -30, 30, args=("re",), limit=200)[0],
-                  quad(integrand, -30, 30, args=("im",), limit=200)[0])
     st1, st2 = eigenstate_at(loop, xi1), eigenstate_at(loop, xi2)
+    decay = st1.kappa + st2.kappa
+    ref = sum(_gauss_legendre(lambda x: np.conj(amp1) * amp2 * np.exp(-decay * x), 0.0, 30.0)
+              for amp1, amp2 in ((st1.mu, st2.mu), (st1.nu, st2.nu)))
     assert abs(overlap(st1, st2) - ref) < 1e-9
     assert abs(overlap(st1, st2) - 0.5 * (1 + cmath.exp(1j * (xi1 - xi2)))) < 1e-14
 
@@ -213,6 +209,8 @@ def test_loop_validation():
     # 3.5 samples would be 4 points at 2 pi j / 3.5, the closing step half the others
     with pytest.raises(ValueError, match="whole number of samples, got 3.5"):
         connection_riemann_sum(ParameterLoop(-2.0, 1.0, 8), 3.5)
+    with pytest.raises(ValueError, match="^need at least 3 samples$"):
+        connection_riemann_sum(ParameterLoop(-2.0, 1.0, 8), 2)
     assert ParameterLoop(-2.0, 1.0, 8.0).samples == 8.0
     with pytest.raises(ValueError):
         ParameterLoop(-2.0, 1.0, 8, "sideways")
@@ -226,7 +224,8 @@ def test_connection_value_and_integral():
     loop = ParameterLoop(-2.0, 1.0, 8)
     for xi in (0.0, 1.0, 4.4):
         assert berry_connection_analytic(loop, xi) == 0.5
-    integral = quad(lambda xi: berry_connection_analytic(loop, xi), 0, 2 * PI)[0]
+    integral = _gauss_legendre(
+        lambda xis: np.array([berry_connection_analytic(loop, xi) for xi in xis]), 0.0, 2 * PI)
     assert abs(integral - PI) < 1e-10
 
 

@@ -140,24 +140,20 @@ def test_config_file_and_flag_override(run, tmp_path):
     assert len(json.loads(out)["rows"]) == 5
 
 
-def test_validation_error_exits_2(run):
-    code, _, err = run("scatter", "--scheme", "greek", "--alpha", "nope",
-                       "--beta", "0", "--gamma-re", "0", "--gamma-im", "0",
-                       "--kmin", "1", "--kmax", "2", "--steps", "3")
-    assert code == 2 and "error" in err
-    code, _, err = run("scatter", "--scheme", "greek", "--alpha", "1", "--beta", "0",
-                       "--gamma-re", "0", "--gamma-im", "0",
-                       "--kmin", "-1", "--kmax", "2", "--steps", "3")
-    assert code == 2
-    code, _, err = run("bound-states")  # no scheme at all
-    assert code == 2
-
-
-def test_unknown_config_key_exits_2(run, tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("\n# blank, comment and task lines are skipped\ntask = x\nnonsense = 42\n",
+     "unknown config key 'nonsense'"),
+    ("alpha 1\n", "{cfg}:1: expected key = value"),
+    ("format = xml\n", "unknown format 'xml'"),
+    ("scheme = foo\n", f"unknown scheme 'foo'; choose from {sorted(cli._SCHEMES)}"),
+    (None, "cannot read config file: [Errno 2] No such file or directory: '{cfg}'"),
+], ids=["unknown_key", "no_equals", "format", "scheme", "missing_file"])
+def test_bad_config_file_exits_2(run, tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense = 42\n")
-    code, _, err = run("bound-states", "--config", str(cfg))
-    assert code == 2 and "nonsense" in err
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run("bound-states", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {message.format(cfg=cfg)}\n")
 
 
 def test_degenerate_parametrization_exits_3(run):
@@ -467,20 +463,36 @@ def test_readme_lists_each_schemes_options():
                         for kind, (names, _) in cli._SCHEMES.items()]
 
 
-@pytest.mark.parametrize("argv", [
-    ("bands", *_GENERIC, "--ell=-1", "--mmax", "12"),
-    ("bands", *_GENERIC, "--ell", "1", "--mmax", "0"),
-    ("bands", "--scheme", "greek", "--alpha=-3", "--beta=-1", "--gamma-re", "1",
-     "--gamma-im", "0", "--ell", "1", "--mmax", "12"),  # decoupled: no lattice
-    ("berry", "--a", "-2", "--cmod", "0.6", "--samples", "2"),
-    ("berry", "--a", "-2", "--cmod=-0.5", "--samples", "50"),
-    ("bands", "--scheme", "greek", "--alpha=-5", "--beta", "0", "--gamma-re", "0.5",
-     "--gamma-im", "0.2", "--ell", "3", "--mmax", "8"),  # intermediate fit with band 1 below 0
+@pytest.mark.parametrize("argv, message", [
+    (("scatter", "--scheme", "greek", "--alpha", "nope", "--beta", "0", "--gamma-re", "0",
+      "--gamma-im", "0", "--kmin", "1", "--kmax", "2", "--steps", "3"),
+     "option 'alpha': not a number: 'nope'"),
+    (("scatter", "--scheme", "greek", "--alpha", "1", "--beta", "0", "--gamma-re", "0",
+      "--gamma-im", "0", "--kmin", "-1", "--kmax", "2", "--steps", "3"),
+     "need 0 < kmin <= kmax and steps >= 1"),
+    (("bound-states",), "no parametrization given (use --scheme)"),
+    (("bands", *_GENERIC, "--ell=-1", "--mmax", "12"), "ell must be positive and finite"),
+    (("bands", *_GENERIC, "--ell", "1", "--mmax", "0"), "need mmax >= 1"),
+    (("bands", "--scheme", "greek", "--alpha=-3", "--beta=-1", "--gamma-re", "1",
+      "--gamma-im", "0", "--ell", "1", "--mmax", "12"),  # decoupled: no lattice
+     "lattice requires a coupled (non-separating) scheme"),
+    (("berry", "--a", "-2", "--cmod", "0.6", "--samples", "2"), "a loop needs at least 3 samples"),
+    (("berry", "--a", "-2", "--cmod=-0.5", "--samples", "50"),
+     "need finite a and c_mod > 0 (crossings are excluded)"),
+    (("bands", "--scheme", "greek", "--alpha=-5", "--beta", "0", "--gamma-re", "0.5",
+      "--gamma-im", "0.2", "--ell", "3", "--mmax", "8"),  # intermediate fit with band 1 below 0
+     "band 1 of range (1, 7) lies below zero (e_hi = -5.41574): no k*ell width to fit"),
+    (("bands", *_GENERIC, "--mmax", "12"), "missing required numeric option 'ell'"),
+    (("bands", *_GENERIC, "--ell", "inf", "--mmax", "12"), "option 'ell' must be finite, got inf"),
+    (("bands", *_GENERIC, "--ell", "1", "--mmax", "2.5"),
+     "option 'mmax' must be an integer, got '2.5'"),
+    (("bands", *_GENERIC, "--ell", "1", "--mmax", "12", "--fit-range", "3"),
+     "--fit-range must be 'lo:hi', got '3'"),
+    (("convert", "--scheme", "carreau", "--alpha-c", "1", "--beta-c", "1", "--rho-c=-1",
+      "--theta-c", "0"), "rho_c must be nonnegative"),
 ])
-def test_invalid_lattice_and_loop_options_exit_2(run, argv):
-    code, out, err = run(*argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_invalid_options_exit_2(run, argv, message):
+    assert run(*argv) == (2, "", f"error: {message}\n")
 
 
 def test_attractive_delta_prime_bands(run):

@@ -10,7 +10,7 @@ import pytest
 
 from gpi1d import (CouplingScheme, GreekParams, HalflineBoundary,
                    HalflineParams, InvalidSheet, PoleEvaluation,
-                   green_kernel, green_kernel_dx, kernel_derivative_jump,
+                   green_kernel, green_kernel_dx, green_kernel_halfline, kernel_derivative_jump,
                    point_spectrum)
 from conftest import random_greek, random_halfline
 
@@ -197,6 +197,8 @@ def test_kernel_rejects_unphysical_sheet():
     for k in (1.0, 1 - 0.5j, 0.0):
         with pytest.raises(InvalidSheet):
             green_kernel(scheme, 0.5, 1.0, k)
+    with pytest.raises(InvalidSheet, match=r"^green kernel requires Im k > 0, got k = \(1\+0j\)$"):
+        green_kernel_halfline(HalflineParams(1.0, 2.0, 0.5), 0.5, 1.0, 1.0)
 
 
 def test_kernel_requires_side_at_origin():

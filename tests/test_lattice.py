@@ -52,38 +52,28 @@ def test_lhs_bound_examples():
     assert abs(band_condition_lhs_bound(_spec(0.0, 0.0, 2j)) - 8.0) < 1e-14
 
 
-def test_lattice_rejects_decoupled():
-    with pytest.raises(ValueError):
-        LatticeSpec(CouplingScheme.from_halfline(HalflineParams(1.0, 2.0, 0.0)), 1.0)
-    with pytest.raises(ValueError):
-        _spec(0.0, 1.0, 2.0)  # det = 4, Im gamma = 0
+@pytest.mark.parametrize("call, message", [
+    (lambda _: LatticeSpec(CouplingScheme.from_halfline(HalflineParams(1.0, 2.0, 0.0)), 1.0),
+     "lattice requires a coupled (non-separating) scheme"),
+    (lambda _: _spec(0.0, 1.0, 2.0),  # det = 4, Im gamma = 0
+     "lattice requires a coupled (non-separating) scheme"),
+    (lambda spec: band_condition_rhs(spec, 0.0), "k must be positive"),
+    (lambda spec: monodromy_trace(spec, -1.0), "k must be positive"),
+    (lambda spec: band_structure(spec, 0), "m_max must be >= 1"),
+    (lambda spec: dispersion(spec, BandInterval(1, 0.0, 1.0), 1), "need at least 2 samples"),
+], ids=["decoupled_halfline", "decoupled_greek", "rhs", "monodromy", "m_max", "dispersion"])
+def test_lattice_calls_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call(_spec(1.0, 0.0, 0.0))
+    assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
-def test_monodromy_delta_formula():
-    alpha = 1.3
+@pytest.mark.parametrize("alpha, tol", [(0.0, 1e-13), (1.3, 1e-12)], ids=["free", "delta"])
+def test_monodromy_delta_formula(alpha, tol):
     spec = _spec(alpha, 0.0, 0.0)
     for k in (0.4, 1.0, 6.0):
         assert abs(monodromy_trace(spec, k)
-                   - (2 * math.cos(k) + (alpha / k) * math.sin(k))) < 1e-12
-
-
-def test_monodromy_free():
-    spec = _spec(0.0, 0.0, 0.0)
-    for k in (0.4, 1.0, 6.0):
-        assert abs(monodromy_trace(spec, k) - 2 * math.cos(k)) < 1e-13
-        assert abs(monodromy_trace(spec, k)) <= 2.0 + 1e-13
-
-
-def test_monodromy_agrees_with_band_condition(rng):
-    # |tr| = 2 |RHS| / |w| identically, so the band memberships coincide
-    for _ in range(50):
-        g = random_greek(rng, allow_beta_zero=True)
-        spec = LatticeSpec(CouplingScheme.from_greek(g), float(rng.uniform(0.5, 2.0)))
-        wmod = band_condition_lhs_bound(spec)
-        for k in rng.uniform(0.05, 25.0, 40):
-            tr = monodromy_trace(spec, k)
-            rhs = band_condition_rhs(spec, k)
-            assert abs(abs(tr) - 2 * abs(rhs) / wmod) < 1e-9 * max(1.0, abs(tr))
+                   - (2 * math.cos(k) + (alpha / k) * math.sin(k))) < tol
 
 
 def test_array_trace_matches_scalar_oracles(rng):
@@ -95,12 +85,14 @@ def test_array_trace_matches_scalar_oracles(rng):
         ell = spec.ell
         t = scheme_to_transfer(spec.scheme)
         s, c, b = t.ta + t.td, t.tc, t.tb
-        ks = rng.uniform(0.05, 25.0, 40)
-        qs = rng.uniform(0.05, 6.0, 20)
-        energies = np.concatenate([ks * ks, -qs * qs, [0.0]])
-        rng.shuffle(energies)
+        z = np.concatenate([rng.uniform(0.05, 25.0, 40), -rng.uniform(0.05, 6.0, 20), [0.0]])
+        rng.shuffle(z)
+        energies = z * np.abs(z)
         tr = lattice._floquet_trace(spec._trace_coeffs, ell, energies)
         assert tr.shape == energies.shape
+        # tr sech / sech on the signed wavenumber z is that trace, bit for bit
+        scaled, sech = lattice._trace(spec._trace_coeffs, ell, z)[:2]
+        assert np.array_equal(scaled / sech, tr)
         wmod = band_condition_lhs_bound(spec)
         signs = set()
         for e, val in zip(energies, tr):
@@ -125,19 +117,6 @@ def test_array_trace_matches_scalar_oracles(rng):
         # the three branches join continuously at the threshold
         for e in (1e-14, -1e-14):
             assert abs(trace_at_energy(spec, e) - (s + c * ell)) < 1e-9 * max(1.0, abs(s) + abs(c))
-
-
-def test_signed_wavenumber_trace_is_the_floquet_trace(rng):
-    # tr sech / sech at z is the discriminant at E = z |z|, bit for bit, on
-    # both sides of zero
-    for _ in range(30):
-        g = random_greek(rng, allow_beta_zero=True)
-        spec = LatticeSpec(CouplingScheme.from_greek(g), float(rng.uniform(0.5, 2.0)))
-        coeffs, ell = spec._trace_coeffs, spec.ell
-        z = np.concatenate([rng.uniform(0.05, 25.0, 40), -rng.uniform(0.05, 6.0, 20), [0.0]])
-        rng.shuffle(z)
-        scaled, sech = lattice._trace(coeffs, ell, z)[:2]
-        assert np.array_equal(scaled / sech, lattice._floquet_trace(coeffs, ell, z * np.abs(z)))
 
 
 def test_signed_wavenumber_trace_slopes_match_central_differences(rng):
@@ -227,40 +206,14 @@ def test_band_and_gap_records_are_immutable_hashable_tuples():
     assert GapInterval(2, 3.5, 3.5, closed=True).closed is True
 
 
-def test_free_single_band():
-    bands, gaps = band_structure(_spec(0.0, 0.0, 0.0), 5)
-    assert gaps == []
-    assert len(bands) == 1
-    assert bands[0].e_lo <= 1e-9 and math.isinf(bands[0].e_hi)
-
-
-def test_phase_equivalent_coupling_is_gapless():
-    bands, gaps = band_structure(_spec(0.0, 0.0, 0.9j), 5)
-    assert gaps == [] and len(bands) == 1
-
-
-def test_phase_equivalent_coupling_rounded_past_the_identity_is_gapless():
-    # ta = td = 1 + 2^-52: M = I up to the rounding of det M = 1, where
+@pytest.mark.parametrize("gamma, ta", [(0j, 1.0), (0.9j, 1.0), (-1.6208877449286674j, 1 + 2 ** -52)],
+                         ids=["free", "phase_equivalent", "rounded_past_the_identity"])
+def test_identity_transfer_factor_is_gapless(gamma, ta):
+    # M = I, up to the rounding of det M = 1 at ta = td = 1 + 2^-52, where
     # |tr| = 2 ta |cos(k ell)| would read tiny gaps at every (pi m / ell)^2
-    spec = _spec(0.0, 0.0, -1.6208877449286674j)
-    assert spec._transfer.ta == spec._transfer.td > 1.0
+    spec = _spec(0.0, 0.0, gamma)
+    assert spec._transfer.ta == spec._transfer.td == ta
     assert band_structure(spec, 5) == ([BandInterval(1, 0.0, math.inf)], [])
-
-
-def test_delta_gap_anchors():
-    bands, gaps = band_structure(_spec(1.0, 0.0, 0.0), 12)
-    for gp in gaps:
-        anchor = (PI * gp.m) ** 2
-        assert min(abs(gp.e_lo - anchor), abs(gp.e_hi - anchor)) < 1e-8
-        assert gp.e_lo == pytest.approx(anchor, abs=1e-8)  # gap starts there for alpha > 0
-
-
-def test_delta_prime_band_widths_approach_constant():
-    # band 1 is the bound-state band, so the band starting at (50 pi)^2 is band 51
-    bands, _ = band_structure(_spec(0.0, 1.0, 0.0), 52)
-    b50 = next(b for b in bands if b.m == 51)
-    assert abs(b50.width - 8.0) < 0.05 * 8.0
-    assert b50.e_lo == pytest.approx((50 * PI) ** 2, abs=1e-8)
 
 
 def test_band_ordering_and_disjointness(rng):
@@ -278,13 +231,6 @@ def test_band_ordering_and_disjointness(rng):
         # edges really sit on |tr| = 2
         for b in bands[1:]:
             assert abs(abs(trace_at_energy(spec, b.e_lo)) - 2.0) < 1e-7
-
-
-def test_negative_energy_band():
-    # attractive delta lattice: lowest band dips below zero
-    bands, _ = band_structure(_spec(-2.0, 0.0, 0.0), 3)
-    assert bands[0].e_lo < 0
-    assert abs(abs(trace_at_energy(_spec(-2.0, 0.0, 0.0), bands[0].e_lo)) - 2.0) < 1e-7
 
 
 def test_band_structure_gauge_invariance(rng):
@@ -790,14 +736,16 @@ def test_band_structure_takes_the_trace_once_per_grid_point(monkeypatch, greek, 
     assert len(set(seen)) == len(seen)
 
 
-@pytest.mark.parametrize("alpha", [-1.0, -2.4, -2.6, -6.0])
+@pytest.mark.parametrize("alpha", [-1.0, -2.0, -2.4, -2.6, -6.0])
 def test_attractive_delta_bands_are_counted_from_the_bottom(alpha):
     # on both sides of |alpha| = pi^2/4, where labels by the nearest (pi m)^2
-    # switch from calling the bound-state band 1 to calling it 0; band 2
-    # starts at the first Dirichlet point pi^2
-    bands, gaps = band_structure(_spec(alpha, 0.0, 0.0), 8)
+    # switch from calling the bound-state band 1 to calling it 0; band 1 dips
+    # below zero and band 2 starts at the first Dirichlet point pi^2
+    spec = _spec(alpha, 0.0, 0.0)
+    bands, gaps = band_structure(spec, 8)
     assert [b.m for b in bands] == list(range(1, 9))
     assert [gp.m for gp in gaps] == list(range(1, 8))
+    assert bands[0].e_lo < 0 and abs(abs(trace_at_energy(spec, bands[0].e_lo)) - 2.0) < 1e-7
     assert bands[1].e_lo == pytest.approx(PI ** 2, rel=1e-12)
 
 

@@ -86,25 +86,6 @@ def test_c_zero_round_trips_to_decoupling_locus(rng):
         assert abs(g.gamma.imag) < 1e-12
 
 
-def test_det_identity(rng):
-    # det = 4 (a+b+2Re c)/(a+b-2Re c) wherever both sides are defined
-    for _ in range(300):
-        h = random_halfline(rng)
-        g = halfline_to_greek(h)
-        lhs = g.det
-        rhs = 4.0 * (h.a + h.b + 2 * h.c.real) / (h.a + h.b - 2 * h.c.real)
-        assert close(lhs, rhs, 1e-10)
-
-
-def test_greek_halfline_round_trip(rng):
-    for _ in range(500):
-        g = random_greek(rng)
-        g2 = halfline_to_greek(greek_to_halfline(g))
-        assert close(g2.alpha, g.alpha, 1e-10)
-        assert close(g2.beta, g.beta, 1e-10)
-        assert close(g2.gamma, g.gamma, 1e-10)
-
-
 # ---------------------------------------------------------------------------
 # halfline <-> inverse
 # ---------------------------------------------------------------------------
@@ -124,15 +105,6 @@ def test_inverse_preserves_spectral_condition(rng):
         for kappa in map(float, exact_roots(h)):
             val = (1 + kappa * i.A) * (1 + kappa * i.B) - kappa ** 2 * abs(i.C) ** 2
             assert abs(val) < 1e-9
-
-
-def test_halfline_inverse_round_trip(rng):
-    for _ in range(500):
-        h = random_halfline(rng)
-        h2 = inverse_to_halfline(halfline_to_inverse(h))
-        assert close(h2.a, h.a, 1e-10)
-        assert close(h2.b, h.b, 1e-10)
-        assert close(h2.c, h.c, 1e-10)
 
 
 def test_delta_anchor_inverse_form():
@@ -290,15 +262,6 @@ def test_carreau_matrix_image_closed_form(rng):
                                    - 2j * p.rho_c * math.sin(p.theta_c)) / den, 1e-10)
 
 
-def test_carreau_validation():
-    with pytest.raises(ValueError):
-        CarreauParams(0.0, 0.0, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        CarreauParams(0.0, 0.0, 1.0, 7.0)
-    with pytest.raises(ValueError, match="0.5j"):
-        CarreauParams(0.5j, 0.0, 1.0, 0.0)
-
-
 @pytest.mark.parametrize("make", [
     lambda: GreekParams(1 + 2j, 0.5, 0.3j),   # complex alpha: det would be complex
     lambda: GreekParams(1.0, np.complex128(0.5), 0.3j),
@@ -319,6 +282,28 @@ def test_carreau_validation():
 def test_records_refuse_complex_or_nonnumeric_real_fields(make):
     with pytest.raises(ValueError, match="parameters must be finite"):
         make()
+
+
+@pytest.mark.parametrize("make, refusal", [
+    (lambda: CarreauParams(0.0, 0.0, -1.0, 0.0), "ValueError: rho_c must be nonnegative"),
+    (lambda: CarreauParams(0.0, 0.0, 1.0, 7.0), "ValueError: theta_c must lie in [0, 2*pi)"),
+    (lambda: CarreauParams(0.5j, 0.0, 1.0, 0.0),
+     "ValueError: parameters must be finite real numbers, got 0.5j"),
+    (lambda: SebaParams(-1.0, 0.0, -0.5, 1.0), "ValueError: alpha_s + gamma_s must equal -2"),
+    (lambda: SebaParams(-1.0, 1.0, -1.0, 1.0),
+     "ValueError: alpha_s*gamma_s - beta_s*delta_s must equal 1"),
+    (lambda: seba_to_halfline(SebaParams(-1.0, 0.0, -1.0, 0.0)), "DegenerateParametrization: "
+     "degenerate parametrization: denominator 'delta_s' vanishes (|value| = 0.000e+00)"),
+    (lambda: HalflineBoundary("foo"), "ValueError: unknown boundary kind 'foo'"),
+    (lambda: CouplingScheme(), "ValueError: exactly one of greek/separated must be given"),
+    (lambda: CouplingScheme.from_halfline(HalflineParams(1.0, 1.0, 1.0)), "DegenerateParametrization: "
+     "degenerate parametrization: denominator 'a+b-2Re(c)' vanishes (|value| = 0.000e+00)"),
+], ids=["carreau-rho", "carreau-theta", "carreau-alpha", "seba-sum", "seba-det", "seba-delta",
+        "kind", "scheme", "scheme-no-matrix-form"])
+def test_records_refuse_inconsistent_fields(make, refusal):
+    with pytest.raises(Exception) as info:
+        make()
+    assert f"{type(info.value).__name__}: {info.value}" == refusal
 
 
 # The four chart records accept exact floats and an exact complex in one test
@@ -594,11 +579,6 @@ def test_seba_images_are_time_reversal_invariant(rng):
             assert close(g.beta, -ds, 1e-9)
 
 
-def test_seba_requires_delta_s():
-    with pytest.raises(DegenerateParametrization):
-        seba_to_halfline(SebaParams(-1.0, 0.0, -1.0, 0.0))
-
-
 def test_chernoff_hughes_examples():
     # r = 0, z real: off-diagonal coupling alpha = beta = 0, gamma real
     g = chernoff_hughes_to_greek(ChernoffHughesParams(0.0, math.log(3.0)))
@@ -696,11 +676,6 @@ def test_decoupled_greek_beta_zero_gives_dirichlet_side():
 
 def test_robin_zero_is_neumann():
     assert HalflineBoundary.robin(0.0).kind == "neumann"
-
-
-def test_from_halfline_rejects_missing_matrix_form():
-    with pytest.raises(DegenerateParametrization):
-        CouplingScheme.from_halfline(HalflineParams(1.0, 1.0, 1.0))
 
 
 def test_classify_symmetries_examples():

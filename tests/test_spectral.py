@@ -15,7 +15,7 @@ from gpi1d import (BindingKind, CouplingScheme, DegenerateParametrization,
                    denominator_D, denominator_F, gauge_transform, greek_to_halfline,
                    green_kernel, green_kernel_dx, green_kernel_greek, kernel_residue,
                    params, point_spectrum, s_matrix, s_matrix_array,
-                   scattering_asymptotics, spectral)
+                   scattering_asymptotics)
 from gpi1d.errors import GpiError
 from conftest import exact_roots, random_greek, random_halfline, random_scheme, reference_free
 
@@ -353,6 +353,10 @@ def test_s_matrix_array_rejects_bad_wavenumbers():
         s_matrix_array(scheme, np.array([1.0, 2.0 - 3.0j, 1.0j]))
     with pytest.raises(InvalidWavenumber):
         s_matrix(scheme, 1 + 1j)
+    # the rest of the message is numpy's, whose wording varies by version
+    with pytest.raises(InvalidWavenumber, match="^k must be an array of positive real numbers: "
+                                                "could not convert string to float: "):
+        s_matrix_array(scheme, np.array(["a"]))
 
 
 # its halfline form has |a|, |b|, |c| of about 1.9e154, so |c|^2 overflows
@@ -371,30 +375,8 @@ def test_s_matrix_refuses_a_halfline_form_past_the_float_range():
 
 
 # ---------------------------------------------------------------------------
-# asymptotics (Richardson oracle lives in the acceptance suite; here: structure)
+# asymptotics (the Richardson oracle and the random loops live in acceptance criterion 6)
 # ---------------------------------------------------------------------------
-
-def test_low_energy_decoupling_for_alpha_nonzero(rng):
-    for _ in range(50):
-        g = random_greek(rng, allow_beta_zero=True)
-        if abs(g.alpha) < 0.1:
-            continue
-        asym = scattering_asymptotics(CouplingScheme.from_greek(g))
-        assert asym.low.branch == "alpha_nonzero"
-        assert asym.low.r_limit == -1.0 and asym.low.t_limit == 0
-        amp = s_matrix(CouplingScheme.from_greek(g), 1e-7)
-        assert abs(amp.r + 1.0) < 1e-5 and abs(amp.t) < 1e-5
-
-
-def test_high_energy_decoupling_for_beta_nonzero(rng):
-    # full high-energy decoupling: |r| -> 1, t -> 0, Neumann-type limit r -> +1
-    for _ in range(50):
-        g = random_greek(rng)
-        asym = scattering_asymptotics(CouplingScheme.from_greek(g))
-        assert asym.high.branch == "beta_nonzero"
-        assert asym.high.r_limit == 1.0 and asym.high.t_limit == 0
-        amp = s_matrix(CouplingScheme.from_greek(g), 1e7)
-        assert abs(amp.r - 1.0) < 1e-5 and abs(amp.t) < 1e-5
 
 
 def test_transparency_iff_re_gamma_zero():
@@ -411,20 +393,6 @@ def test_transparency_iff_re_gamma_zero():
     # Re gamma != 0 is opaque in both limits
     asym = scattering_asymptotics(CouplingScheme.from_greek(GreekParams(0.0, 1.0, 0.5 + 0.5j)))
     assert 0 < abs(asym.low.t_limit) < 1 and abs(asym.low.r_limit) > 0
-
-
-def test_low_high_duality(rng):
-    # alpha = 0 low-energy constants equal beta = 0 high-energy constants
-    for _ in range(30):
-        gamma = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-        g_low = GreekParams(0.0, rng.uniform(0.2, 2.0), gamma)
-        g_high = GreekParams(rng.uniform(0.2, 2.0), 0.0, gamma)
-        if abs(abs(gamma) ** 2 - 4) < 1e-2:
-            continue
-        low = scattering_asymptotics(CouplingScheme.from_greek(g_low)).low
-        high = scattering_asymptotics(CouplingScheme.from_greek(g_high)).high
-        assert abs(low.r_limit - high.r_limit) < 1e-14
-        assert abs(low.t_limit - high.t_limit) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,11 @@ def random_scheme(rng: np.random.Generator, allow_beta_zero: bool = False) -> Co
 # reference formulas
 # ---------------------------------------------------------------------------
 
+def close(x, y, tol=1e-12) -> bool:
+    """|x - y| within tol relative to max(1, |x|, |y|)."""
+    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+
+
 def exact_roots(p: GreekParams | HalflineParams) -> list[decimal.Decimal]:
     """Roots kappa of either form's spectral quadratic to 60 digits, small root first.
 

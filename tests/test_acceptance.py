@@ -21,7 +21,7 @@ from gpi1d import (CouplingScheme, GreekParams, HalflineParams, ParameterLoop,
                    kernel_derivative_jump, LatticeSpec, monodromy_trace,
                    point_spectrum, s_matrix, scattering_asymptotics,
                    PoleEvaluation)
-from conftest import exact_roots, random_greek, random_halfline, random_scheme
+from conftest import close, exact_roots, random_greek, random_halfline, random_scheme
 
 PI = math.pi
 
@@ -34,10 +34,9 @@ def _report(n: int, text: str) -> None:
 # 1. conversion round trips
 # ---------------------------------------------------------------------------
 
-def _field_gap(p, q) -> float:
-    # the worst |x - y| / max(1, |x|, |y|) over the fields of two records of one chart
-    return max(abs(x - y) / max(1.0, abs(x), abs(y))
-               for x, y in zip(vars(p).values(), vars(q).values()))
+def _same_fields(p, q) -> bool:
+    # two records of one chart agree field by field to 1e-10
+    return all(close(x, y, 1e-10) for x, y in zip(vars(p).values(), vars(q).values()))
 
 
 def test_criterion_1_conversion_round_trips():
@@ -62,19 +61,18 @@ def test_criterion_1_conversion_round_trips():
     elapsed = time.perf_counter() - t0
     # each field to its own size: g -> h -> g on the same draws, then h -> i -> h
     # and the det identity from the halfline side on 500 halfline draws
-    worst_field = max(_field_gap(g, halfline_to_greek(h)) for g, h in draws)
+    for g, h in draws:
+        assert _same_fields(g, halfline_to_greek(h)), g
     for _ in range(500):
         h = random_halfline(rng)
-        det = halfline_to_greek(h).det
         det_rhs = 4.0 * (h.a + h.b + 2 * h.c.real) / (h.a + h.b - 2 * h.c.real)
-        worst_field = max(worst_field, _field_gap(h, inverse_to_halfline(halfline_to_inverse(h))),
-                          abs(det - det_rhs) / max(1.0, abs(det), abs(det_rhs)))
+        assert _same_fields(h, inverse_to_halfline(halfline_to_inverse(h))), h
+        assert close(halfline_to_greek(h).det, det_rhs, 1e-10), h
     assert worst_rt <= 1e-10
     assert worst_det <= 1e-10
-    assert worst_field <= 1e-10
     assert elapsed < 1.0
     _report(1, f"1000 round trips, worst rel err {worst_rt:.2e}, det identity {worst_det:.2e}, "
-               f"per field (+500 halfline) {worst_field:.2e}, {elapsed:.2f}s (< 1 s)")
+               f"per field to 1e-10 (+500 halfline), {elapsed:.2f}s (< 1 s)")
 
 
 # ---------------------------------------------------------------------------

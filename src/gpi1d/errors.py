@@ -13,14 +13,20 @@ class DegenerateParametrization(GpiError):
     """A conversion denominator is (numerically) zero.
 
     The offending denominator is named so callers can route through an
-    alternative parametrization (e.g. the inverse form when beta = 0).
+    alternative parametrization (e.g. the inverse form when beta = 0).  With
+    a target, the named quantity is one that must equal the target and
+    misses it by magnitude instead.
     """
 
-    def __init__(self, denominator: str, magnitude: float | None = None):
+    def __init__(self, denominator: str, magnitude: float | None = None, *,
+                 target: float | None = None):
         self.denominator = denominator
         self.magnitude = magnitude
         msg = f"degenerate parametrization: denominator {denominator!r} vanishes"
-        if magnitude is not None:
+        if target is not None:
+            msg = (f"degenerate parametrization: {denominator!r} misses {target:g}"
+                   f" by {magnitude:.3e}")
+        elif magnitude is not None:
             if not math.isfinite(magnitude):
                 msg = f"degenerate parametrization: {denominator!r} is not finite"
             msg += f" (|value| = {magnitude:.3e})"

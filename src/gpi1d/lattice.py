@@ -450,10 +450,17 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     m is the m-th band from the bottom (m = 1..m_max); gap m, between bands
     m and m+1, holds the m-th Dirichlet point, (pi m / ell)^2 when beta = 0.
     M = +-I (the free and phase-equivalent couplings) has no gap: one band
-    [0, inf) comes back.  The records are named tuples.
+    [0, inf) comes back.  The records are named tuples.  The two edges of a
+    band narrower than the edge tolerance both lie within it of the band and
+    may be solved in either order, so each band takes its two edges in
+    ascending order, and the gaps take theirs from the ordered edges.  m_max
+    may be any whole number, 60.0 included.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if m_max % 1 != 0:
+        raise ValueError(f"m_max must be a whole number, got {m_max!r}")
+    m_max = int(m_max)
     t = spec._transfer
     if t.tb == 0.0 and t.tc == 0.0 and t.ta == t.td:
         # M = +-I up to the rounding of det M = 1: tr = +-2 cos(k ell)
@@ -546,7 +553,8 @@ def band_structure(spec: LatticeSpec, m_max: int) -> tuple[list[BandInterval], l
     edges *= np.abs(edges)
     # an edge within the refinement tolerance of zero is the threshold itself
     edges = np.where(np.abs(edges) < _EDGE_XTOL, 0.0, edges)
-    lo, hi = edges[0::2], edges[1::2]
+    # the edges of a band narrower than the tolerance may come in either order
+    lo, hi = np.minimum(edges[0::2], edges[1::2]), np.maximum(edges[0::2], edges[1::2])
     # a gap is closed where its width is within the edge solver's tolerance
     closed = lo[1:] - hi[:-1] <= _TWO * _xtol(hi[:-1], lo[1:])
     # the records, built as _make builds them but without a Python call each
@@ -562,12 +570,14 @@ def dispersion(spec: LatticeSpec, band: BandInterval,
     """(energy, theta) samples across one band, theta in [0, pi].
 
     theta is the Floquet phase arccos(tr/2) of the real monodromy factor; band
-    edges land on theta in {0, pi}.
+    edges land on theta in {0, pi}.  n_samples may be any whole number.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if n_samples % 1 != 0:
+        raise ValueError(f"n_samples must be a whole number, got {n_samples!r}")
     hi = band.e_hi if math.isfinite(band.e_hi) else band.e_lo + 10.0 / spec.ell ** 2
-    es = np.linspace(band.e_lo, hi, n_samples)
+    es = np.linspace(band.e_lo, hi, int(n_samples))
     tr = _floquet_trace(spec._trace_coeffs, spec.ell, es)
     return list(zip(es.tolist(), np.arccos(np.clip(tr / 2.0, -1.0, 1.0)).tolist()))
 
@@ -609,9 +619,12 @@ def asymptotic_regime(spec: LatticeSpec, m_range: tuple[int, int]) -> RegimeRepo
     against 2 arcsin|t_inf| (gap against 2 arccos); a window band below zero
     has no k*ell width and raises InsufficientBands.  delta-like: mean gap width
     against 8|alpha|/((4+|gamma|^2) ell), plus the (pi m / ell)^2 gap-endpoint
-    anchors.
+    anchors.  The band indices may be any whole numbers.
     """
     m_lo, m_hi = m_range
+    if m_lo % 1 != 0 or m_hi % 1 != 0:
+        raise ValueError(f"m_range must hold whole numbers, got {m_range!r}")
+    m_lo, m_hi = int(m_lo), int(m_hi)
     if m_hi - m_lo + 1 < 5:
         raise InsufficientBands("need at least 5 band indices to fit the regime")
     bands, gaps = band_structure(spec, m_hi + 1)

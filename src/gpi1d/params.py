@@ -581,11 +581,12 @@ def greek_to_transfer(g: GreekParams) -> TransferParams:
     re2, half_re = 2.0 * omega0.real, e * gamma.real / 2.0
     ta = s * ((e - re2 - half_re) / 2.0)
     td = s * ((e - re2 + half_re) / 2.0)
+    tb, tc = s * (e * beta / 4.0), s * (alpha * e / 4.0)
     try:
-        return TransferParams(complex(s * omega0.real, s * omega0.imag), ta,
-                              s * (e * beta / 4.0), s * (alpha * e / 4.0), td)
+        return TransferParams(complex(s * omega0.real, s * omega0.imag), ta, tb, tc, td)
     except ValueError:  # ta td - tb tc rounded away from 1: ta, td cancel in E -+ E Re gamma / 2
-        raise DegenerateParametrization("|4-det+4i*Im(gamma)|", wmod) from None
+        raise DegenerateParametrization("ta*td-tb*tc", abs(ta * td - tb * tc - 1.0),
+                                        target=1.0) from None
 
 
 def scheme_to_transfer(scheme: CouplingScheme) -> TransferParams:

@@ -507,7 +507,7 @@ def s_matrix_array(scheme: CouplingScheme, k):
     the scheme built at construction (the matrix form where beta = 0).  Raises
     InvalidWavenumber naming the first k that is complex (the first with a
     nonzero imaginary part, if any), or else the first that is not finite and
-    positive.
+    positive, or the dtype of an array that does not convert to float.
     """
     import numpy as np
 
@@ -518,8 +518,9 @@ def s_matrix_array(scheme: CouplingScheme, k):
             raise InvalidWavenumber(
                 f"k must be a positive real number, got {complex(k.flat[i])!r} at index {i}")
         k = k.astype(float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidWavenumber(f"k must be an array of positive real numbers: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # numpy's text changes with its version
+        got = f"dtype {k.dtype}" if isinstance(k, np.ndarray) else type(k).__name__
+        raise InvalidWavenumber(f"k must be an array of positive real numbers, got {got}") from exc
     bad = np.flatnonzero(~(np.isfinite(k) & (k > 0)))
     if bad.size:
         raise InvalidWavenumber(

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import decimal
+import functools
 import os
 import subprocess
 import sys
@@ -93,6 +94,68 @@ def exact_roots(p: GreekParams | HalflineParams) -> list[decimal.Decimal]:
         sq = (c1 * c1 - 4 * c2 * c0).sqrt()
         roots = [(-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)]
         return sorted(roots, key=abs)
+
+
+@functools.cache
+def _half_pi() -> decimal.Decimal:
+    # the decimal module documentation's recipe for pi, at 72 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 72
+        lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        return s / 2
+
+
+def _cos_sin(x: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
+    # x = j pi/2 + r with |r| <= pi/4, and the Taylor series of cos r and sin r
+    # summed term by term together, to the context precision
+    j = (x / _half_pi()).to_integral_value()
+    r = x - j * _half_pi()
+    cos, sin, term, n = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1), 0
+    while True:
+        last = cos, sin
+        cos += term
+        term = term * r / (n + 1)
+        sin += term
+        term = -term * r / (n + 2)
+        n += 2
+        if (cos, sin) == last:
+            return ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[int(j) % 4]
+
+
+def exact_trace(greek: GreekParams, ell: float, energy: float) -> decimal.Decimal:
+    """The Floquet trace of the lattice at a float energy to 60 digits.
+
+    tr = sgn 2 RHS / |w| from the band condition (the lattice module docstring),
+    with k = i q below zero and sgn = -1 for beta < 0, else +1, the sign of the
+    transfer factor that greek_to_transfer builds.  The inputs are the binary
+    floats, read exactly.
+    """
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 70
+        alpha, beta, cell = dec(greek.alpha), dec(greek.beta), dec(ell)
+        re, im = dec(greek.gamma.real), dec(greek.gamma.imag)
+        det = alpha * beta + re * re + im * im
+        e = dec(energy)
+        if e > 0:  # cos(k ell) and sin(k ell) / k
+            k = e.sqrt()
+            even, odd = _cos_sin(k * cell)
+            odd /= k
+        elif e < 0:  # cosh(q ell) and sinh(q ell) / q
+            q = (-e).sqrt()
+            grow = (q * cell).exp()
+            even, odd = (grow + 1 / grow) / 2, (grow - 1 / grow) / (2 * q)
+        else:
+            even, odd = dec(1), cell
+        rhs = (4 + det) * even + 2 * (alpha - beta * e) * odd
+        trace = 2 * rhs / ((4 - det) ** 2 + 16 * im * im).sqrt()
+        return -trace if greek.beta < 0 else trace
 
 
 def reference_free(sx, sxp, x, xp, k, diag_side=None):

@@ -7,8 +7,9 @@ import math
 
 import pytest
 
-from gpi1d import GreekParams, HalflineParams, greek_to_halfline
-from conftest import exact_roots, random_greek, reference_free
+from gpi1d import (CouplingScheme, GreekParams, HalflineParams, LatticeSpec, greek_to_halfline,
+                   trace_at_energy)
+from conftest import exact_roots, exact_trace, random_greek, reference_free
 
 
 @pytest.mark.parametrize("p, want", [
@@ -54,3 +55,21 @@ def test_reference_free_is_the_dirichlet_green_function(s, k):
     # the two branches are one function: no step where they meet
     below, above = (reference_free(s, s, s * q * f, s * (q + 1.0), k) for f in (1 - 1e-9, 1 + 1e-9))
     assert abs(below - above) <= 1e-8 * abs(below), (below, above)
+
+
+def test_exact_trace_is_the_floquet_trace(rng):
+    # sign included, below zero, at zero and above, on couplings of both signs of beta
+    for _ in range(40):
+        g = random_greek(rng, allow_beta_zero=True)
+        ell = float(rng.uniform(0.5, 2.0))
+        spec = LatticeSpec(CouplingScheme.from_greek(g), ell)
+        s, c, b = spec._trace_coeffs
+        for e in [0.0, *-rng.uniform(0.01, 25.0, 3), *rng.uniform(0.01, 400.0, 3)]:
+            q = math.sqrt(abs(e))
+            # the size of the float trace's terms: s cos + (c/k - b k) sin above
+            # zero, s cosh + (c/q + b q) sinh below, s + c ell at zero
+            scale = (abs(s) + abs(c / q - b * q) if e > 0 else
+                     abs(s) * math.cosh(q * ell) + abs(c / q + b * q) * math.sinh(q * ell) if e < 0
+                     else abs(s) + abs(c) * ell)
+            got, want = float(exact_trace(g, ell, e)), trace_at_energy(spec, e)
+            assert abs(got - want) <= 1e-12 * max(1.0, scale), (g, ell, e, got, want)

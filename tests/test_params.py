@@ -510,8 +510,9 @@ def test_greek_to_transfer_refuses_a_record_that_misses_det_one():
     with pytest.raises(DegenerateParametrization) as info:
         greek_to_transfer(GreekParams(3.715587397906834, 0.0,
                                       1.990990659703986 + 0.02903491371520401j))
-    assert info.value.denominator == "|4-det+4i*Im(gamma)|"
-    assert 0.12 < info.value.magnitude < 0.13
+    assert str(info.value) == "degenerate parametrization: 'ta*td-tb*tc' misses 1 by 1.080e-12"
+    assert info.value.denominator == "ta*td-tb*tc"
+    assert 1.07e-12 < info.value.magnitude < 1.09e-12
 
 
 @pytest.mark.parametrize("greek", [

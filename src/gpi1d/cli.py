@@ -14,6 +14,15 @@ Complex values serialize as two-element [re, im] arrays in JSON and as paired
 *_re / *_im columns in CSV; CSV carries the summary as leading '# key = value'
 comment lines so both formats encode identical values.
 
+Each task hands its table to `_emit` as columns, one list of cells per
+column, and `_emit` renders each column's cells once: a column of finite floats
+or of ints by `repr`, a column of `str` by the JSON string encoder, any other
+column (non-finite floats, complex or nested values, mixed types) cell by cell
+through the JSON encoder; it then joins each row's cells, one row per line.
+CSV does the same with `str` for a table of ints and floats; a table with any
+other cell goes through `csv.writer`.  Either way the bytes are those of
+`json.dumps` of each row and of `csv.writer`.
+
 The JSON object holds "summary", "columns" and "rows", with summary and
 columns indented by two spaces and one table row per line:
 
@@ -39,10 +48,10 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import berry as berry_mod
 from . import spectral
@@ -158,7 +167,8 @@ def _c(value: complex) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Tasks: each returns (summary: dict, header: list[str], rows: list[list[float|str]])
+# Tasks: each returns (summary: dict, header: list[str], columns: list[list]),
+# one column of cells per header entry
 # ---------------------------------------------------------------------------
 
 def _task_convert(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
@@ -170,13 +180,14 @@ def _task_convert(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
         "space_reflection": flags.space_reflection,
         "quasifree": flags.quasifree,
     }
-    rows: list[list] = []
     header = ["form", "field", "value_re", "value_im"]
+    columns: list[list] = [[] for _ in header]
+    forms, fields, re_parts, im_parts = columns
     if scheme.is_separated:
         sep = scheme.separated
         summary["right"] = f"{sep.right.kind}({sep.right.slope:g})"
         summary["left"] = f"{sep.left.kind}({sep.left.slope:g})"
-        return summary, header, rows
+        return summary, header, columns
     g = scheme.greek
     summary["det"] = g.det
     # a record's instance dict holds its fields, in order, and nothing else
@@ -189,21 +200,23 @@ def _task_convert(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
             continue
         for name, val in vars(rec).items():
             val = complex(val)
-            rows.append([form, name, val.real, val.imag])
-    return summary, header, rows
+            forms.append(form)
+            fields.append(name)
+            re_parts.append(val.real)
+            im_parts.append(val.imag)
+    return summary, header, columns
 
 
 def _task_bound_states(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
     points = spectral.point_spectrum(scheme)
     summary = {"task": "bound-states",
                "n_bound": sum(p.kind is spectral.PointKind.BOUND for p in points)}
-    rows = []
-    for p in points:
-        mu = p.mu if p.mu is not None else 0.0j
-        nu = p.nu if p.nu is not None else 0.0j
-        rows.append([p.kind.value, p.kappa, p.energy,
-                     mu.real, mu.imag, nu.real, nu.imag])
-    return summary, ["kind", "kappa", "energy", "mu_re", "mu_im", "nu_re", "nu_im"], rows
+    mu = [0.0j if p.mu is None else p.mu for p in points]
+    nu = [0.0j if p.nu is None else p.nu for p in points]
+    columns = [[p.kind.value for p in points], [p.kappa for p in points],
+               [p.energy for p in points], [v.real for v in mu], [v.imag for v in mu],
+               [v.real for v in nu], [v.imag for v in nu]]
+    return summary, ["kind", "kappa", "energy", "mu_re", "mu_im", "nu_re", "nu_im"], columns
 
 
 def _task_scatter(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
@@ -217,9 +230,9 @@ def _task_scatter(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
     k = kmin + (kmax - kmin) * np.arange(steps) / (steps - 1) if steps > 1 else np.full(1, kmin)
     r, t = spectral.s_matrix_array(scheme, k)
     unitarity = np.abs(r) ** 2 + np.abs(t) ** 2
-    rows = np.column_stack([k, r.real, r.imag, t.real, t.imag, unitarity]).tolist()
+    columns = [col.tolist() for col in (k, r.real, r.imag, t.real, t.imag, unitarity)]
     summary = {"task": "scatter", "kmin": kmin, "kmax": kmax, "steps": steps}
-    return summary, ["k", "r_re", "r_im", "t_re", "t_im", "unitarity"], rows
+    return summary, ["k", "r_re", "r_im", "t_re", "t_im", "unitarity"], columns
 
 
 def _task_berry(args) -> tuple[dict, list, list]:
@@ -239,8 +252,8 @@ def _task_berry(args) -> tuple[dict, list, list]:
     n = loop.samples
     w = result._overlaps
     xi = 2.0 * math.pi * np.arange(n) / n
-    rows = list(map(list, zip(range(n), xi.tolist(), w.real.tolist(), w.imag.tolist())))
-    return summary, ["step", "xi", "overlap_re", "overlap_im"], rows
+    columns = [list(range(n)), xi.tolist(), w.real.tolist(), w.imag.tolist()]
+    return summary, ["step", "xi", "overlap_re", "overlap_im"], columns
 
 
 def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
@@ -255,8 +268,10 @@ def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bands, gaps = lattice_mod.band_structure(spec, m_max)
-    rows = ([["band", b.m, b.e_lo, b.e_hi, b.width] for b in bands]
-            + [["gap", gp.m, gp.e_lo, gp.e_hi, gp.width] for gp in gaps])
+    intervals = [*bands, *gaps]
+    columns = [["band"] * len(bands) + ["gap"] * len(gaps), [iv.m for iv in intervals],
+               [iv.e_lo for iv in intervals], [iv.e_hi for iv in intervals],
+               [iv.width for iv in intervals]]
     summary: dict = {"task": "bands", "ell": ell, "m_max": m_max,
                      "n_bands": len(bands), "n_gaps": len(gaps)}
     fit, m_range = args.fit_range, None
@@ -280,7 +295,7 @@ def _task_bands(scheme: CouplingScheme, args) -> tuple[dict, list, list]:
             summary[f"predicted_{key}"] = val
         for key, val in sorted(report.measured.items()):
             summary[f"measured_{key}"] = val
-    return summary, ["type", "m", "e_lo", "e_hi", "width"], rows
+    return summary, ["type", "m", "e_lo", "e_hi", "width"], columns
 
 
 _SCHEME_TASKS = {"convert": _task_convert, "bound-states": _task_bound_states,
@@ -291,35 +306,38 @@ _SCHEME_TASKS = {"convert": _task_convert, "bound-states": _task_bound_states,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _emit(summary: dict, header: list, rows: list, fmt: str) -> str:
+def _emit(summary: dict, header: list, columns: list, fmt: str) -> str:
+    """The task's output text; `columns` holds one list of cells per header entry."""
     if fmt == "json":
         head = json.dumps({"summary": summary, "columns": header}, indent=2,
                           default=_json_default)
-        # The rows go through the C encoder (indent None) in one call, one row
-        # per line.  Each boundary between two rows reads "], ["; when the
-        # encoded table holds no other "], [" (a nested list or a string can),
-        # the boundaries are exactly those.
-        encode = json.JSONEncoder(default=_json_default).encode
-        if not rows:
-            body = "[]"
-        else:
-            table = encode(rows)
-            if table.count("], [") == len(rows) - 1:
-                body = "[\n    " + table[1:-1].replace("], [", "],\n    [") + "\n  ]"
-            else:
-                body = "[\n    " + ",\n    ".join(map(encode, rows)) + "\n  ]"
+        rows = list(map(", ".join, zip(*map(_json_cells, columns))))
+        body = "[\n    [" + "],\n    [".join(rows) + "]\n  ]" if rows else "[]"
         return f'{head[:-2]},\n  "rows": {body}\n}}\n'
     buf = io.StringIO()
     for key, val in summary.items():
         buf.write(f"# {key} = {_scalar_str(val)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+    if all({int, float}.issuperset(map(type, col)) for col in columns):
         # csv.writer writes an int or a float as its str and quotes neither: join them here
-        buf.writelines([",".join(map(str, row)) + "\n" for row in rows])
+        cells = [list(map(str, col)) for col in columns]
+        buf.writelines([row + "\n" for row in map(",".join, zip(*cells))])
     else:
-        writer.writerows(rows)
+        writer.writerows(zip(*columns))
     return buf.getvalue()
+
+
+def _json_cells(column: list) -> list[str]:
+    # each cell as json.dumps writes it inside a row
+    kinds = set(map(type, column))
+    # a nan or an infinity makes the sum one too (so may an overflow, which only
+    # sends a finite column down the general path)
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(column)):
+        return list(map(repr, column))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, column))
+    return list(map(_encode_cell, column))
 
 
 def _scalar_str(v) -> str:
@@ -334,6 +352,9 @@ def _json_default(v):
     if isinstance(v, complex):
         return _c(v)
     raise TypeError(f"not serializable: {v!r}")
+
+
+_encode_cell = json.JSONEncoder(default=_json_default).encode
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {fmt!r}")
         if args.task == "berry":
-            summary, header, rows = _task_berry(args)
+            summary, header, columns = _task_berry(args)
         else:
-            summary, header, rows = _SCHEME_TASKS[args.task](_build_scheme(args), args)
-        sys.stdout.write(_emit(summary, header, rows, fmt))
+            summary, header, columns = _SCHEME_TASKS[args.task](_build_scheme(args), args)
+        sys.stdout.write(_emit(summary, header, columns, fmt))
         return EXIT_OK
     except (ConfigError, GpiError) as exc:
         print(f"error: {exc}", file=sys.stderr)

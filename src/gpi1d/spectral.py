@@ -52,7 +52,9 @@ D(k).
 
 The scalar and array S-matrix paths share `_amplitudes`, which reads the
 halfline fields into locals once, so a scalar call costs few lookups beyond
-its arithmetic.
+its arithmetic.  Above k = sqrt(max float), where k^2 leaves the float range,
+the halfline route evaluates the same two ratios with numerator and
+denominator divided by k^2.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -282,9 +285,12 @@ def _denominator_roots(g: GreekParams, m: _MatrixConstants) -> list[float]:
     # (4 - alpha beta)^2 + 2|gamma|^2 (4 + alpha beta) + |gamma|^4 >= 0.
     b = m.four_det
     root = math.sqrt(max(b * b - 16.0 * g.alpha * g.beta, 0.0))
-    if root == math.inf:  # b * b leaves the float range: take |b| out of the root
+    if math.isfinite(root):
+        q = -(b + math.copysign(root, b)) / 2.0
+    else:  # a square leaves the float range (inf, or inf - inf = nan): take |b|
+        # out of the root, and halve before adding, since b + root may overflow too
         root = abs(b) * math.sqrt(max(1.0 - 16.0 * (g.alpha / b) * (g.beta / b), 0.0))
-    q = -(b + math.copysign(root, b)) / 2.0
+        q = -(b / 2.0 + math.copysign(root, b) / 2.0)
     if abs(g.beta) <= m.ztol:
         return [m.two_alpha / q]  # the second root escapes to -infinity
     return sorted([m.two_alpha / q, q / m.two_beta], reverse=True)
@@ -460,8 +466,14 @@ class ScatteringAmplitudes(NamedTuple):
         return abs(self.r) ** 2 + abs(self.t) ** 2
 
 
-def _amplitudes(scheme: CouplingScheme, k):
-    # (r, t) at k > 0; the same arithmetic serves a float k and an ndarray k
+# above this k, k * k leaves the float range
+_K_SQUARE_MAX = math.sqrt(sys.float_info.max)
+
+
+def _amplitudes(scheme: CouplingScheme, k, huge: bool = False):
+    # (r, t) at k > 0; the same arithmetic serves a float k and an ndarray k.
+    # huge: every k is above _K_SQUARE_MAX, where the halfline route takes the
+    # same ratios over k^2
     if scheme.is_separated:
         bc = scheme.separated.right
         if bc.kind == DIRICHLET:
@@ -475,6 +487,11 @@ def _amplitudes(scheme: CouplingScheme, k):
             c2 = abs(c) ** 2
         except OverflowError:  # the halfline route leaves the float range
             raise DegenerateParametrization("|c|^2", math.inf) from None
+        if huge:
+            u = 1.0 / k
+            au, bu, c2u = a * u, b * u, c2 * u * u
+            d = (au - 1j) * (bu - 1j) - c2u
+            return -((au - 1j) * (bu + 1j) - c2u) / d, 2j * c * u / d
         d = (a - ik) * (b - ik) - c2
         return -((a - ik) * (b + ik) - c2) / d, 2j * k * c / d
     g = scheme.greek
@@ -496,7 +513,7 @@ def s_matrix(scheme: CouplingScheme, k: float) -> ScatteringAmplitudes:
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}") from exc
     if not (math.isfinite(k) and k > 0):
         raise InvalidWavenumber(f"k must be a positive real number, got {k!r}")
-    r, t = _amplitudes(scheme, k)
+    r, t = _amplitudes(scheme, k, k > _K_SQUARE_MAX)
     return ScatteringAmplitudes(k, r, t)
 
 
@@ -525,7 +542,13 @@ def s_matrix_array(scheme: CouplingScheme, k):
     if bad.size:
         raise InvalidWavenumber(
             f"k must be a positive real number, got {float(k.flat[bad[0]])!r} at index {bad[0]}")
-    return _amplitudes(scheme, k)
+    huge = k > _K_SQUARE_MAX
+    if not huge.any():
+        return _amplitudes(scheme, k)
+    r, t = np.empty(k.shape, complex), np.empty(k.shape, complex)
+    r[~huge], t[~huge] = _amplitudes(scheme, k[~huge])
+    r[huge], t[huge] = _amplitudes(scheme, k[huge], True)
+    return r, t
 
 
 class AsymptoticExpansion(NamedTuple):

@@ -35,6 +35,10 @@ def _parse_csv(text: str) -> tuple[dict, list[dict]]:
     return summary, list(reader)
 
 
+def _transpose(table: list) -> list[list]:
+    return [list(line) for line in zip(*table)]
+
+
 def test_convert_delta_prime_lists_halfline(run):
     code, out, _ = run("convert", "--scheme", "greek", "--alpha", "0",
                        "--beta", "-2", "--gamma-re", "0", "--gamma-im", "0")
@@ -99,6 +103,37 @@ def test_bands_task(run):
     assert payload["summary"]["regime"] == "delta_prime_like"
     kinds = {r[0] for r in payload["rows"]}
     assert kinds == {"band", "gap"}
+
+
+def test_bands_of_the_free_coupling_print_infinite_edges(run):
+    # the one band [0, inf) reaches the emitter's non-finite path in both formats
+    free = ("bands", "--scheme", "greek", "--alpha", "0", "--beta", "0", "--gamma-re", "0",
+            "--gamma-im", "0", "--ell", "1", "--mmax", "5")
+    json_lines = [
+        '{',
+        '  "summary": {',
+        '    "task": "bands",',
+        '    "ell": 1.0,',
+        '    "m_max": 5,',
+        '    "n_bands": 1,',
+        '    "n_gaps": 0',
+        '  },',
+        '  "columns": [',
+        '    "type",',
+        '    "m",',
+        '    "e_lo",',
+        '    "e_hi",',
+        '    "width"',
+        '  ],',
+        '  "rows": [',
+        '    ["band", 1, 0.0, Infinity, Infinity]',
+        '  ]',
+        '}',
+    ]
+    csv_lines = ["# task = bands", "# ell = 1.0", "# m_max = 5", "# n_bands = 1",
+                 "# n_gaps = 0", "type,m,e_lo,e_hi,width", "band,1,0.0,inf,inf"]
+    assert run(*free) == (0, "\n".join(json_lines) + "\n", "")
+    assert run(*free, "--format", "csv") == (0, "\n".join(csv_lines) + "\n", "")
 
 
 def test_csv_and_json_encode_identical_values(run):
@@ -182,6 +217,19 @@ def test_scatter_past_the_float_range_exits_3(run):
     assert err.startswith("error: ") and err.count("\n") == 1 and "'|c|^2'" in err
 
 
+def test_scatter_past_the_range_of_k_squared_prints_finite_rows(run):
+    # k * k leaves the float range above k = 1.34e154; RuntimeWarning is an error here
+    code, out, err = run("scatter", "--scheme", "greek", "--alpha=-1", "--beta=0.5",
+                         "--gamma-re=0.3", "--gamma-im=0.4", "--kmin", "1e150",
+                         "--kmax", "1e160", "--steps", "3")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert [row[0] for row in rows] == [1e150, 1e150 + (1e160 - 1e150) / 2, 1e160]
+    for k, r_re, r_im, t_re, t_im, unitarity in rows:
+        assert abs(r_re - 1.0) <= 1e-15 and abs(unitarity - 1.0) <= 1e-15
+        assert max(abs(r_im), abs(t_re), abs(t_im)) <= 10.0 / k
+
+
 def test_cli_runs_as_module():
     code, out, _ = fresh_run("-m", "gpi1d.cli", "berry", "--a", "-2", "--cmod", "0.3",
                              "--samples", "64")
@@ -229,7 +277,8 @@ def test_json_parses_like_the_indented_encoding(run, monkeypatch, task):
     monkeypatch.setattr(cli, "_emit", lambda *a: seen.append(a) or emit(*a))
     code, out, _ = run(task, *_TASK_ARGV[task])
     assert code == 0
-    summary, header, rows, _fmt = seen[0]
+    summary, header, columns, _fmt = seen[0]
+    rows = _transpose(columns)
     payload = {"summary": summary, "columns": header, "rows": rows}
     assert json.loads(out) == json.loads(json.dumps(payload, indent=2,
                                                     default=cli._json_default))
@@ -241,15 +290,19 @@ def test_json_parses_like_the_indented_encoding(run, monkeypatch, task):
         json.loads(out)["rows"]
 
 
-@pytest.mark.parametrize("rows", [
-    [[0.05, -0.99, 0.065], [0.1, -0.98, 0.07]],
-    [["band", 1, 2.0, 3.0, 1.0], ["gap", 1, 3.0, 4.0, 1.0]],
-    [["a], [b", 1.0], ["c", 2.0]],           # a row boundary inside a string
-    [[1.0, 2j, 3 - 1j], [4.0, 5j, 6j]],      # complex values encode as nested lists
-    [[1, [2, [3]]], [[4]]], [[], []], [[7.0]], [],
+@pytest.mark.parametrize("columns", [
+    [[0.05, 0.1], [-0.99, -0.98], [0.065, 0.07]],
+    [["band", "gap"], [1, 1], [2.0, 3.0], [3.0, 4.0], [1.0, 1.0]],
+    [["a], [b", "c\u00e9\n"], [1.0, 2.0]],  # a row boundary inside a string, non-ASCII
+    [[1.0, 4.0], [2j, 5j], [3 - 1j, 6j]],    # complex values encode as nested lists
+    [[1, [4]], [[2, [3]], [5, [6]]]],       # nested lists, two deep
+    [[math.inf, 1.0], [-math.inf, 2.0], [math.nan, -0.0], [1e308, 1e308]],  # the last sums to inf
+    [[1, 2.5], [True, False], [None, "x"], [10 ** 40, -(2 ** 63)]],
+    [[7.0]], [[]],
 ])
-def test_json_rows_are_the_per_row_encodings_one_per_line(rows):
-    text = cli._emit({"task": "x"}, ["c"], rows, "json")
+def test_json_rows_are_the_per_row_encodings_one_per_line(columns):
+    rows = _transpose(columns)
+    text = cli._emit({"task": "x"}, ["c"] * len(columns), columns, "json")
     body = text[text.index('"rows": ') + len('"rows": '):-len("\n}\n")]
     encoded = [json.dumps(row, default=cli._json_default) for row in rows]
     assert body == ("[\n    " + ",\n    ".join(encoded) + "\n  ]" if rows else "[]")
@@ -297,7 +350,7 @@ def test_scatter_table_and_berry_loop_at_1e5_points(run):
 
 def test_csv_rows_write_floats_as_repr():
     text = cli._emit({"task": "x", "flag": True}, ["a", "b", "c", "d", "e"],
-                     [[math.inf, math.nan, -0.0, 0.1 + 0.2, 7]], "csv")
+                     [[math.inf], [math.nan], [-0.0], [0.1 + 0.2], [7]], "csv")
     assert text.splitlines() == ["# task = x", "# flag = true", "a,b,c,d,e",
                                  "inf,nan,-0.0,0.30000000000000004,7"]
 
@@ -318,9 +371,9 @@ def test_csv_tables_are_what_csv_writer_writes(run, monkeypatch):
     tables = []
     emit = cli._emit
 
-    def recording(summary, header, rows, fmt):
-        tables.append((summary, header, rows))
-        return emit(summary, header, rows, fmt)
+    def recording(summary, header, columns, fmt):
+        tables.append((summary, header, _transpose(columns)))
+        return emit(summary, header, columns, fmt)
 
     monkeypatch.setattr(cli, "_emit", recording)
     coupling = ("--scheme", "greek", "--alpha=-1", "--beta=0.5", "--gamma-re=0.3",
@@ -336,9 +389,12 @@ def test_csv_tables_are_what_csv_writer_writes(run, monkeypatch):
                [math.inf, -math.inf, math.nan, 0.1 + 0.2, -7, 1e16, 123456789.0]]
     quoted = [[1.0, "a,b", True], [2, 'say "hi"', 3.5], [-0.0, "", 7]]
     mixed = [[1.0, "x", None], [3 + 4j, -0.0, 1e-300]]
-    for rows in (numbers, quoted, mixed, [], [[]], [[1.5]]):
-        assert cli._emit({"task": "x"}, ["a", "b"], rows, "csv") == _csv_writer_text(
-            {"task": "x"}, ["a", "b"], rows)
+    for rows in (numbers, quoted, mixed, [[1.5]]):
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        assert cli._emit({"task": "x"}, header, _transpose(rows), "csv") == _csv_writer_text(
+            {"task": "x"}, header, rows)
+    assert cli._emit({"task": "x"}, ["a", "b"], [[], []], "csv") == _csv_writer_text(
+        {"task": "x"}, ["a", "b"], [])
 
 
 def test_shared_parser_carries_nothing_between_runs(run, tmp_path):

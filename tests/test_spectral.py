@@ -5,6 +5,9 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from gpi1d import (BindingKind, CouplingScheme, DegenerateParametrization,
                    denominator_D, denominator_F, gauge_transform, greek_to_halfline,
                    green_kernel, green_kernel_dx, green_kernel_greek, kernel_residue,
                    params, point_spectrum, s_matrix, s_matrix_array,
-                   scattering_asymptotics)
+                   scattering_asymptotics, spectral)
 from gpi1d.errors import GpiError
 from conftest import exact_roots, random_greek, random_halfline, random_scheme, reference_free
 
@@ -698,6 +701,28 @@ def test_scheme_kernels_are_the_written_out_formula_bit_for_bit(rng):
             "x = x' requi", "x = 0 sided", "Im k Q > 1"} <= seen, seen
 
 
+def test_s_matrix_past_the_range_of_k_squared():
+    # k * k overflows above sqrt(max float) = 1.34e154: the halfline route takes the
+    # same ratios over k^2, and (r, t) approach (1, 0) as r_limit + r_coeff / k
+    scheme = CouplingScheme.from_greek(GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+    assert scheme.halfline is not None
+    high = scattering_asymptotics(scheme).high
+    edge = math.sqrt(sys.float_info.max)
+    ks = [edge, math.nextafter(edge, math.inf), 1e155, 1e200, sys.float_info.max / 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, t = s_matrix_array(scheme, np.array([1.0, *ks]))
+        amps = [s_matrix(scheme, k) for k in ks]
+    r1, t1 = s_matrix_array(scheme, np.array([1.0]))
+    assert (r[0], t[0]) == (r1[0], t1[0])  # an entry below the edge keeps its bits
+    for k, r_k, t_k, amp in zip(ks, r[1:].tolist(), t[1:].tolist(), amps):
+        for rr, tt in ((r_k, t_k), (amp.r, amp.t)):
+            assert rr.real == pytest.approx(1.0, abs=1e-15)
+            assert rr.imag == pytest.approx((high.r_coeff / k).imag, rel=1e-12)
+            assert tt == pytest.approx(high.t_coeff / k, rel=1e-12)
+            assert abs(rr) ** 2 + abs(tt) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+
 def test_s_matrix_converts_once_per_scheme(monkeypatch):
     calls = []
 
@@ -745,9 +770,31 @@ def test_asymptotics_and_bound_states_past_the_range_of_squares():
     det = greek.alpha * greek.beta
     assert point.kappa == pytest.approx(-det / (2.0 * greek.beta), rel=1e-14)
     assert abs(point.mu) ** 2 + abs(point.nu) ** 2 == pytest.approx(2.0 * point.kappa, rel=1e-14)
-    # (4 + det) + root overflows in the larger root, -(4 + det)/(2 beta) = 5e157, which
-    # comes out inf, and so does |(mu, nu)|: the bound state is refused
+    # the larger root -(4 + det)/(2 beta) = 5e157 is finite, but 4 beta kappa in its
+    # coefficient nu leaves the float range, and so does |(mu, nu)|: the bound state,
+    # whose energy -kappa^2 leaves it too, is refused
     with pytest.raises(DegenerateParametrization) as info:
         point_spectrum(CouplingScheme.from_greek(GreekParams(0.0, -1e150, 1e154 + 0j)))
     assert str(info.value) == \
-        "degenerate parametrization: '|(mu, nu)|' is not finite (|value| = nan)"
+        "degenerate parametrization: '|(mu, nu)|' is not finite (|value| = inf)"
+
+
+@pytest.mark.parametrize("greek", [
+    GreekParams(-1e154, -1e154, 0j),     # b * b - 16 alpha beta is inf - inf
+    GreekParams(0.0, -1e150, 1e154 + 0j),  # (4 + det) + root overflows
+], ids=["nan_discriminant", "overflowing_sum"])
+def test_denominator_roots_at_the_top_of_the_float_range(greek):
+    scheme = CouplingScheme.from_greek(greek)
+    roots = spectral._denominator_roots(scheme.greek, scheme._matrix)
+    assert len(roots) == 2 and all(math.isfinite(kappa) for kappa in roots)
+    # 2 beta kappa^2 + (4 + det) kappa + 2 alpha, exact in the binary inputs
+    al, be, gr, gi = map(Fraction, (greek.alpha, greek.beta, greek.gamma.real, greek.gamma.imag))
+    for kappa in map(Fraction, roots):
+        terms = (2 * be * kappa * kappa, (4 + al * be + gr * gr + gi * gi) * kappa, 2 * al)
+        assert abs(sum(terms)) <= Fraction(1, 10 ** 12) * max(map(abs, terms))
+    try:
+        points = point_spectrum(scheme)
+    except GpiError as exc:  # a refusal may name what overflows, never a nan
+        assert "nan" not in str(exc)
+    else:
+        assert [p.kappa for p in points] == roots

@@ -18,10 +18,9 @@ Each task hands its table to `_emit` as columns, one list of cells per
 column, and `_emit` renders each column's cells once: a column of finite floats
 or of ints by `repr`, a column of `str` by the JSON string encoder, any other
 column (non-finite floats, complex or nested values, mixed types) cell by cell
-through the JSON encoder; it then joins each row's cells, one row per line.
-CSV does the same with `str` for a table of ints and floats; a table with any
-other cell goes through `csv.writer`.  Either way the bytes are those of
-`json.dumps` of each row and of `csv.writer`.
+through the JSON encoder; it then joins each row's cells, one row per line,
+so the bytes are those of `json.dumps` of each row.  CSV rows are written by
+`csv.writer`.
 
 The JSON object holds "summary", "columns" and "rows", with summary and
 columns indented by two spaces and one table row per line:
@@ -319,12 +318,7 @@ def _emit(summary: dict, header: list, columns: list, fmt: str) -> str:
         buf.write(f"# {key} = {_scalar_str(val)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if all({int, float}.issuperset(map(type, col)) for col in columns):
-        # csv.writer writes an int or a float as its str and quotes neither: join them here
-        cells = [list(map(str, col)) for col in columns]
-        buf.writelines([row + "\n" for row in map(",".join, zip(*cells))])
-    else:
-        writer.writerows(zip(*columns))
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

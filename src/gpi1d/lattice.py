@@ -185,8 +185,8 @@ class RegimeReport:
 
 def band_condition_rhs(spec: LatticeSpec, k: float) -> float:
     """(4 + det) cos(k ell) + (2/k)(alpha - beta k^2) sin(k ell) at real k > 0."""
-    if not k > 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k!r}")
     g = spec.scheme.greek
     kl = k * spec.ell
     return ((4.0 + g.det) * math.cos(kl)
@@ -201,8 +201,8 @@ def band_condition_lhs_bound(spec: LatticeSpec) -> float:
 
 def monodromy_trace(spec: LatticeSpec, k: float) -> float:
     """Floquet discriminant tr(M T(k, ell)) of the real transfer factor; band iff |tr| <= 2."""
-    if not k > 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k!r}")
     s, c_sin, b_sin = spec._trace_coeffs
     kl = k * spec.ell
     return s * math.cos(kl) + (c_sin / k - b_sin * k) * math.sin(kl)
@@ -243,8 +243,9 @@ def _trace(coeffs: tuple[float, float, float], ell: float, z):
     n_down = np.count_nonzero(down)
     if n_down == z.size:
         return below(-z)
-    scaled, sech = np.full(z.shape, s + c_sin * ell), np.ones(z.shape)
-    slope, sech_slope = np.zeros(z.shape), np.zeros(z.shape)
+    # s + c ell at z = 0, and NaN at a NaN z, which is neither above nor below
+    scaled = np.where(np.isnan(z), np.nan, s + c_sin * ell)
+    sech, slope, sech_slope = np.ones(z.shape), np.zeros(z.shape), np.zeros(z.shape)
     if n_up:
         scaled[up], slope[up] = above(z[up])
     if n_down:
@@ -262,6 +263,8 @@ def _floquet_trace(coeffs: tuple[float, float, float], ell: float, energy) -> np
 
 def trace_at_energy(spec: LatticeSpec, energy: float) -> float:
     """Floquet discriminant as a function of energy, hyperbolic below zero."""
+    if not energy < math.inf:
+        raise ValueError(f"energy must be a number below +inf, got {energy!r}")
     return float(_floquet_trace(spec._trace_coeffs, spec.ell, energy))
 
 

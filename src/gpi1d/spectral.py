@@ -101,6 +101,8 @@ def _side(x: float, side: int, name: str) -> int:
         return 1
     if x < 0:
         return -1
+    if x != x:
+        raise ValueError(f"{name} must not be NaN")
     if side in (1, -1):
         return side
     raise ValueError(f"{name} = 0 requires an explicit side (+1 or -1)")
@@ -337,12 +339,16 @@ def _bound_coefficients(g: GreekParams, m: _MatrixConstants,
     # boundary system at the root, (a+kappa) mu + c nu = 0, times 4 beta
     mu0 = complex(4.0 - m.det, 4.0 * g.gamma.imag)
     nu0 = complex(m.mm + 4.0 * m.beta * kappa)
-    try:
-        norm = math.sqrt((abs(mu0) ** 2 + abs(nu0) ** 2) / (2.0 * kappa))
-    except OverflowError:  # a square leaves the float range; hypot does not
+    if not math.isfinite(nu0.real):  # 4 beta kappa overflows: the system itself, over 4 beta
+        mu0, nu0 = mu0 / (4.0 * m.beta), complex(m.mm / (4.0 * m.beta) + kappa)
         norm = math.hypot(abs(mu0), abs(nu0)) / math.sqrt(2.0 * kappa)
-        if not math.isfinite(norm):
-            raise DegenerateParametrization("|(mu, nu)|", norm) from None
+    else:
+        try:
+            norm = math.sqrt((abs(mu0) ** 2 + abs(nu0) ** 2) / (2.0 * kappa))
+        except OverflowError:  # a square leaves the float range; hypot does not
+            norm = math.hypot(abs(mu0), abs(nu0)) / math.sqrt(2.0 * kappa)
+    if not math.isfinite(norm):
+        raise DegenerateParametrization("|(mu, nu)|", norm)
     mu0, nu0 = mu0 / norm, nu0 / norm
     anchor = mu0 if abs(mu0) > 1e-300 else nu0
     phase = anchor.conjugate() / abs(anchor)
@@ -380,8 +386,11 @@ def point_spectrum(scheme: CouplingScheme) -> list[SpectralPoint]:
     ztol = m.ztol
     for kappa in _denominator_roots(g, m):
         if kappa > ztol:
+            energy = -kappa * kappa
+            if energy == -math.inf:  # a bound state below the float range
+                raise DegenerateParametrization("bound-state energy -kappa^2", math.inf)
             mu, nu = _bound_coefficients(g, m, kappa)
-            points.append(SpectralPoint(kappa, -kappa * kappa, PointKind.BOUND, mu, nu))
+            points.append(SpectralPoint(kappa, energy, PointKind.BOUND, mu, nu))
         elif kappa < -ztol:
             points.append(SpectralPoint(kappa, -kappa * kappa, PointKind.ANTIBOUND))
         else:

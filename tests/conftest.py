@@ -1,22 +1,32 @@
 """Shared samplers for randomized property tests (seeded, reproducible), the
-reference formulas that more than one test file checks against, the
-in-process CLI fixture and the fresh-interpreter runner."""
+reference formulas that more than one test file checks against, the text and
+host rule of the bit fixtures, the in-process CLI fixture and the
+fresh-interpreter runner.
+
+numpy is imported only where the `rng` fixture or a host fact needs it, so the
+scalar bit fixture, which imports this module, runs without numpy."""
 
 from __future__ import annotations
 
 import cmath
 import decimal
+import enum
 import functools
+import importlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
 import pytest
 
-from gpi1d import CouplingScheme, GreekParams, HalflineParams
+from gpi1d import CouplingScheme, GpiError, GreekParams, HalflineParams
 from gpi1d.cli import main
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -178,11 +188,80 @@ def reference_free(sx, sxp, x, xp, k, diag_side=None):
 
 
 # ---------------------------------------------------------------------------
+# bit fixtures: a call's outcome as text, and the host facts its bits hold on
+# ---------------------------------------------------------------------------
+
+def bits(value) -> str:
+    """A scalar output as text that keeps every bit: floats by `float.hex`,
+    complex numbers as 're,im', lists and records field by field."""
+    if isinstance(value, enum.Enum):
+        return repr(value.value)
+    if isinstance(value, (bool, int, str)) or value is None:
+        return repr(value)
+    if isinstance(value, complex):
+        return f"{value.real.hex()},{value.imag.hex()}"
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return "[" + " ".join(map(bits, value)) + "]"
+    fields = getattr(value, "__dataclass_fields__", None) or getattr(value, "_fields", None)
+    if fields:
+        return "(" + " ".join(bits(getattr(value, f)) for f in fields) + ")"
+    raise TypeError(f"no bit pattern for {value!r}")
+
+
+def outcome(text, fn, *args, **kwargs):
+    """text(fn(*args, **kwargs)), or the call's refusal as 'raise <type>: <message>':
+    a refusal is part of a call's output, any other exception fails the test."""
+    try:
+        value = fn(*args, **kwargs)
+    except (GpiError, ValueError) as exc:
+        return f"raise {type(exc).__name__}: {exc}"
+    return text(value)
+
+
+def _dispatch() -> list[str]:
+    # numpy's SIMD targets that this CPU enables
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in getattr(umath, "__cpu_dispatch__", ()) if umath.__cpu_features__.get(t)]
+
+
+# the host facts a fixture's bits may depend on: libm's rounding comes with the
+# C library, numpy's SIMD loops with its version and the enabled targets
+HOST_FACTS = {
+    "machine": platform.machine,
+    "python": platform.python_implementation,
+    "libc": lambda: platform.libc_ver()[0],
+    "numpy": lambda: importlib.import_module("numpy").__version__,
+    "dispatch": _dispatch,
+}
+
+
+def host(*facts: str) -> dict:
+    """The named facts of this host, for a fixture's host stamp."""
+    return {fact: HOST_FACTS[fact]() for fact in facts}
+
+
+def skip_off_host(recorded: dict) -> None:
+    """Skip the calling test unless this host has every fact of the stamp
+    `recorded`; the reason names the first fact that differs."""
+    for fact, value in recorded.items():
+        here = HOST_FACTS[fact]()
+        if here != value:
+            pytest.skip(f"recorded with {fact} {value!r}, running with {here!r}:"
+                        " the pinned bits may round differently here")
+
+
+# ---------------------------------------------------------------------------
 # fixtures and runners
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def rng() -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng(20260810)
 
 

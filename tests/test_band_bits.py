@@ -19,9 +19,12 @@ a square.
 
 The trace and the Pruefer phase go through numpy's `sin`, `cos`, `tanh`,
 `exp` and `arctan2`, whose SIMD loops are chosen per CPU at import and may
-round differently on another CPU or numpy version, so the test skips where
-the numpy version, the machine or the enabled dispatch targets differ from
-those recorded.  To record the file again, run this file as a script with
+round differently on another CPU or numpy version, and the edge grid through
+the C library's `math.tanh`.  So the file records the host facts its values
+depend on (the numpy version, the machine, the C library and the enabled
+dispatch targets) and the tests skip, naming the first fact that differs,
+where this host has another.  A refusal is recorded as its text, as in
+`scalar_bits.json`.  To record the file again, run this file as a script with
 the implementation to record on the path:
 
     PYTHONPATH=src python tests/test_band_bits.py
@@ -31,14 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpi1d import (CouplingScheme, GpiError, GreekParams, LatticeSpec, asymptotic_regime,
-                   band_structure)
+from conftest import host, outcome, skip_off_host
+from gpi1d import CouplingScheme, GreekParams, LatticeSpec, asymptotic_regime, band_structure
 
 FIXTURE = Path(__file__).with_name("band_bits.json")
 M_MAX = (1, 2, 5, 60, 200)
@@ -99,23 +101,15 @@ REPORT_CASES = {**CASES, **{f"regime_{label}": case for label, case in REGIMES.i
                 "delta_anchor": ((-2.0, 0.0, 0.0), 1.025)}
 
 
-def _host() -> dict:
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    return {"numpy": np.__version__, "machine": platform.machine(),
-            "dispatch": [t for t in getattr(umath, "__cpu_dispatch__", ())
-                         if umath.__cpu_features__.get(t)]}
+HOST = ("numpy", "machine", "libc", "dispatch")
 
 
-def snapshot(greek: tuple, ell: float, m_max: int) -> dict | str:
-    """The edges, as `float.hex`, and the closed flags of one solve, or its refusal."""
-    spec = LatticeSpec(CouplingScheme.from_greek(GreekParams(*greek)), ell)
-    try:
-        bands, gaps = band_structure(spec, m_max)
-    except (GpiError, ValueError) as exc:  # the refusal is part of the output
-        return f"raise {type(exc).__name__}: {exc}"
+def _spec(greek: tuple, ell: float) -> LatticeSpec:
+    return LatticeSpec(CouplingScheme.from_greek(GreekParams(*greek)), ell)
+
+
+def _edges(solved: tuple) -> dict:
+    bands, gaps = solved
     # the records' structure, which the recorded text leaves out
     assert [b.m for b in bands] == list(range(1, len(bands) + 1))
     assert [gp.m for gp in gaps] == list(range(1, len(gaps) + 1))
@@ -125,8 +119,9 @@ def snapshot(greek: tuple, ell: float, m_max: int) -> dict | str:
             "closed": "".join("1" if gp.closed else "0" for gp in gaps)}
 
 
-def _spec(greek: tuple, ell: float) -> LatticeSpec:
-    return LatticeSpec(CouplingScheme.from_greek(GreekParams(*greek)), ell)
+def snapshot(greek: tuple, ell: float, m_max: int) -> dict | str:
+    """The edges, as `float.hex`, and the closed flags of one solve, or its refusal."""
+    return outcome(_edges, band_structure, _spec(greek, ell), m_max)
 
 
 def large_digest(greek: tuple, ell: float) -> dict:
@@ -151,19 +146,19 @@ def _exact(value):
     raise TypeError(f"unexpected {type(value).__name__} in a regime report")
 
 
-def report_digest(greek: tuple, ell: float, m_range: tuple[int, int]) -> str:
-    """The sha256 of one regime report, written out exactly, or its refusal."""
-    try:
-        rep = asymptotic_regime(_spec(greek, ell), m_range)
-    except (GpiError, ValueError) as exc:
-        return f"raise {type(exc).__name__}: {exc}"
+def _report_sha256(rep) -> str:
     text = json.dumps([rep.regime.value, _exact(rep.predicted), _exact(rep.measured),
                        _exact(rep.relative_error), _exact(rep.details)])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def report_digest(greek: tuple, ell: float, m_range: tuple[int, int]) -> str:
+    """The sha256 of one regime report, written out exactly, or its refusal."""
+    return outcome(_report_sha256, asymptotic_regime, _spec(greek, ell), m_range)
+
+
 def _record() -> dict:
-    return {"host": _host(),
+    return {"host": host(*HOST),
             "cases": {label: {str(m): snapshot(*case, m) for m in M_MAX}
                       for label, case in CASES.items()},
             "large": {label: large_digest(*case) for label, case in REGIMES.items()},
@@ -174,11 +169,7 @@ def _record() -> dict:
 
 def _recorded(part: str = "cases") -> dict:
     recorded = json.loads(FIXTURE.read_text())
-    host = _host()
-    for key, value in recorded["host"].items():
-        if host[key] != value:
-            pytest.skip(f"recorded with {key} {value}, running with {host[key]}:"
-                        " numpy's SIMD loops may round differently")
+    skip_off_host(recorded["host"])
     return recorded[part]
 
 
@@ -215,6 +206,7 @@ def test_the_pinned_lattices_reach_every_case():
     # bound-state bands: edges below zero
     assert recorded["bound_bands"]["5"]["edges"].startswith("-")
     fixture = json.loads(FIXTURE.read_text())
+    assert list(fixture["host"]) == list(HOST)
     assert list(fixture["large"]) == list(REGIMES)
     assert list(fixture["reports"]) == list(REPORT_CASES)
     # every fit came back but the free coupling's, which has one band

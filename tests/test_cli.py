@@ -1,5 +1,6 @@
 """Command-line interface: tasks, formats, config merging, exit codes; the
-numpy-free scalar path and the demos in fresh interpreters."""
+numpy-free scalar path (the scalar bit fixture's calls) and the demos in fresh
+interpreters."""
 
 from __future__ import annotations
 
@@ -271,7 +272,7 @@ _TASK_ARGV = {
 
 
 @pytest.mark.parametrize("task", sorted(_TASK_ARGV))
-def test_json_parses_like_the_indented_encoding(run, monkeypatch, task):
+def test_json_and_csv_parse_back_to_the_table(run, monkeypatch, task):
     seen = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda *a: seen.append(a) or emit(*a))
@@ -288,6 +289,13 @@ def test_json_parses_like_the_indented_encoding(run, monkeypatch, task):
     assert lines[start + 1 + len(rows):] == ["  ]", "}"]
     assert [json.loads(line.strip().rstrip(",")) for line in lines[start + 1:-2]] == \
         json.loads(out)["rows"]
+    # CSV: '# key = value' summary lines, then the header and each cell as its str
+    code, out, _ = run(task, *_TASK_ARGV[task], "--format", "csv")
+    summary, header, columns, _fmt = seen[1]
+    lines = out.splitlines()
+    assert lines[:len(summary)] == [f"# {k} = {cli._scalar_str(v)}" for k, v in summary.items()]
+    assert list(csv.reader(lines[len(summary):])) == [
+        header, *([str(cell) for cell in row] for row in _transpose(columns))]
 
 
 @pytest.mark.parametrize("columns", [
@@ -353,48 +361,6 @@ def test_csv_rows_write_floats_as_repr():
                      [[math.inf], [math.nan], [-0.0], [0.1 + 0.2], [7]], "csv")
     assert text.splitlines() == ["# task = x", "# flag = true", "a,b,c,d,e",
                                  "inf,nan,-0.0,0.30000000000000004,7"]
-
-
-def _csv_writer_text(summary: dict, header: list, rows: list) -> str:
-    buf = io.StringIO()
-    for key, val in summary.items():
-        buf.write(f"# {key} = {cli._scalar_str(val)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def test_csv_tables_are_what_csv_writer_writes(run, monkeypatch):
-    # numeric tables are joined without csv.writer, tables with a str cell go through
-    # it; either way the bytes are csv.writer's
-    tables = []
-    emit = cli._emit
-
-    def recording(summary, header, columns, fmt):
-        tables.append((summary, header, _transpose(columns)))
-        return emit(summary, header, columns, fmt)
-
-    monkeypatch.setattr(cli, "_emit", recording)
-    coupling = ("--scheme", "greek", "--alpha=-1", "--beta=0.5", "--gamma-re=0.3",
-                "--gamma-im=0.4")
-    for argv in (("berry", "--a=-2", "--cmod", "0.6", "--samples", "64"),
-                 ("scatter", *coupling, "--kmin", "0.05", "--kmax", "20", "--steps", "50"),
-                 ("bound-states", *coupling), ("bands", *coupling, "--ell", "1", "--mmax", "12"),
-                 ("convert", *coupling)):
-        code, out, _ = run(*argv, "--format", "csv")
-        assert code == 0
-        assert out == _csv_writer_text(*tables[-1]), argv[0]
-    numbers = [[-0.0, 1e-300, 5e-324, 10 ** 40, -(2 ** 63), 0, 1.7976931348623157e308],
-               [math.inf, -math.inf, math.nan, 0.1 + 0.2, -7, 1e16, 123456789.0]]
-    quoted = [[1.0, "a,b", True], [2, 'say "hi"', 3.5], [-0.0, "", 7]]
-    mixed = [[1.0, "x", None], [3 + 4j, -0.0, 1e-300]]
-    for rows in (numbers, quoted, mixed, [[1.5]]):
-        header = [f"c{j}" for j in range(len(rows[0]))]
-        assert cli._emit({"task": "x"}, header, _transpose(rows), "csv") == _csv_writer_text(
-            {"task": "x"}, header, rows)
-    assert cli._emit({"task": "x"}, ["a", "b"], [[], []], "csv") == _csv_writer_text(
-        {"task": "x"}, ["a", "b"], [])
 
 
 def test_shared_parser_carries_nothing_between_runs(run, tmp_path):
@@ -576,77 +542,27 @@ def test_coupling_without_a_transfer_record_is_named(run):
         3, "", "error: degenerate parametrization: 'ta*td-tb*tc' misses 1 by 1.080e-12\n")
 
 
-# convert, bound-states and every scalar call of three couplings, in a fresh
-# interpreter: none of them may need numpy
-_SCALAR_CHAIN = """\
-import cmath
+# convert, bound-states, the scalar bit fixture's calls on every pinned coupling
+# and the scalar Berry calls, in a fresh interpreter: none of them may need numpy
+_NUMPY_FREE = f"""\
 import sys
+sys.path.insert(0, {str(SRC.parent / "tests")!r})
 import gpi1d
 from gpi1d.cli import main
+from test_scalar_bits import COUPLINGS, snapshot
 coupling = ["--scheme", "greek", "--alpha=-1", "--beta=0.5", "--gamma-re=0.3", "--gamma-im=0.4"]
-assert main(["convert", *coupling]) == 0
-assert main(["bound-states", *coupling]) == 0
-# every scalar call of one coupling: the charts, the scheme, its spectrum,
-# S-matrix, kernel and asymptotics; coupled, delta-family and separated
-for alpha, beta, gamma in ((-1.0, 0.5, 0.3 + 0.4j), (-1.5, 0.0, 0.3 + 0.4j), (-3.0, -1.0, 1 + 0j)):
-    g = gpi1d.GreekParams(alpha, beta, gamma)
-    charts = {"g": g}
-    for key, name, src in (("h", "greek_to_halfline", "g"), ("i", "greek_to_inverse", "g"),
-                           ("t", "greek_to_transfer", "g"), ("hg", "halfline_to_greek", "h"),
-                           ("hi", "halfline_to_inverse", "h"), ("ht", "halfline_to_transfer", "h"),
-                           ("ig", "inverse_to_greek", "i"), ("ih", "inverse_to_halfline", "i"),
-                           ("tg", "transfer_to_greek", "t"), ("th", "transfer_to_halfline", "t")):
-        if src in charts:
-            try:
-                charts[key] = getattr(gpi1d, name)(charts[src])
-            except gpi1d.DegenerateParametrization:
-                pass
-    scheme = gpi1d.CouplingScheme.from_greek(g)
-    gpi1d.classify_symmetries(scheme), gpi1d.is_decoupled(scheme), gpi1d.point_spectrum(scheme)
-    for k in (0.3, 1.7, 9.0):
-        gpi1d.s_matrix(scheme, k)
-    gpi1d.green_kernel(scheme, 0.7, -1.1, 0.8 + 0.4j), gpi1d.green_kernel(scheme, 1.3, 0.5, 2 + 0.3j)
-    gpi1d.scattering_asymptotics(scheme)
-    if scheme.halfline is not None:
-        gpi1d.binding_regime(scheme.halfline)
-        gpi1d.green_kernel_halfline(scheme.halfline, 0.7, -1.1, 0.8 + 0.4j)
-    if not scheme.is_separated:
-        gpi1d.green_kernel_dx(scheme, 0.7, 0.7, 0.8 + 0.4j, diag_side=1)
-        gpi1d.green_kernel_greek(g, 1.3, 0.5, 2 + 0.3j)
-        for p in gpi1d.point_spectrum(scheme):
-            gpi1d.kernel_residue(scheme, p.kappa, 0.8, -1.1)
-assert len(charts) > 1 and scheme.is_separated
-# the separated scheme refuses each bound-state pole on the side that carries it
-bound = [p.kappa for p in gpi1d.point_spectrum(scheme) if p.kind is gpi1d.PointKind.BOUND]
-refused = 0
-for kappa in bound:
-    for x in (0.5, -0.5):
-        try:
-            gpi1d.green_kernel(scheme, x, 2 * x, 1j * kappa)
-        except gpi1d.PoleEvaluation:
-            refused += 1
-assert bound and refused == len(bound), (bound, refused)
-# a Delta(k) past the float range is refused by name; off the roots of Delta
-# a coupled residue is 0
-coupled = gpi1d.CouplingScheme.from_greek(gpi1d.GreekParams(-1.0, 0.5, 0.3 + 0.4j))
-try:
-    gpi1d.green_kernel(coupled, 0.5, -0.7, 1e160j)
-    raise AssertionError("green_kernel at k = 1e160j returned a value")
-except gpi1d.DegenerateParametrization as exc:
-    assert exc.denominator == "Delta(k)", exc
-assert gpi1d.kernel_residue(coupled, 0.2, 0.8, -1.1) == 0j
-# the scalar Berry calls on one loop; berry reads its tolerance from params
+assert main(["convert", *coupling]) == main(["bound-states", *coupling]) == 0
+for coupling in COUPLINGS.values():
+    snapshot(*coupling)
 loop = gpi1d.ParameterLoop(a=-2.0, c_mod=0.6, samples=8)
-f0, f1 = gpi1d.eigenstate_at(loop, 0.0), gpi1d.eigenstate_at(loop, 0.5)
-assert abs(gpi1d.overlap(f0, f1) - (1 + cmath.exp(-0.5j)) / 2) < 1e-15
-assert gpi1d.berry_connection_analytic(loop, 0.5) == 0.5
-assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))[:5]
+gpi1d.overlap(gpi1d.eigenstate_at(loop, 0.0), gpi1d.eigenstate_at(loop, 0.5))
+gpi1d.berry_connection_analytic(loop, 0.5)
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
 """
 
 
-def test_convert_bound_states_and_the_scalar_chain_load_neither_numpy_nor_scipy():
-    code, out, err = fresh_run("-c", _SCALAR_CHAIN + "print(sorted(m for m in sys.modules "
-                               "if m.partition('.')[0] in ('numpy', 'scipy')))\n")
+def test_convert_bound_states_and_the_scalar_calls_load_neither_numpy_nor_scipy():
+    code, out, err = fresh_run("-c", _NUMPY_FREE)
     assert code == 0, err
     assert out.splitlines()[-1] == "[]"
 

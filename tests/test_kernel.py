@@ -10,8 +10,8 @@ import pytest
 
 from gpi1d import (CouplingScheme, GreekParams, HalflineBoundary,
                    HalflineParams, InvalidSheet, PoleEvaluation,
-                   green_kernel, green_kernel_dx, green_kernel_halfline, kernel_derivative_jump,
-                   point_spectrum)
+                   green_kernel, green_kernel_dx, green_kernel_greek, green_kernel_halfline,
+                   kernel_derivative_jump, kernel_residue, point_spectrum)
 from conftest import random_greek, random_halfline
 
 
@@ -201,10 +201,19 @@ def test_kernel_rejects_unphysical_sheet():
         green_kernel_halfline(HalflineParams(1.0, 2.0, 0.5), 0.5, 1.0, 1.0)
 
 
-def test_kernel_requires_side_at_origin():
+def test_kernels_refuse_a_nan_point_by_name():
+    # with a side given or not, where an unsided x = 0 is refused too
     scheme = CouplingScheme.from_greek(GreekParams(1.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        green_kernel(scheme, 0.0, 1.0, 1j)
+    nan = math.nan
+    for call, name in ((lambda: green_kernel(scheme, nan, 1.0, 1j), "x"),
+                       (lambda: green_kernel(scheme, 0.5, nan, 1j, 0, 1), "x'"),
+                       (lambda: green_kernel_dx(scheme, nan, 1.0, 1j, 1, 1, 1), "x"),
+                       (lambda: green_kernel_greek(scheme.greek, 0.0, nan, 1j, 1), "x'"),
+                       (lambda: green_kernel_halfline(scheme.halfline, nan, 0.0, 1j), "x"),
+                       (lambda: kernel_residue(scheme, 0.5, 0.3, nan), "x'")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name} must not be NaN"
 
 
 def test_separated_kernel_boundary_conditions():

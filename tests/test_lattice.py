@@ -56,8 +56,12 @@ def test_lhs_bound_examples():
      "lattice requires a coupled (non-separating) scheme"),
     (lambda _: _spec(0.0, 1.0, 2.0),  # det = 4, Im gamma = 0
      "lattice requires a coupled (non-separating) scheme"),
-    (lambda spec: band_condition_rhs(spec, 0.0), "k must be positive"),
-    (lambda spec: monodromy_trace(spec, -1.0), "k must be positive"),
+    (lambda spec: band_condition_rhs(spec, 0.0), "k must be positive and finite, got 0.0"),
+    (lambda spec: monodromy_trace(spec, -1.0), "k must be positive and finite, got -1.0"),
+    (lambda spec: band_condition_rhs(spec, math.inf), "k must be positive and finite, got inf"),
+    (lambda spec: monodromy_trace(spec, math.inf), "k must be positive and finite, got inf"),
+    (lambda spec: trace_at_energy(spec, math.nan), "energy must be a number below +inf, got nan"),
+    (lambda spec: trace_at_energy(spec, math.inf), "energy must be a number below +inf, got inf"),
     (lambda spec: band_structure(spec, 0), "m_max must be >= 1"),
     (lambda spec: band_structure(spec, 2.5), "m_max must be a whole number, got 2.5"),
     (lambda spec: band_structure(spec, math.nan), "m_max must be a whole number, got nan"),
@@ -66,8 +70,9 @@ def test_lhs_bound_examples():
     (lambda spec: dispersion(spec, BandInterval(1, 0.0, 1.0), 1), "need at least 2 samples"),
     (lambda spec: dispersion(spec, BandInterval(1, 0.0, 1.0), 3.5),
      "n_samples must be a whole number, got 3.5"),
-], ids=["decoupled_halfline", "decoupled_greek", "rhs", "monodromy", "m_max", "m_max_2.5",
-        "m_max_nan", "m_range", "dispersion", "dispersion_3.5"])
+], ids=["decoupled_halfline", "decoupled_greek", "rhs", "monodromy", "rhs_inf", "monodromy_inf",
+        "trace_nan", "trace_inf", "m_max", "m_max_2.5", "m_max_nan", "m_range", "dispersion",
+        "dispersion_3.5"])
 def test_lattice_calls_refuse_bad_arguments(call, message):
     with pytest.raises(ValueError) as info:
         call(_spec(1.0, 0.0, 0.0))
@@ -92,7 +97,7 @@ def test_monodromy_delta_formula(alpha, tol):
 
 def test_array_trace_matches_scalar_oracles(rng):
     # one array call over mixed energies against monodromy_trace and the band
-    # condition above zero, the hyperbolic formula below, s + c ell at zero
+    # condition above zero, the hyperbolic formula below, s + c ell at zero, NaN at NaN
     for _ in range(30):
         g = random_greek(rng, allow_beta_zero=True)
         spec = LatticeSpec(CouplingScheme.from_greek(g), float(rng.uniform(0.5, 2.0)))
@@ -107,6 +112,9 @@ def test_array_trace_matches_scalar_oracles(rng):
         # tr sech / sech on the signed wavenumber z is that trace, bit for bit
         scaled, sech = lattice._trace(spec._trace_coeffs, ell, z)[:2]
         assert np.array_equal(scaled / sech, tr)
+        # a NaN energy among them is NaN, not the trace at zero
+        with_nan = lattice._floquet_trace(spec._trace_coeffs, ell, np.append(energies, np.nan))
+        assert np.array_equal(with_nan, np.append(tr, np.nan), equal_nan=True)
         wmod = band_condition_lhs_bound(spec)
         signs = set()
         for e, val in zip(energies, tr):

@@ -1,34 +1,39 @@
 """The scalar call path's outputs, pinned bit for bit.
 
 Every chart conversion, the scheme construction, the symmetry flags, the
-point spectrum, the S-matrix, the resolvent kernel, the scattering
-asymptotics and the binding regime of a few couplings at and near the chart
-edges are written as `float.hex` strings and compared with
+point spectrum, the S-matrix, the resolvent kernel in its four forms, the
+kernel residue at each root, the kernel at each bound-state pole, the
+scattering asymptotics and the binding regime of a few couplings at and near
+the chart edges are written as `float.hex` strings and compared with
 `scalar_bits.json`.  The file holds the outputs of the straightforward
 implementation that the scalar fast paths replaced, so a rewrite of those
 paths must reproduce its bits, its refusals and its messages exactly.  That
 includes the beta-edge S-matrix, whose digits the halfline route loses.
+`snapshot` is the one list of scalar calls: the numpy-free check in
+`test_cli.py` runs it on every pinned coupling.
 
-The values are those of CPython on x86_64 with glibc: `cmath.exp` and
-`abs(complex)` come from the C library, and another platform may round them
-differently.  To record them again, run this file as a script with the
-implementation to record on the path:
+`cmath.exp` and `abs(complex)` come from the C library, and another platform
+may round them differently, so the file records the host facts its values
+depend on (the machine, the Python implementation and the C library) and the
+test skips, naming the first fact that differs, where this host has another.
+To record the file again, run this file as a script with the implementation
+to record on the path:
 
     PYTHONPATH=src python tests/test_scalar_bits.py
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import platform
 from pathlib import Path
 
 import pytest
 
-from gpi1d import (CouplingScheme, GreekParams, classify_symmetries, green_kernel,
-                   is_decoupled, params, point_spectrum, s_matrix,
-                   scattering_asymptotics)
+from conftest import bits, host, outcome, skip_off_host
+from gpi1d import (CouplingScheme, GreekParams, PointKind, classify_symmetries, green_kernel,
+                   green_kernel_dx, green_kernel_greek, green_kernel_halfline, is_decoupled,
+                   kernel_residue, params, point_spectrum, s_matrix, scattering_asymptotics)
 from gpi1d.spectral import binding_regime
 
 FIXTURE = Path(__file__).with_name("scalar_bits.json")
@@ -59,70 +64,63 @@ CONVERSIONS = (("h", "greek_to_halfline", "g"), ("i", "greek_to_inverse", "g"),
                ("t.g", "transfer_to_greek", "t"), ("t.h", "transfer_to_halfline", "t"))
 
 
-def _bits(value) -> str:
-    if isinstance(value, enum.Enum):
-        return repr(value.value)
-    if isinstance(value, (bool, int, str)) or value is None:
-        return repr(value)
-    if isinstance(value, complex):
-        return f"{value.real.hex()},{value.imag.hex()}"
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, list):
-        return "[" + " ".join(map(_bits, value)) + "]"
-    fields = getattr(value, "__dataclass_fields__", None) or getattr(value, "_fields", None)
-    if fields:
-        return "(" + " ".join(_bits(getattr(value, f)) for f in fields) + ")"
-    raise TypeError(f"no bit pattern for {value!r}")
-
-
-def _call(fn, *args, **kwargs) -> str:
-    try:
-        return _bits(fn(*args, **kwargs))
-    except Exception as exc:  # the refusal is part of the output
-        return f"raise {type(exc).__name__}: {exc}"
-
-
 def snapshot(alpha: float, beta: float, gamma: complex) -> dict:
     """Every scalar output of one coupling, as text."""
     out = {}
     charts = {"g": GreekParams(alpha, beta, gamma)}
     for key, name, src in CONVERSIONS:
         if src in charts:
-            try:
-                charts[key] = getattr(params, name)(charts[src])
-            except Exception as exc:
-                out[name + "<" + src] = f"raise {type(exc).__name__}: {exc}"
-                continue
-            out[name + "<" + src] = _bits(charts[key])
+            out[name + "<" + src] = outcome(lambda chart: bits(charts.setdefault(key, chart)),
+                                            getattr(params, name), charts[src])
     scheme = CouplingScheme.from_greek(charts["g"])
-    out["from_greek"] = _bits(scheme.separated if scheme.is_separated else scheme.greek)
-    out["is_decoupled"] = _call(is_decoupled, scheme)
-    out["classify_symmetries"] = _call(classify_symmetries, scheme)
-    out["point_spectrum"] = _call(point_spectrum, scheme)
+    out["from_greek"] = bits(scheme.separated if scheme.is_separated else scheme.greek)
+    out["is_decoupled"] = outcome(bits, is_decoupled, scheme)
+    out["classify_symmetries"] = outcome(bits, classify_symmetries, scheme)
+    out["point_spectrum"] = outcome(bits, point_spectrum, scheme)
     for k in WAVENUMBERS:
-        out[f"s_matrix({k!r})"] = _call(s_matrix, scheme, k)
-    for x, xp, k, side in KERNEL_POINTS:
-        out[f"green_kernel({x!r}, {xp!r}, {k!r}, {side})"] = _call(
-            green_kernel, scheme, x, xp, k, x_side=side)
-    out["scattering_asymptotics"] = _call(scattering_asymptotics, scheme)
+        out[f"s_matrix({k!r})"] = outcome(bits, s_matrix, scheme, k)
     h = scheme.halfline
+    kernels = [(green_kernel, scheme), (green_kernel_dx, scheme), (green_kernel_greek, charts["g"])]
+    if h is not None:
+        kernels.append((green_kernel_halfline, h))
+    for kernel, coupling in kernels:
+        for x, xp, k, side in KERNEL_POINTS:
+            out[f"{kernel.__name__}({x!r}, {xp!r}, {k!r}, {side})"] = outcome(
+                bits, kernel, coupling, x, xp, k, x_side=side)
+    for diag_side in (1, -1):
+        out[f"green_kernel_dx(0.7, 0.7, (0.8+0.4j), diag_side={diag_side})"] = outcome(
+            bits, green_kernel_dx, scheme, 0.7, 0.7, 0.8 + 0.4j, diag_side=diag_side)
+    out["scattering_asymptotics"] = outcome(bits, scattering_asymptotics, scheme)
     if h is not None:
         regime = binding_regime(h)
         out["binding_regime"] = " ".join(
-            [_bits(regime.kind)] + [f"{key}={_bits(v)}" for key, v in sorted(regime.detail.items())])
+            [bits(regime.kind)] + [f"{key}={bits(v)}" for key, v in sorted(regime.detail.items())])
+    # the residue at each root, and the kernel at each bound-state pole, which
+    # the side that carries the pole refuses
+    roots = [] if out["point_spectrum"].startswith("raise ") else point_spectrum(scheme)
+    for i, p in enumerate(roots):
+        out[f"kernel_residue(root {i}, 0.8, -1.1)"] = outcome(
+            bits, kernel_residue, scheme, p.kappa, 0.8, -1.1)
+        if p.kind is PointKind.BOUND:
+            for x in (0.5, -0.5):
+                out[f"green_kernel({x!r}, {2 * x!r}, i kappa of root {i})"] = outcome(
+                    bits, green_kernel, scheme, x, 2 * x, 1j * p.kappa)
     return out
 
 
+HOST = ("machine", "python", "libc")
+
+
 def _record() -> dict:
-    return {label: snapshot(*coupling) for label, coupling in COUPLINGS.items()}
+    return {"host": host(*HOST),
+            **{label: snapshot(*coupling) for label, coupling in COUPLINGS.items()}}
 
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                    reason="the pinned bits are x86_64 values")
 @pytest.mark.parametrize("label", list(COUPLINGS))
 def test_scalar_outputs_keep_their_bits(label):
-    want = json.loads(FIXTURE.read_text())[label]
+    recorded = json.loads(FIXTURE.read_text())
+    skip_off_host(recorded["host"])
+    want = recorded[label]
     got = snapshot(*COUPLINGS[label])
     assert list(got) == list(want)
     for key in want:
@@ -131,7 +129,7 @@ def test_scalar_outputs_keep_their_bits(label):
 
 def test_the_pinned_couplings_reach_every_branch():
     recorded = json.loads(FIXTURE.read_text())
-    assert set(recorded) == set(COUPLINGS)
+    assert list(recorded) == ["host", *COUPLINGS] and list(recorded["host"]) == list(HOST)
     schemes = {label: CouplingScheme.from_greek(GreekParams(*c)) for label, c in COUPLINGS.items()}
     assert [label for label, s in schemes.items() if s.is_separated] == [
         "separated:robin", "separated:neumann", "separated:dirichlet"]
@@ -145,6 +143,18 @@ def test_the_pinned_couplings_reach_every_branch():
     assert asym["bulk"].low.branch == "alpha_nonzero" and asym["bulk"].high.branch == "beta_nonzero"
     assert any(v.startswith("raise DegenerateParametrization")
                for v in recorded["beta=0"].values())
+    # each bound state's pole refused on the side that carries it
+    assert recorded["separated:robin"]["green_kernel(0.5, 1.0, i kappa of root 0)"].startswith(
+        "raise PoleEvaluation: side denominator")
+
+
+def test_a_pin_skips_where_a_recorded_host_fact_differs(monkeypatch):
+    stamp = host(*HOST)
+    skip_off_host(stamp)
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2.4"))
+    with pytest.raises(pytest.skip.Exception) as info:
+        skip_off_host(stamp)
+    assert info.value.msg.startswith(f"recorded with libc {stamp['libc']!r}, running with 'musl'")
 
 
 if __name__ == "__main__":

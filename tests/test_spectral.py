@@ -20,7 +20,8 @@ from gpi1d import (BindingKind, CouplingScheme, DegenerateParametrization,
                    params, point_spectrum, s_matrix, s_matrix_array,
                    scattering_asymptotics, spectral)
 from gpi1d.errors import GpiError
-from conftest import exact_roots, random_greek, random_halfline, random_scheme, reference_free
+from conftest import (bits, exact_roots, outcome, random_greek, random_halfline, random_scheme,
+                      reference_free)
 
 
 # ---------------------------------------------------------------------------
@@ -591,34 +592,22 @@ def test_matrix_form_kernel_with_an_infinite_det_refuses_a_bad_point_first():
         assert (info.value.denominator, info.value.magnitude) == ("det", math.inf)
 
 
-def _bits(z: complex) -> tuple[str, str]:
-    return z.real.hex(), z.imag.hex()
-
-
-def _outcome(f, *args):
-    # a kernel's value bits, or its refusal's type and message
-    try:
-        return _bits(f(*args))
-    except (ValueError, GpiError) as exc:
-        return type(exc).__name__, str(exc)
-
-
 def _reference_kernel(scheme, x, xp, k, x_side, xp_side, diag_side=None):
     # free part + coefficient * e^{ik(|x|+|x'|)}: 0.5 / Delta * quadrant for a coupled
     # scheme, 1/(s - ik) on a Robin or Neumann side of a separated one; dx multiplies
-    # the coefficient by ik sx; the same refusals, in the same order
+    # the coefficient by ik sx; the same refusals, in the same order, as `outcome` text
     k = complex(k)
     if not (k.imag > 0 and math.isfinite(k.real) and math.isfinite(k.imag)):
-        return "InvalidSheet", f"green kernel requires Im k > 0, got k = {k!r}"
+        return f"raise InvalidSheet: green kernel requires Im k > 0, got k = {k!r}"
     sides = []
     for name, v, side in (("x", x, x_side), ("x'", xp, xp_side)):
         if v == 0 and side not in (1, -1):
-            return "ValueError", f"{name} = 0 requires an explicit side (+1 or -1)"
+            return f"raise ValueError: {name} = 0 requires an explicit side (+1 or -1)"
         sides.append(1 if v > 0 else -1 if v < 0 else side)
     sx, sxp = sides
     expfac = cmath.exp(1j * k * (sx * x + sxp * xp))
     if diag_side == 0 and sx == sxp and x == xp:
-        return "ValueError", "x = x' requires diag_side (+1 or -1)"
+        return "raise ValueError: x = x' requires diag_side (+1 or -1)"
     free = reference_free(sx, sxp, x, xp, k, diag_side)
     if scheme.is_separated:
         bc = scheme.separated.right if sx > 0 else scheme.separated.left
@@ -626,18 +615,18 @@ def _reference_kernel(scheme, x, xp, k, x_side, xp_side, diag_side=None):
         if sx == sxp and bc.kind != params.DIRICHLET:
             d = bc.slope - 1j * k
             if abs(d) <= params.DEGENERACY_TOL * max(1.0, abs(bc.slope), abs(k)):
-                return "PoleEvaluation", f"side denominator = {d!r} vanishes at k = {k!r}"
+                return f"raise PoleEvaluation: side denominator = {d!r} vanishes at k = {k!r}"
             coef = 1.0 / d
     else:
         g = scheme.greek
         d = 2.0 * g.alpha - 1j * k * (4.0 + g.det) - 2.0 * g.beta * k * k
         scale = max(1.0, abs(g.alpha), abs(k) * abs(4.0 + g.det), abs(g.beta) * abs(k) ** 2)
         if abs(d) <= params.DEGENERACY_TOL * scale:
-            return "PoleEvaluation", f"Delta(k) = {d!r} vanishes at k = {k!r}"
+            return f"raise PoleEvaluation: Delta(k) = {d!r} vanishes at k = {k!r}"
         coef = _reference_prefactor(g, k) * _reference_coef(g, k, sx, sxp)
     if diag_side is None:
-        return _bits(free + coef * expfac)
-    return _bits(free + coef * (1j * k * sx) * expfac)
+        return bits(free + coef * expfac)
+    return bits(free + coef * (1j * k * sx) * expfac)
 
 
 def _bit_schemes(rng):
@@ -675,16 +664,17 @@ def test_scheme_kernels_are_the_written_out_formula_bit_for_bit(rng):
                 if rng.uniform() < 0.2:
                     xp, xp_side = x, x_side
                 want = _reference_kernel(scheme, x, xp, k, x_side, xp_side)
-                assert _outcome(green_kernel, scheme, x, xp, k, x_side, xp_side) == want
+                assert outcome(bits, green_kernel, scheme, x, xp, k, x_side, xp_side) == want
                 if g is not None:
-                    assert _outcome(green_kernel_greek, g, x, xp, k, x_side, xp_side) == want
+                    assert outcome(bits, green_kernel_greek, g, x, xp, k, x_side, xp_side) == want
                 want_dx = _reference_kernel(scheme, x, xp, k, x_side, xp_side, diag_side)
-                assert (_outcome(green_kernel_dx, scheme, x, xp, k, x_side, xp_side, diag_side)
-                        == want_dx)
+                assert (outcome(bits, green_kernel_dx, scheme, x, xp, k, x_side, xp_side,
+                                diag_side) == want_dx)
                 for w in (want, want_dx):
-                    value = "0x" in w[0]
-                    seen.add(w[1][:12] if w[0] == "ValueError" else "value" if value else w[0])
-                if "0x" in want[0]:
+                    kind, _, message = w.removeprefix("raise ").partition(": ")
+                    seen.add("value" if not w.startswith("raise ")
+                             else message[:12] if kind == "ValueError" else kind)
+                if not want.startswith("raise "):
                     seen.add("x = 0 sided" if 0.0 in (x, xp) else None)
                     same_side = x * xp > 0
                     seen.add("Im k Q > 1" if same_side and k.imag * min(abs(x), abs(xp)) > 1.0
@@ -695,8 +685,9 @@ def test_scheme_kernels_are_the_written_out_formula_bit_for_bit(rng):
         k = complex(1e150, kappa)
         for x, xp in ((1e-155, 2e-155), (-1e-155, -3e-155), (2e-155, -1e-155)):
             want = _reference_kernel(scheme, x, xp, k, 0, 0)
-            assert _outcome(green_kernel, scheme, x, xp, k, 0, 0) == want
-            assert want[0] != "0x0.0p+0" and want[0].startswith(("0x", "-0x"))
+            assert outcome(bits, green_kernel, scheme, x, xp, k, 0, 0) == want
+            real = want.split(",")[0]
+            assert real != "0x0.0p+0" and real.startswith(("0x", "-0x"))
     assert {"value", "InvalidSheet", "PoleEvaluation", "x = 0 requir", "x' = 0 requi",
             "x = x' requi", "x = 0 sided", "Im k Q > 1"} <= seen, seen
 
@@ -737,18 +728,6 @@ def test_s_matrix_converts_once_per_scheme(monkeypatch):
     assert max(abs(a.unitarity - 1.0) for a in amps) < 1e-12
 
 
-def test_kernel_raises_at_a_bound_state():
-    # beta = 0 included, in every quadrant of (x, x')
-    for g in (GreekParams(-2.0, 0.0, 0.0), GreekParams(-1.0, 0.5, 0.3 + 0.4j)):
-        scheme = CouplingScheme.from_greek(g)
-        bound = [p for p in point_spectrum(scheme) if p.kind is PointKind.BOUND]
-        assert bound
-        for p in bound:
-            for x, xp in ((0.5, 0.7), (-0.5, -0.7), (0.5, -0.7), (-0.5, 0.7)):
-                with pytest.raises(PoleEvaluation):
-                    green_kernel(scheme, x, xp, 1j * p.kappa)
-
-
 def test_asymptotics_and_bound_states_past_the_range_of_squares():
     # (4 + |gamma|^2)^2, (4 + det)^2 and |4 - det|^2 leave the float range,
     # but the expansions and the bound state do not
@@ -770,13 +749,17 @@ def test_asymptotics_and_bound_states_past_the_range_of_squares():
     det = greek.alpha * greek.beta
     assert point.kappa == pytest.approx(-det / (2.0 * greek.beta), rel=1e-14)
     assert abs(point.mu) ** 2 + abs(point.nu) ** 2 == pytest.approx(2.0 * point.kappa, rel=1e-14)
-    # the larger root -(4 + det)/(2 beta) = 5e157 is finite, but 4 beta kappa in its
-    # coefficient nu leaves the float range, and so does |(mu, nu)|: the bound state,
-    # whose energy -kappa^2 leaves it too, is refused
+    # 4 beta kappa in the coefficient nu leaves the float range at kappa = 5e153, whose
+    # energy -2.5e307 does not: nu is taken from the boundary system over 4 beta
+    point = point_spectrum(CouplingScheme.from_greek(GreekParams(-1e154, -1e154, 0j)))[0]
+    assert (point.kappa, point.energy, point.kind) == (5e153, -2.5e307, PointKind.BOUND)
+    assert abs(point.mu) ** 2 + abs(point.nu) ** 2 == pytest.approx(2.0 * point.kappa, rel=1e-14)
+    # the larger root -(4 + det)/(2 beta) = 5e157 is finite, but its energy -kappa^2 is
+    # not: the bound state is refused by name
     with pytest.raises(DegenerateParametrization) as info:
         point_spectrum(CouplingScheme.from_greek(GreekParams(0.0, -1e150, 1e154 + 0j)))
-    assert str(info.value) == \
-        "degenerate parametrization: '|(mu, nu)|' is not finite (|value| = inf)"
+    assert str(info.value) == ("degenerate parametrization: 'bound-state energy -kappa^2'"
+                               " is not finite (|value| = inf)")
 
 
 @pytest.mark.parametrize("greek", [

@@ -28,6 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DegenerateOverlap, NoBoundState
 from .params import DEGENERACY_TOL
@@ -67,8 +68,7 @@ class ParameterLoop:
         return -self.a + self.c_mod
 
 
-@dataclass(frozen=True)
-class Eigenstate:
+class Eigenstate(NamedTuple):
     """Bound-state coefficients (mu, nu) at decay rate kappa; unit norm with weights 1/2, 1/2."""
 
     mu: complex

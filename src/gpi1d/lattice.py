@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
 from typing import NamedTuple
@@ -168,15 +168,14 @@ class Regime(str, enum.Enum):
     DELTA_LIKE = "delta_like"
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Measured band/gap behaviour over a band-index range against the regime prediction."""
 
     regime: Regime
     predicted: dict
     measured: dict
     relative_error: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 # ---------------------------------------------------------------------------

@@ -58,24 +58,13 @@ def _check_denominator(value: complex, scale: float, name: str) -> None:
         raise DegenerateParametrization(name, abs(value))
 
 
-def _greek_det(alpha: float, beta: float, gamma_mod: float) -> float:
-    """det = alpha beta + |gamma|^2; DegenerateParametrization("det") where it is not finite."""
+def _checked_form(x: float, y: float, z_mod: float, sign: float, name: str) -> float:
+    """x y + sign z_mod^2 (alpha beta + |gamma|^2, a b - |c|^2 or A B - |C|^2); refused as `name` if not finite."""
     try:
-        det = alpha * beta + gamma_mod ** 2
-    except OverflowError:  # |gamma|^2 left the float range
-        det = math.inf
-    if not math.isfinite(det):  # or alpha beta did
-        raise DegenerateParametrization("det", math.inf)
-    return det
-
-
-def _minor(x: float, y: float, z_mod: float, name: str) -> float:
-    """x y - z_mod^2 (a b - |c|^2 or A B - |C|^2), refused as `name` where it is not finite."""
-    try:
-        value = x * y - z_mod ** 2
-    except OverflowError:
+        value = x * y + sign * z_mod ** 2
+    except OverflowError:  # z_mod^2 left the float range
         value = math.inf
-    if not math.isfinite(value):
+    if not math.isfinite(value):  # or x y did
         raise DegenerateParametrization(name, math.inf)
     return value
 
@@ -101,6 +90,16 @@ def _require_finite_complex(*values: complex) -> None:
             raise ValueError(f"parameters must be finite complex numbers, got {v!r}")
 
 
+def _chart_fields(x: float, y: float, z: complex) -> complex:
+    # the matrix, halfline and inverse records' field check; returns the complex field as stored
+    if not (type(x) is float and type(y) is float and type(z) is complex
+            and math.isfinite(x + y + z.real + z.imag)):
+        _require_finite(x, y)
+        _require_finite_complex(z)
+        z = complex(z)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # Parameter records
 # ---------------------------------------------------------------------------
@@ -109,13 +108,15 @@ def _require_finite_complex(*values: complex) -> None:
 # type is exactly float, a complex field whose type is exactly complex, and a
 # finite sum of all of them.  Any other input goes through _require_finite and
 # _require_finite_complex, which decide what is stored, refused and said.
+# The three of two real fields and one complex share that check, _chart_fields.
 #
 # These four and the scheme validate in a hand-written __init__ that stores
 # the fields straight into the instance dict: a frozen dataclass's generated
 # one calls object.__setattr__ per field, which takes twice as long.  The
 # scheme stores its matrix-form constants and halfline form in the same
 # update, built once at construction.  The records that only carry results
-# (the symmetry flags, spectral's outputs) are named tuples.
+# (the symmetry flags and the outputs of spectral, lattice and berry) are
+# named tuples, save berry's PhaseResult, which builds its overlap tuple lazily.
 
 @dataclass(frozen=True)
 class GreekParams:
@@ -126,12 +127,7 @@ class GreekParams:
     gamma: complex
 
     def __init__(self, alpha: float, beta: float, gamma: complex):
-        if not (type(alpha) is float and type(beta) is float and type(gamma) is complex
-                and math.isfinite(alpha + beta + gamma.real + gamma.imag)):
-            _require_finite(alpha, beta)
-            _require_finite_complex(gamma)
-            gamma = complex(gamma)
-        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma)
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=_chart_fields(alpha, beta, gamma))
 
     @property
     def det(self) -> float:
@@ -158,12 +154,7 @@ class HalflineParams:
     c: complex
 
     def __init__(self, a: float, b: float, c: complex):
-        if not (type(a) is float and type(b) is float and type(c) is complex
-                and math.isfinite(a + b + c.real + c.imag)):
-            _require_finite(a, b)
-            _require_finite_complex(c)
-            c = complex(c)
-        self.__dict__.update(a=a, b=b, c=c)
+        self.__dict__.update(a=a, b=b, c=_chart_fields(a, b, c))
 
     @property
     def scale(self) -> float:
@@ -179,16 +170,7 @@ class InverseParams:
     C: complex
 
     def __init__(self, A: float, B: float, C: complex):
-        if not (type(A) is float and type(B) is float and type(C) is complex
-                and math.isfinite(A + B + C.real + C.imag)):
-            _require_finite(A, B)
-            _require_finite_complex(C)
-            C = complex(C)
-        self.__dict__.update(A=A, B=B, C=C)
-
-    @property
-    def scale(self) -> float:
-        return max(abs(self.A), abs(self.B), abs(self.C), 1.0)
+        self.__dict__.update(A=A, B=B, C=_chart_fields(A, B, C))
 
 
 @dataclass(frozen=True)
@@ -403,7 +385,7 @@ class _MatrixConstants(NamedTuple):
 
 def _matrix_constants(g: GreekParams) -> _MatrixConstants:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
-    det = _greek_det(alpha, beta, abs(gamma))
+    det = _checked_form(alpha, beta, abs(gamma), 1.0, "det")
     four_det = 4.0 + det
     abs_alpha, abs_beta = abs(alpha), abs(beta)
     return _MatrixConstants(
@@ -416,7 +398,7 @@ def _matrix_constants(g: GreekParams) -> _MatrixConstants:
 def _greek_is_decoupled(g: GreekParams) -> bool:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     gamma_mod = abs(gamma)
-    det = _greek_det(alpha, beta, gamma_mod)  # an infinite det must not scale the tolerance
+    det = _checked_form(alpha, beta, gamma_mod, 1.0, "det")  # an infinite det must not scale tol
     tol = DEGENERACY_TOL * max(abs(det), abs(alpha), abs(beta), gamma_mod, 1.0)
     return abs(det - 4.0) <= tol and abs(gamma.imag) <= tol
 
@@ -449,7 +431,7 @@ def greek_to_halfline(g: GreekParams) -> HalflineParams:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     gamma_mod = abs(gamma)
     _check_denominator(beta, max(abs(alpha), abs(beta), gamma_mod), "beta")
-    det = _greek_det(alpha, beta, gamma_mod)
+    det = _checked_form(alpha, beta, gamma_mod, 1.0, "det")
     re4, four_beta = 4.0 * gamma.real, 4.0 * beta
     return HalflineParams((4.0 + det + re4) / four_beta, (4.0 + det - re4) / four_beta,
                           (-4.0 + det - 4.0j * gamma.imag) / four_beta)
@@ -462,7 +444,7 @@ def halfline_to_greek(h: HalflineParams) -> GreekParams:
     den = a + b - 2.0 * c.real
     _check_denominator(den, max(abs(a), abs(b), c_mod), "a+b-2Re(c)")
     # den / 4 is exact (|den| > 1e-12), and 4 ab may overflow where alpha does not
-    alpha = _minor(a, b, c_mod, "a*b-|c|^2") / (0.25 * den)
+    alpha = _checked_form(a, b, c_mod, -1.0, "a*b-|c|^2") / (0.25 * den)
     return GreekParams(alpha, 4.0 / den,
                        4.0 * (0.5 * (a - b) - 1.0j * c.imag) / den)
 
@@ -470,7 +452,7 @@ def halfline_to_greek(h: HalflineParams) -> GreekParams:
 def _involution(x: float, y: float, z: complex, name: str) -> tuple[float, float, complex]:
     """(y, x, -z) / (x y - |z|^2), refused as `name` where the minor vanishes against scale^2."""
     z_mod = abs(z)
-    den = _minor(x, y, z_mod, name)
+    den = _checked_form(x, y, z_mod, -1.0, name)
     scale = max(abs(x), abs(y), z_mod, 1.0)
     if abs(den) / scale <= DEGENERACY_TOL * scale:  # scale^2 itself may overflow
         raise DegenerateParametrization(name, abs(den))
@@ -503,7 +485,7 @@ def greek_to_inverse(g: GreekParams) -> InverseParams:
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     gamma_mod = abs(gamma)
     _check_denominator(alpha, max(abs(alpha), abs(beta), gamma_mod), "alpha")
-    det = _greek_det(alpha, beta, gamma_mod)
+    det = _checked_form(alpha, beta, gamma_mod, 1.0, "det")
     re4, four_alpha = 4.0 * gamma.real, 4.0 * alpha
     return InverseParams((4.0 + det - re4) / four_alpha, (4.0 + det + re4) / four_alpha,
                          (4.0 - det + 4.0j * gamma.imag) / four_alpha)
@@ -516,7 +498,7 @@ def inverse_to_greek(i: InverseParams) -> GreekParams:
     den = A + B + 2.0 * C.real
     _check_denominator(den, max(abs(A), abs(B), C_mod), "A+B+2Re(C)")
     # den / 4 is exact (|den| > 1e-12), and 4 AB may overflow where beta does not
-    beta = _minor(A, B, C_mod, "A*B-|C|^2") / (0.25 * den)
+    beta = _checked_form(A, B, C_mod, -1.0, "A*B-|C|^2") / (0.25 * den)
     return GreekParams(4.0 / den, beta,
                        (2.0 * (B - A) + 4.0j * C.imag) / den)
 
@@ -552,7 +534,7 @@ def halfline_to_transfer(h: HalflineParams) -> TransferParams:
     a, b, c = h.a, h.b, h.c
     m = abs(c)
     _check_denominator(m, max(abs(a), abs(b), m), "c")
-    minor = a * b - m * m  # not _minor: m ** 2 and m * m can differ in the last bit
+    minor = a * b - m * m  # not _checked_form: m ** 2 and m * m can differ in the last bit
     if not math.isfinite(minor):
         raise DegenerateParametrization("a*b-|c|^2", math.inf)
     return TransferParams(-c / m, b / m, 1.0 / m, minor / m, a / m)
@@ -569,7 +551,7 @@ def greek_to_transfer(g: GreekParams) -> TransferParams:
     without dividing by beta.
     """
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
-    det = _greek_det(alpha, beta, abs(gamma))
+    det = _checked_form(alpha, beta, abs(gamma), 1.0, "det")
     im4 = 4.0 * gamma.imag
     wmod = math.hypot(4.0 - det, im4)
     _check_denominator(wmod, det, "|4-det+4i*Im(gamma)|")

@@ -54,7 +54,8 @@ The scalar and array S-matrix paths share `_amplitudes`, which reads the
 halfline fields into locals once, so a scalar call costs few lookups beyond
 its arithmetic.  Above k = sqrt(max float), where k^2 leaves the float range,
 the halfline route evaluates the same two ratios with numerator and
-denominator divided by k^2.
+denominator divided by k^2; the beta = 0 route divides them by the size of its
+denominator there and wherever |gamma|^2 or alpha alone comes near the float range.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DegenerateParametrization, InvalidSheet, InvalidWavenumber, PoleEvaluation
@@ -157,6 +157,8 @@ def _scheme_kernel(m: _MatrixConstants | None, separated: SeparatedHalflineBC | 
         if k.imag * q <= 1.0:
             free = cmath.exp(1j * k * p) * cmath.sin(k * q) / k
         else:  # sin(kQ) alone overflows at large Im(k) Q, where |e^{2ikQ}| < e^-2 cancels nothing
+            if q == math.inf:  # P - Q = inf - inf: the kernel depends on |x| - |x'|
+                raise ValueError("x and x' must not both be infinite on one side")
             free = cmath.exp(1j * k * (p - q)) * (cmath.exp(2j * k * q) - 1.0) / (2j * k)
     else:
         if x == xp and diag_side == 0:
@@ -168,6 +170,8 @@ def _scheme_kernel(m: _MatrixConstants | None, separated: SeparatedHalflineBC | 
         if k.imag * q <= 1.0:
             free = sx * cmath.exp(1j * k * p) * (1j * cmath.sin(k * q) if far else cmath.cos(k * q))
         else:
+            if q == math.inf:
+                raise ValueError("x and x' must not both be infinite on one side")
             e = cmath.exp(2j * k * q)
             free = 0.5 * sx * cmath.exp(1j * k * (p - q)) * (e - 1.0 if far else e + 1.0)
     if m is None:
@@ -228,6 +232,8 @@ def green_kernel_halfline(h: HalflineParams, x: float, xp: float, k: complex,
         if k.imag * q <= 1.0:
             free = cmath.exp(1j * k * p) * cmath.sin(k * q) / k
         else:
+            if q == math.inf:
+                raise ValueError("x and x' must not both be infinite on one side")
             free = cmath.exp(1j * k * (p - q)) * (cmath.exp(2j * k * q) - 1.0) / (2j * k)
     scale = max(1.0, (abs(h.a) + abs(k)) * (abs(h.b) + abs(k)), abs(h.c) ** 2)
     return (free + _reciprocal(denominator_D(h, k), scale, "D(k)", k)
@@ -305,6 +311,8 @@ def kernel_residue(scheme: CouplingScheme, kappa0: float, x: float, xp: float) -
     k = i*kappa0 (where `green_kernel` would); DegenerateParametrization where
     the residue leaves the float range, or at a double root of Delta.
     """
+    if not abs(kappa0) < math.inf:  # nan or +-inf
+        raise ValueError(f"kappa0 must be finite, got {kappa0!r}")
     sx = _side(x, 0, "x")
     sxp = _side(xp, 0, "x'")
     m = scheme._matrix
@@ -417,10 +425,9 @@ class BindingKind(str, enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class BindingRegime:
+class BindingRegime(NamedTuple):
     kind: BindingKind
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 def binding_regime(h: HalflineParams) -> BindingRegime:
@@ -482,7 +489,7 @@ _K_SQUARE_MAX = math.sqrt(sys.float_info.max)
 def _amplitudes(scheme: CouplingScheme, k, huge: bool = False):
     # (r, t) at k > 0; the same arithmetic serves a float k and an ndarray k.
     # huge: every k is above _K_SQUARE_MAX, where the halfline route takes the
-    # same ratios over k^2
+    # same ratios over k^2, and the beta = 0 route over the size of its denominator
     if scheme.is_separated:
         bc = scheme.separated.right
         if bc.kind == DIRICHLET:
@@ -505,6 +512,15 @@ def _amplitudes(scheme: CouplingScheme, k, huge: bool = False):
         return -((a - ik) * (b + ik) - c2) / d, 2j * k * c / d
     g = scheme.greek
     gm = abs(g.gamma) ** 2
+    if huge or gm > _K_SQUARE_MAX / 16.0 or abs(g.alpha) > sys.float_info.max / 16.0:
+        # 2 alpha - ik (4+|gamma|^2) or its division may leave the float range: the ratios
+        # over 2|alpha| + k (4+|gamma|^2), so the denominator has |Re| + |Im| = 1, in two
+        # steps: over 1.6 (4+|gamma|^2), where 0.625 k > 0 and |y| + h < max float, then |y| + h
+        v = 1.0 / (4.0 + gm)
+        y, h = 1.25 * v * g.alpha, 0.625 * k
+        y, h = y / (abs(y) + h), h / (abs(y) + h)
+        return (-(y + 1j * h * (4.0 * g.gamma.real * v)) / (y - 1j * h),
+                -1j * h * ((4.0 - gm + 4j * g.gamma.imag) * v) / (y - 1j * h))
     den = 2.0 * g.alpha - 1j * k * (4.0 + gm)
     return (-(2.0 * g.alpha + 4j * k * g.gamma.real) / den,
             -1j * k * (4.0 - gm + 4j * g.gamma.imag) / den)

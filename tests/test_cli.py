@@ -557,6 +557,7 @@ for coupling in COUPLINGS.values():
 loop = gpi1d.ParameterLoop(a=-2.0, c_mod=0.6, samples=8)
 gpi1d.overlap(gpi1d.eigenstate_at(loop, 0.0), gpi1d.eigenstate_at(loop, 0.5))
 gpi1d.berry_connection_analytic(loop, 0.5)
+assert "band_structure" in dir(gpi1d)  # named without importing gpi1d.lattice
 print(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
 """
 

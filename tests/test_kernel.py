@@ -202,18 +202,36 @@ def test_kernel_rejects_unphysical_sheet():
 
 
 def test_kernels_refuse_a_nan_point_by_name():
-    # with a side given or not, where an unsided x = 0 is refused too
+    # with a side given or not, where an unsided x = 0 is refused too; two infinite
+    # points on one side have no limit, since the kernel depends on |x| - |x'|
     scheme = CouplingScheme.from_greek(GreekParams(1.0, 1.0, 0.0))
-    nan = math.nan
-    for call, name in ((lambda: green_kernel(scheme, nan, 1.0, 1j), "x"),
-                       (lambda: green_kernel(scheme, 0.5, nan, 1j, 0, 1), "x'"),
-                       (lambda: green_kernel_dx(scheme, nan, 1.0, 1j, 1, 1, 1), "x"),
-                       (lambda: green_kernel_greek(scheme.greek, 0.0, nan, 1j, 1), "x'"),
-                       (lambda: green_kernel_halfline(scheme.halfline, nan, 0.0, 1j), "x"),
-                       (lambda: kernel_residue(scheme, 0.5, 0.3, nan), "x'")):
+    coupled = CouplingScheme.from_greek(GreekParams(-1.0, 0.5, 0.3 + 0.4j))
+    nan, inf = math.nan, math.inf
+    both = "x and x' must not both be infinite on one side"
+    for call, message in (
+            (lambda: green_kernel(scheme, nan, 1.0, 1j), "x must not be NaN"),
+            (lambda: green_kernel(scheme, 0.5, nan, 1j, 0, 1), "x' must not be NaN"),
+            (lambda: green_kernel_dx(scheme, nan, 1.0, 1j, 1, 1, 1), "x must not be NaN"),
+            (lambda: green_kernel_greek(scheme.greek, 0.0, nan, 1j, 1), "x' must not be NaN"),
+            (lambda: green_kernel_halfline(scheme.halfline, nan, 0.0, 1j), "x must not be NaN"),
+            (lambda: kernel_residue(scheme, 0.5, 0.3, nan), "x' must not be NaN"),
+            (lambda: kernel_residue(coupled, nan, 0.3, 0.2), "kappa0 must be finite, got nan"),
+            (lambda: kernel_residue(coupled, -inf, 0.3, 0.2), "kappa0 must be finite, got -inf"),
+            (lambda: green_kernel(coupled, inf, inf, 1j), both),
+            (lambda: green_kernel_dx(coupled, inf, inf, 1j, diag_side=1), both),
+            (lambda: green_kernel_dx(coupled, -inf, -inf, 1e-3j, diag_side=-1), both),
+            (lambda: green_kernel_greek(coupled.greek, -inf, -inf, 2.0 + 1j), both),
+            (lambda: green_kernel_halfline(coupled.halfline, inf, inf, 1j), both),
+            (lambda: green_kernel(CouplingScheme.from_separated(
+                HalflineBoundary.neumann(), HalflineBoundary.dirichlet()), inf, inf, 1j), both)):
         with pytest.raises(ValueError) as info:
             call()
-        assert str(info.value) == f"{name} must not be NaN"
+        assert str(info.value) == message
+    # one infinite point, or one on each side, keeps the limit 0
+    for x, xp in ((inf, 1.0), (-2.0, -inf), (inf, -inf), (inf, 0.0)):
+        assert green_kernel(coupled, x, xp, 1j, 1, 1) == 0j
+        assert green_kernel_dx(coupled, x, xp, 1j, 1, 1, 1) == 0j
+        assert green_kernel_halfline(coupled.halfline, x, xp, 1j, 1, 1) == 0j
 
 
 def test_separated_kernel_boundary_conditions():

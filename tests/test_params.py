@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import cmath
 import dataclasses
+import enum
 import inspect
 import math
 import pathlib
@@ -14,13 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gpi1d
 import gpi1d.params as params_module
 import gpi1d.spectral as spectral_module
-from gpi1d import (AsymptoticExpansion, CarreauParams, ChernoffHughesParams, CouplingScheme,
-                   DegenerateParametrization, GreekParams, HalflineBoundary,
-                   HalflineParams, InverseParams, PointKind, ScatteringAmplitudes,
-                   ScatteringAsymptotics, SebaParams, SpectralPoint, SymmetryFlags,
-                   TransferParams,
+from gpi1d import (AsymptoticExpansion, BindingKind, BindingRegime, CarreauParams,
+                   ChernoffHughesParams, CouplingScheme, DegenerateParametrization, Eigenstate,
+                   GreekParams, HalflineBoundary, HalflineParams, InverseParams, LatticeSpec,
+                   ParameterLoop, PhaseResult, PointKind, Regime, RegimeReport,
+                   ScatteringAmplitudes, ScatteringAsymptotics, SebaParams,
+                   SeparatedHalflineBC, SpectralPoint, SymmetryFlags, TransferParams,
                    carreau_to_halfline, chernoff_hughes_to_greek,
                    chernoff_hughes_to_inverse, classify_symmetries,
                    gauge_transform, greek_to_halfline, greek_to_inverse,
@@ -419,12 +422,20 @@ def test_result_records_are_immutable_hashable_tuples():
         AsymptoticExpansion: (("regime", "branch", "order", "r_limit", "t_limit", "r_coeff",
                                "t_coeff"), tuple(low)),
         ScatteringAsymptotics: (("low", "high"), (low, high)),
+        BindingRegime: (("kind", "detail"), (BindingKind.OTHER, {"kappa_hi": -1.0})),
+        RegimeReport: (("regime", "predicted", "measured", "relative_error", "details"),
+                       (Regime.DELTA_LIKE, {"gap_width": 2.0}, {"gap_width": 2.5}, 0.25, {})),
+        Eigenstate: (("mu", "nu", "kappa"), (1.5 + 0j, 0.5 - 0.5j, 1.125)),
     }
     for cls, (names, args) in examples.items():
         assert issubclass(cls, tuple) and cls._fields == names, cls
         rec = cls(*args)
         assert tuple(rec) == args and rec == cls(**dict(zip(names, args))), cls
-        assert hash(rec) == hash(cls(*args)) and len({rec, cls(*args)}) == 1, cls
+        if any(isinstance(arg, dict) for arg in args):  # as the frozen dataclasses they were
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(rec)
+        else:
+            assert hash(rec) == hash(cls(*args)) and len({rec, cls(*args)}) == 1, cls
         with pytest.raises(AttributeError):
             setattr(rec, names[0], args[0])
         *_, last = rec
@@ -433,6 +444,37 @@ def test_result_records_are_immutable_hashable_tuples():
     assert SpectralPoint(-0.5, -0.25, PointKind.ANTIBOUND)[3:] == (None, None)
     assert all(not cls._field_defaults for cls in examples if cls is not SpectralPoint)
     assert ScatteringAmplitudes(2.0, 0.6j, 0.8 + 0j).unitarity == 1.0
+    # the repr text of the three records that were frozen dataclasses
+    reprs = {
+        BindingRegime: "BindingRegime(kind=<BindingKind.OTHER: 'other'>, detail={'kappa_hi': -1.0})",
+        RegimeReport: ("RegimeReport(regime=<Regime.DELTA_LIKE: 'delta_like'>,"
+                       " predicted={'gap_width': 2.0}, measured={'gap_width': 2.5},"
+                       " relative_error=0.25, details={})"),
+        Eigenstate: "Eigenstate(mu=(1.5+0j), nu=(0.5-0.5j), kappa=1.125)",
+    }
+    for cls, text in reprs.items():
+        assert repr(cls(*examples[cls][1])) == text
+
+
+def test_every_public_class_follows_the_rule_of_its_kind():
+    # results are named tuples; inputs and PhaseResult are frozen dataclasses
+    inputs = {GreekParams, HalflineParams, InverseParams, TransferParams, CarreauParams,
+              SebaParams, ChernoffHughesParams, HalflineBoundary, SeparatedHalflineBC,
+              CouplingScheme, LatticeSpec, ParameterLoop, PhaseResult}
+    frozen, named = set(), set()
+    for obj in (getattr(gpi1d, name) for name in gpi1d.__all__):
+        if not isinstance(obj, type) or issubclass(obj, (enum.Enum, Exception)):
+            continue
+        if dataclasses.is_dataclass(obj):
+            assert obj.__dataclass_params__.frozen, obj
+            frozen.add(obj)
+        else:
+            assert obj.__bases__ == (tuple,) and isinstance(obj._fields, tuple), obj
+            named.add(obj)
+    assert frozen == inputs
+    assert named == {SymmetryFlags, SpectralPoint, ScatteringAmplitudes, AsymptoticExpansion,
+                     ScatteringAsymptotics, BindingRegime, gpi1d.BandInterval,
+                     gpi1d.GapInterval, RegimeReport, Eigenstate}
 
 
 def test_overflowing_conversions_refuse_as_before():

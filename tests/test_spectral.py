@@ -714,6 +714,42 @@ def test_s_matrix_past_the_range_of_k_squared():
             assert abs(rr) ** 2 + abs(tt) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
+def _exact_beta_zero_amplitudes(g: GreekParams, k: float) -> tuple[complex, complex]:
+    # r = -(2 alpha + 4ik Re gamma) / Delta, t = -ik (4 - |gamma|^2 + 4i Im gamma) / Delta,
+    # Delta = 2 alpha - ik (4 + |gamma|^2), exact in the binary inputs
+    al, gr, gi, k = map(Fraction, (g.alpha, g.gamma.real, g.gamma.imag, k))
+    gm = gr * gr + gi * gi
+    dr, di = 2 * al, -k * (4 + gm)
+    d2 = dr * dr + di * di
+
+    def over_delta(nr, ni):
+        return complex((nr * dr + ni * di) / d2, (ni * dr - nr * di) / d2)
+
+    return over_delta(-2 * al, -4 * k * gr), over_delta(4 * k * gi, -k * (4 - gm))
+
+
+@pytest.mark.parametrize("greek, ks", [
+    (GreekParams(1.0, 0.0, 1e150 + 0j), (1e-300, 1.0, 1e10, 1e200, sys.float_info.max)),
+    (GreekParams(0.0, 0.0, 1e100 + 3e99j), (1e-300, 1.0, 1e160)),
+    (GreekParams(1.7e308, 0.0, -1.3e154 + 1e150j), (1e-5, 1.0, 1e10, 1e300)),
+    (GreekParams(1.0, 0.0, 0.3 + 0.4j), (1.0, 1e150, 1e200, sys.float_info.max)),
+], ids=["huge_gamma", "no_alpha", "huge_alpha", "huge_k"])
+def test_beta_zero_s_matrix_past_the_float_range(greek, ks):
+    # 2 alpha - ik (4 + |gamma|^2) or its complex division leaves the float range, where
+    # the plain form gave nan: the beta = 0 route takes both ratios over 2|alpha| + k (4+|gamma|^2)
+    scheme = CouplingScheme.from_greek(greek)
+    assert scheme.halfline is None and not scheme.is_separated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, t = s_matrix_array(scheme, np.array(ks))
+        amps = [s_matrix(scheme, k) for k in ks]
+    for k, r_k, t_k, amp in zip(ks, r.tolist(), t.tolist(), amps):
+        want_r, want_t = _exact_beta_zero_amplitudes(greek, k)
+        for got, want in ((r_k, want_r), (t_k, want_t), (amp.r, want_r), (amp.t, want_t)):
+            assert abs(got - want) <= 1e-13 * abs(want) + 1e-300, (k, got, want)
+        assert amp.unitarity == pytest.approx(1.0, abs=1e-15)
+
+
 def test_s_matrix_converts_once_per_scheme(monkeypatch):
     calls = []
 
